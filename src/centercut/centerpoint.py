@@ -18,7 +18,7 @@ import numpy as np
 from . import depth as depth_mod
 from . import geom
 from .depth import depth_finite, min_direction_2d
-from .errors import BudgetExceeded, EmptyLattice, EmptyRegion
+from .errors import BudgetExceeded, EmptyLattice, EmptyRegion, Infeasible
 from .geom import Polytope
 from .measures import (LatticeCounting, Measure, MixedInteger, RngState,
                        UniformPolytope)
@@ -138,19 +138,6 @@ def mc_sample_size(eps: float, delta: float, vc_dim: int, C: float = DEFAULT_C) 
     return int(math.ceil(C / (eps * eps) * (vc_dim + math.log(1.0 / delta))))
 
 
-def _sample_depths(pts, centers):
-    """Exact depth of each center under the counting measure on pts."""
-    pts = np.asarray(pts, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    w = np.ones(len(pts))
-    out = np.empty(len(centers))
-    chunk = max(1, 2_000_000 // max(len(pts), 1))   # bounds the (chunk, 2N) rows
-    for s in range(0, len(centers), chunk):
-        out[s:s + chunk] = depth_mod._sweep_counting_min_batch(
-            centers[s:s + chunk], pts, w) / len(pts)
-    return out
-
-
 def _line_through(p, q):
     d = q - p
     n = np.array([-d[1], d[0]])
@@ -191,6 +178,9 @@ def _continuous_candidates_2d(pts, cap):
 
 
 _PRUNE_DIRS = 16
+# (row, point) pairs per batch of the counting kernel: small batches keep the
+# working set near 1 MB and let the upper-bound pruning stop early
+_BATCH_ELEMENTS = 25_000
 
 
 def _depth_upper_bounds(pts, cand):
@@ -213,65 +203,52 @@ def _depth_upper_bounds(pts, cand):
     return ub
 
 
+def _deepest_depths(pts, cand, K, vals):
+    """Fill the NaN entries of ``vals`` with exact depths of ``cand`` under
+    the counting measure on ``pts``, in descending upper-bound order, and stop
+    once no remaining bound can reach the K-th largest value minus 1e-12, so
+    every entry left NaN lies more than 1e-12 below the K-th largest value.
+    Each batch holds about _BATCH_ELEMENTS (row, point) pairs."""
+    ub = _depth_upper_bounds(pts, cand)
+    todo = np.flatnonzero(np.isnan(vals))
+    order = todo[np.argsort(-ub[todo], kind="stable")]
+    top = np.sort(vals[~np.isnan(vals)])[-K:]   # the K largest so far
+    w = np.ones(len(pts))
+    rows = max(1, _BATCH_ELEMENTS // len(pts))
+    for s in range(0, len(order), rows):
+        take = order[s:s + rows]
+        if len(top) == K and ub[take[0]] < top[0] - 1e-12:
+            break
+        got = depth_mod._sweep_counting_min_batch(cand[take], pts, w) / len(pts)
+        vals[take] = got
+        top = np.sort(np.concatenate([top, got]))[-K:]
+    return vals
+
+
 def _topk_indices(pts, K):
     """Indices of the K deepest sample points, value descending then index
-    ascending, exactly as a full stable argsort would pick them. Depths are
-    evaluated in descending upper-bound order and evaluation stops once no
-    remaining bound can reach the current K-th value minus 1e-12, so boundary
-    ties still resolve by index. Returns (indices, values with NaN where the
-    depth was never needed)."""
+    ascending, exactly as a full stable argsort would pick them. Returns
+    (indices, values with NaN where the depth was never needed)."""
     pts = np.asarray(pts, dtype=float)
-    w = np.ones(len(pts))
-    ub = _depth_upper_bounds(pts, pts)
-    order = np.argsort(-ub, kind="stable")
-    vals = np.full(len(pts), np.nan)
-    chunk = max(64, 2_000_000 // max(len(pts), 1))
-    kth = -np.inf
-    done = 0
-    for s in range(0, len(order), chunk):
-        take = order[s:s + chunk]
-        if done >= K and ub[take[0]] < kth - 1e-12:
-            break
-        vals[take] = depth_mod._sweep_counting_min_batch(pts[take], pts, w) / len(pts)
-        done += len(take)
-        if done >= K:
-            kth = float(np.partition(vals[order[:done]], -K)[-K])
+    vals = _deepest_depths(pts, pts, K, np.full(len(pts), np.nan))
     filled = np.flatnonzero(~np.isnan(vals))
     top = filled[np.lexsort((filled, -vals[filled]))][:K]
     return top, vals
 
 
 def _pruned_lex_best(pts, cand, known=None):
-    """Index and value of the exact sample-depth maximizer over ``cand``.
-
-    Equivalent to _lex_best over _sample_depths(pts, cand): candidates are
-    evaluated exactly in descending upper-bound order until no remaining
-    bound can reach best - 1e-12, then ties resolve lexicographically.
-    ``known`` optionally carries already-exact values for a prefix of cand.
+    """Index and value of the exact sample-depth maximizer over ``cand``,
+    lexicographically smallest among values within 1e-12 of the best, as
+    _lex_best over every exact depth would pick it. ``known`` optionally
+    carries already-exact values (NaN where unknown) for a prefix of cand.
     """
     cand = np.asarray(cand, dtype=float)
-    w = np.ones(len(pts))
     vals = np.full(len(cand), np.nan)
-    best = -np.inf
-    if known is not None and len(known):
+    if known is not None:
         vals[:len(known)] = known
-        filled = known[~np.isnan(known)]
-        if len(filled):
-            best = float(filled.max())
-    ub = _depth_upper_bounds(pts, cand)
-    todo = np.flatnonzero(np.isnan(vals))
-    order = todo[np.argsort(-ub[todo], kind="stable")]
-    chunk = max(64, 2_000_000 // max(len(pts), 1))
-    for s in range(0, len(order), chunk):
-        take = order[s:s + chunk]
-        if ub[take[0]] < best - 1e-12:
-            break
-        got = depth_mod._sweep_counting_min_batch(cand[take], pts, w) / len(pts)
-        vals[take] = got
-        best = max(best, float(got.max()))
-    tied = np.flatnonzero(~np.isnan(vals) & (vals >= best - 1e-12))
-    sub = cand[tied]
-    k = int(tied[np.lexsort(sub.T[::-1])[0]])
+    vals = _deepest_depths(pts, cand, 1, vals)
+    filled = np.flatnonzero(~np.isnan(vals))
+    k = int(filled[_lex_best(cand[filled], vals[filled])])
     return k, float(vals[k])
 
 
@@ -347,17 +324,17 @@ def _mixed_candidates(m: MixedInteger, pts, cap):
 # exact 2D lattice route
 
 def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
-    """Exact counting-measure centerpoint: evaluates the exact sweep at every
-    active lattice point and keeps the deepest (lexicographic ties)."""
+    """Exact counting-measure centerpoint: the deepest active lattice point,
+    lexicographically smallest on ties.
+
+    The search runs the batched counting kernel over the active points with
+    upper-bound pruning, which counts collinear points with the same 1e-12 rad
+    boundary slack as the probe sweep; only the winner goes through
+    ``min_direction_2d``, which supplies its witness direction.
+    """
     pts = m.active_points()
-    values = np.empty(len(pts))
-    results = []
-    for i, p in enumerate(pts):
-        r = min_direction_2d(m, p)
-        values[i] = r.value
-        results.append(r)
-    k = _lex_best(pts, values)
-    return CenterpointResult(pts[k], results[k], "exact2d-int", 0,
+    k, _val = _pruned_lex_best(pts, pts)
+    return CenterpointResult(pts[k], min_direction_2d(m, pts[k]), "exact2d-int", 0,
                              depth_guarantee(ConstraintSet.lattice(2)))
 
 
@@ -432,8 +409,12 @@ def _nearest_fiber_point(m: MixedInteger, target) -> np.ndarray:
 
 
 def _project_vertices(P: Polytope, coords) -> np.ndarray:
-    verts = P.vertices()[:, coords]
-    return geom.canonical_polygon(verts)
+    """Projection of P onto ``coords`` as a canonical convex polygon.
+
+    Projected vertices come in vertex-enumeration order, with interior and
+    coincident images, so the polygon is their convex hull.
+    """
+    return geom.convex_hull_2d(P.vertices()[:, coords])
 
 
 def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
@@ -509,15 +490,17 @@ def _narrow_recursion(P: Polytope, m: MixedInteger, u, omega_bar) -> np.ndarray:
     for t in range(int(math.ceil(tvals.min() - geom.EPS)),
                    int(math.floor(tvals.max() + geom.EPS)) + 1):
         z0 = np.array([a * t, b * t], dtype=float)
-        rows = []
-        for h in P.constraints:
-            nv = h.n
-            rows.append([-(nv[:2] @ w), -nv[2],
-                         -(h.offset - nv[:2] @ z0)])
+        rows = np.array([[-(h.n[:2] @ w), -h.n[2], -(h.offset - h.n[:2] @ z0)]
+                         for h in P.constraints])
+        # a facet normal parallel to u leaves no (k, y) part on this slice:
+        # it either holds on the whole slice or empties it
+        flat = np.abs(rows[:, :2]).max(axis=1) <= 1e-12
+        if np.any(rows[flat, 2] < -geom.EPS):
+            continue
         try:
-            sub = Polytope.from_rows(np.array(rows))
+            sub = Polytope.from_rows(rows[~flat])
             subm = MixedInteger(sub, 1, 1)
-        except Exception:
+        except (Infeasible, EmptyRegion):
             continue
         r = centerpoint_lenstra_mixed(sub, 1, 1, omega_bar)
         k, y = r.point

@@ -2,7 +2,8 @@
 
 Problem documents are strict JSON: ``schema_version`` 1, a ``command`` naming
 the subcommand, and the command's payload. Unknown keys are rejected so golden
-outputs stay stable. All randomness derives from --seed through fixed
+outputs stay stable. Flags override document fields. All randomness derives
+from the seed (--seed, else the document's ``seed``, else 0) through fixed
 per-command child streams; identical inputs give byte-identical output.
 """
 from __future__ import annotations
@@ -377,7 +378,7 @@ def cmd_depth(doc, args) -> dict:
     x = np.asarray(doc["point"], dtype=float)
     if x.shape != (m.dim,):
         _fail("$.point", "dimension does not match the measure")
-    rng = RngState(args.seed).child(0)
+    rng = RngState(_pick(args.seed, doc, "seed", 0)).child(0)
     r = _depth_at(m, x, rng)
     witness = None if r.witness is None else list(r.witness.coords)
     return _pyify({"command": "depth", "value": r.value, "witness": witness,
@@ -390,7 +391,7 @@ def cmd_centerpoint(doc, args) -> dict:
     eps = float(_pick(args.eps, doc, "eps", 0.1))
     delta = float(_pick(args.delta, doc, "delta", 0.1))
     c_const = float(_pick(args.C, doc, "C", 0.5))
-    seed = int(_pick(args.seed if args.seed != 0 else None, doc, "seed", 0))
+    seed = int(_pick(args.seed, doc, "seed", 0))
     rng = RngState(seed).child(1)
     if "constraint" in doc:
         S = _build_constraint(doc["constraint"])
@@ -410,6 +411,8 @@ def cmd_centerpoint(doc, args) -> dict:
             _fail("$.method", "lenstra needs a mixed measure")
         res = centerpoint_lenstra_mixed(m.polytope, m.n, m.d)
     else:
+        if not isinstance(m, UniformPolytope):
+            _fail("$.method", "centroid needs a uniform measure")
         point = centroid(m)
         r = _depth_at(m, point, rng)
         g = depth_guarantee(S)
@@ -441,7 +444,7 @@ def _run_solve(doc, args, seed_child):
     delta = float(_pick(args.delta, doc, "delta", doc["delta"]))
     strategy_name = _pick(args.strategy, doc, "strategy", "centerpoint")
     budget = int(_pick(args.budget, doc, "budget", 10_000))
-    seed = int(_pick(None, doc, "seed", args.seed))
+    seed = int(_pick(args.seed, doc, "seed", 0))
     strategy = _STRATEGIES[strategy_name](seed)
     rng = RngState(seed).child(seed_child)
     report = cutplane.solve(o, S, nu, E0, delta, strategy=strategy,
@@ -476,7 +479,7 @@ def cmd_adversary_run(doc, args) -> dict:
     delta = float(_pick(args.delta, doc, "delta", doc["delta"]))
     strategy_name = _pick(args.strategy, doc, "strategy", "centerpoint")
     budget = int(_pick(args.budget, doc, "budget", 10_000))
-    seed = int(_pick(None, doc, "seed", args.seed))
+    seed = int(_pick(args.seed, doc, "seed", 0))
     strategy = _STRATEGIES[strategy_name](seed)
     rng = RngState(seed).child(3)
     report = cutplane.solve(o, S, nu, game.E0, delta, strategy=strategy,
@@ -600,7 +603,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True, help="problem file (JSON)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="overrides the document seed (default 0)")
         sp.add_argument("--output", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--eps", type=float, default=None)

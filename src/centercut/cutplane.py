@@ -17,7 +17,7 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from . import depth as depth_mod
-from .centerpoint import (ConstraintSet, centerpoint_lattice_measure,
+from .centerpoint import (ConstraintSet, _lex_best, centerpoint_lattice_measure,
                           centerpoint_mixed_2d, centroid, depth_guarantee)
 from .depth import depth_finite, min_direction_2d
 from .errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
@@ -151,10 +151,8 @@ def _nearest_row(pts, target):
 
 def _best_finite_point(pts, weights):
     vals = [depth_finite(pts, p, weights).value for p in pts]
-    top = max(vals)
-    tied = [i for i, v in enumerate(vals) if v >= top - 1e-12]
-    order = sorted(tied, key=lambda i: tuple(pts[i]))
-    return pts[order[0]], top
+    k = _lex_best(pts, vals)
+    return pts[k], vals[k]
 
 
 def _pick_centerpoint(m: Measure, rng: RngState, i: int):

@@ -14,9 +14,20 @@ Counting sweeps work in the angle parametrization u(a) = (sin a, cos a): a
 point at offset w from x has u(a).w = |w| cos(a - b) with b = atan2(w1, w2),
 so it lies in the closed halfspace exactly when b is within pi/2 of a. The
 mass is therefore a half-circle window sum over the sorted b's, piecewise
-constant in a with breakpoints at b +- pi/2. Probing every breakpoint, the
-breakpoints nudged by 1e-12 to either side, and every midpoint of consecutive
-breakpoints visits every constancy arc, which makes the minimum exact.
+constant in a with breakpoints at b +- pi/2. Two engines evaluate it:
+
+* ``_sweep_counting_2d`` probes every breakpoint, the breakpoints nudged by
+  1e-12 to either side, and every midpoint of consecutive breakpoints, which
+  visits every constancy arc and also returns a minimizing angle. It serves
+  the calls that need a witness direction: ``min_direction_2d``,
+  ``depth_finite`` and the inner sweep of the 3D engine.
+* ``_sweep_counting_min_batch`` returns the minimum only, for many query
+  points at once. It backs every deepest-point search over a finite set (the
+  exact lattice centerpoint and the Monte Carlo route).
+
+Both treat angles within 1e-12 rad of a window boundary as on it, so points
+that are collinear with x, which floating-point atan2 puts a few ulps to
+either side of each other's antipode, count the same in both.
 """
 from __future__ import annotations
 
@@ -110,8 +121,12 @@ def _sweep_counting_min_batch(centers, pts, weights):
 
     Uses the complement identity: the closed window [a-pi/2, a+pi/2] misses
     exactly one open arc of length pi, and the supremum of open-arc weight is
-    attained by a half-open arc [b_i, b_i+pi) anchored at a point angle. One
-    searchsorted per row replaces the probe sweep; at-center points ride
+    attained by a half-open arc [b_i, b_i+pi) anchored at a point angle. The
+    arc ends 1e-12 rad short of b_i+pi, the boundary slack of
+    ``_window_masses``, so a point antipodal to b_i stays on the closed side
+    even when atan2 rounds its angle just below b_i+pi; with that slack the
+    result agrees with the minimum of ``_sweep_counting_2d``.
+    One searchsorted per row replaces the probe sweep; at-center points ride
     along as zero-weight entries so rows stay rectangular without changing
     any sum. One flat search serves every row by offsetting row j into the
     disjoint block [4*pi*j, 4*pi*(j+1)).
@@ -136,7 +151,7 @@ def _sweep_counting_min_batch(centers, pts, weights):
     np.cumsum(np.concatenate([w, w], axis=1), axis=1, out=cum[:, 1:])
     offs = (2.0 * TWO_PI) * np.arange(C)[:, None]
     idx = np.searchsorted((ext + offs).ravel(),
-                          (betas + math.pi + offs).ravel(), side="left")
+                          (betas + (math.pi - 1e-12) + offs).ravel(), side="left")
     idx = np.clip(idx.reshape(C, N) - 2 * N * np.arange(C)[:, None], 0, 2 * N)
     rows = np.arange(C)[:, None]
     open_max = (cum[rows, idx] - cum[:, :N]).max(axis=1)

@@ -1,8 +1,8 @@
 """Low-dimensional convex geometry kernel.
 
-Points, directions, halfspaces and H-representation polytopes, plus the
-handful of exact primitives everything else is built on: polygon clipping,
-signed areas, brute-force vertex enumeration (dimension <= 3), bounded
+Directions, halfspaces and H-representation polytopes, plus the handful of
+exact primitives everything else is built on: polygon clipping, planar convex
+hulls, signed areas, brute-force vertex enumeration (dimension <= 3), bounded
 lattice point enumeration, and 2D lattice width.
 
 Halfspaces are written ``{y : normal . y >= offset}`` with a unit normal.
@@ -38,23 +38,6 @@ def _vector(x, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and a.size != dim:
         raise ValueError(f"expected dimension {dim}, got {a.size}")
     return a
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of R^n with finite coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _vector(self.coords))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def __iter__(self):
-        return iter(self.coords)
 
 
 @dataclass(frozen=True)
@@ -359,6 +342,28 @@ def canonical_polygon(verts: np.ndarray, tol: float = EPS) -> np.ndarray:
                 v = v[:1]
     start = int(np.lexsort((v[:, 1], v[:, 0]))[0])
     return np.roll(v, -start, axis=0)
+
+
+def convex_hull_2d(pts) -> np.ndarray:
+    """Convex hull of planar points in canonical form (Andrew's monotone
+    chain). Duplicate and collinear points are allowed and dropped, so a
+    degenerate input gives a segment's two ends or a single point."""
+    p = np.unique(np.atleast_2d(np.asarray(pts, dtype=float)).reshape(-1, 2), axis=0)
+
+    def chain(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2:
+                a, b = out[-1] - out[-2], q - out[-2]
+                if a[0] * b[1] - a[1] * b[0] > 0:
+                    break
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    if len(p) <= 2:
+        return canonical_polygon(p)
+    return canonical_polygon(np.array(chain(p) + chain(p[::-1])))
 
 
 def _assert_convex_ccw(verts: np.ndarray) -> None:

@@ -86,10 +86,6 @@ class Measure:
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         raise NotImplementedError
 
-    def region_mass(self, extra_cuts=()) -> float:
-        """Unnormalized mass after further cuts; never raises EmptyRegion."""
-        raise NotImplementedError
-
     def _check_nonempty(self):
         if self.total_mass <= MASS_TOL:
             raise EmptyRegion(f"{self.family}: region mass is zero")
@@ -132,10 +128,6 @@ class FinitePointMass(Measure):
         v = float(self.weights[mask].sum()) / self.total_mass
         return MassEstimate(min(max(v, 0.0), 1.0))
 
-    def region_mass(self, extra_cuts=()) -> float:
-        mask = self._active & _cut_mask(self.points, extra_cuts)
-        return float(self.weights[mask].sum())
-
     def restrict(self, cuts) -> "FinitePointMass":
         return FinitePointMass(self.points, self.weights, self.region + tuple(cuts))
 
@@ -171,9 +163,6 @@ class LatticeCounting(Measure):
     def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
         inside = h.contains(self._points)
         return MassEstimate(float(inside.sum()) / self.total_mass)
-
-    def region_mass(self, extra_cuts=()) -> float:
-        return float(_cut_mask(self._points, extra_cuts).sum())
 
     def restrict(self, cuts) -> "LatticeCounting":
         return LatticeCounting(self.polytope, self.region + tuple(cuts))
@@ -276,24 +265,6 @@ class UniformPolytope(Measure):
         p = float(inside.mean())
         se = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_samples)
         return MassEstimate(p, exact=False, stderr=se)
-
-    def region_mass(self, extra_cuts=()) -> float:
-        d = self.polytope.dim
-        if d == 1:
-            lo, hi = self._interval
-            lo2, hi2 = _interval_from_halfspaces(
-                [(float(c.n[0]), c.offset) for c in extra_cuts])
-            return max(min(hi, hi2) - max(lo, lo2), 0.0)
-        if d == 2:
-            verts = self._verts
-            for c in extra_cuts:
-                verts = geom.clip_polygon_vertices(verts, c.n, c.offset)
-            return abs(geom.shoelace_area(verts))
-        # MC path: reuse construction-time estimator
-        try:
-            return UniformPolytope(self.polytope, self.region + tuple(extra_cuts)).total_mass
-        except EmptyRegion:
-            return 0.0
 
     def restrict(self, cuts) -> "UniformPolytope":
         return UniformPolytope(self.polytope, self.region + tuple(cuts))
@@ -467,15 +438,6 @@ class MixedInteger(Measure):
         se = math.sqrt(max(v * (1 - v), 1e-12) / mc_samples)
         return MassEstimate(v, exact=False, stderr=se)
 
-    def region_mass(self, extra_cuts=()) -> float:
-        if not extra_cuts:
-            return self.total_mass
-        try:
-            return MixedInteger(self.polytope, self.n, self.d,
-                                self.region + tuple(extra_cuts)).total_mass
-        except EmptyRegion:
-            return 0.0
-
     def restrict(self, cuts) -> "MixedInteger":
         return MixedInteger(self.polytope, self.n, self.d, self.region + tuple(cuts))
 
@@ -519,7 +481,7 @@ def _verts_from_halfspaces_2d(items) -> np.ndarray:
                 pts.append(x)
     if not pts:
         return np.zeros((0, 2))
-    return geom.canonical_polygon(np.array(pts))
+    return geom.convex_hull_2d(np.array(pts))
 
 
 def _sample_polygon(gen, verts, count) -> np.ndarray:
@@ -571,23 +533,7 @@ def _sample_slice_mc(gen, blo, bhi, sliced, count) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation aliases
-
-def finite_points(points, weights=None) -> FinitePointMass:
-    return FinitePointMass(points, weights)
-
-
-def uniform_polytope(polytope: Polytope) -> UniformPolytope:
-    return UniformPolytope(polytope)
-
-
-def lattice_counting(polytope: Polytope) -> LatticeCounting:
-    return LatticeCounting(polytope)
-
-
-def mixed_integer(polytope: Polytope, n: int, d: int) -> MixedInteger:
-    return MixedInteger(polytope, n, d)
-
+# module-level operations
 
 def halfspace_mass(m: Measure, h: Halfspace, rng: RngState | None = None,
                    mc_samples: int = MC_DEFAULT_SAMPLES) -> MassEstimate:

@@ -7,14 +7,14 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
-                                   centerpoint_2d_integer,
+                                   _project_vertices, centerpoint_2d_integer,
                                    centerpoint_lenstra_mixed,
                                    centerpoint_mixed_2d,
                                    centerpoint_monte_carlo, centroid,
                                    depth_guarantee, mc_sample_size)
 from centercut.depth import depth_finite, depth_sampled, min_direction_2d
 from centercut.errors import BudgetExceeded, EmptyLattice
-from centercut.geom import Polytope
+from centercut.geom import Polytope, lattice_width_2d
 from centercut.measures import (LatticeCounting, MixedInteger, RngState,
                                 UniformPolytope)
 
@@ -350,6 +350,14 @@ def test_lenstra_two_integer_blocks():
     assert np.array_equal(wide.point[:2], np.round(wide.point[:2]))
     assert P.contains(wide.point)
     assert wide.depth.value >= 1.0 / 128.0 - 1e-9
+
+
+def test_lenstra_projection_is_the_convex_hull():
+    P = Polytope.from_box([0.0, 0.0, 0.0], [3.0, 3.0, 1.0])
+    proj = _project_vertices(P, [0, 1])
+    assert proj.tolist() == [[0, 0], [3, 0], [3, 3], [0, 3]]
+    w, u = lattice_width_2d(Polytope.from_vertices_2d(proj))
+    assert (w, u.tolist()) == (3.0, [1, 0])
 
 
 def test_lenstra_validation():

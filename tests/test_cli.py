@@ -160,6 +160,32 @@ def test_cli_flag_overrides_document(tmp_path):
     assert json.loads(out.read_text())["delta"] == 0.9
 
 
+def test_cli_seed_flag_overrides_document_seed(tmp_path):
+    doc = dict(SOLVE_DOC, seed=5, strategy="random")
+    outs = {s: _run(tmp_path, doc, "solve", ["--seed", str(s)])[1].read_text()
+            for s in (1, 2, 3, 5)}
+    assert len({outs[1], outs[2], outs[3]}) > 1
+    assert outs[5] == _run(tmp_path, doc, "solve")[1].read_text()
+    # --seed 0 is a seed like any other, not "unset"
+    cp = {"schema_version": 1, "command": "centerpoint",
+          "measure": {"family": "uniform", "polytope": SQUARE_ROWS},
+          "method": "mc", "eps": 0.3, "delta": 0.2}
+    zero = _run(tmp_path, dict(cp, seed=0), "centerpoint")[1].read_text()
+    assert _run(tmp_path, dict(cp, seed=4), "centerpoint", ["--seed", "0"])[1].read_text() == zero
+    assert _run(tmp_path, dict(cp, seed=4), "centerpoint")[1].read_text() != zero
+
+
+@pytest.mark.parametrize("measure", [
+    {"family": "lattice", "polytope": GRID4_ROWS},
+    {"family": "mixed", "polytope": SQUARE_ROWS, "n": 1, "d": 1},
+    {"family": "finite", "points": [[0, 0], [1, 0], [0, 1]]},
+])
+def test_cli_centroid_rejects_non_uniform_measures(tmp_path, measure):
+    doc = {"schema_version": 1, "command": "centerpoint", "measure": measure}
+    inp = _write(tmp_path, doc)
+    assert main(["centerpoint", "--input", inp, "--method", "centroid"]) == 2
+
+
 def test_cli_adversary_run(tmp_path):
     doc = {"schema_version": 1, "command": "adversary-run",
            "game": {"kind": "integer_fiber", "n": 2, "B": 8}, "delta": 0.5}

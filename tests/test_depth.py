@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from centercut.depth import (depth_angle_grid, depth_finite, depth_sampled,
-                             min_direction_2d)
+from centercut.depth import (_sweep_counting_min_batch, depth_angle_grid,
+                             depth_finite, depth_sampled, min_direction_2d)
 from centercut.errors import DimensionTooLarge
 from centercut.geom import Direction, Halfspace, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
@@ -226,3 +226,46 @@ def test_min_direction_rejects_wrong_shapes():
     wide = MixedInteger(Polytope.from_box([0.0] * 3, [2.0, 2.0, 1.0]), n=2, d=1)
     with pytest.raises(DimensionTooLarge):
         min_direction_2d(wide, [1.0, 1.0, 0.5])
+
+
+def _integer_counting_depth(points, x):
+    """Counting depth of lattice point x by integer arithmetic alone.
+
+    The closed-halfplane count is constant between event directions (normals
+    of the offsets p - x) and is no smaller at an event than beside it, so
+    probing both sides of every event finds the minimum. A probe K*e +- e_perp
+    turns e by less than the angle to any other event when K exceeds twice
+    the largest squared offset norm.
+    """
+    w = np.asarray(points, dtype=np.int64) - np.asarray(x, dtype=np.int64)
+    off = w[np.any(w != 0, axis=1)]
+    if len(off) == 0:
+        return len(w)
+    K = 2 * int((off ** 2).sum(axis=1).max()) + 1
+    e = np.concatenate([np.c_[-off[:, 1], off[:, 0]], np.c_[off[:, 1], -off[:, 0]]])
+    e_perp = np.c_[-e[:, 1], e[:, 0]]
+    probes = np.concatenate([K * e + e_perp, K * e - e_perp])
+    return int((probes @ w.T >= 0).sum(axis=1).min())
+
+
+def test_batch_kernel_counts_antipodal_collinear_points():
+    pts = np.array([[0.0, 0.0], [-6.0, -5.0], [12.0, 10.0]])
+    got = _sweep_counting_min_batch(np.zeros((1, 2)), pts, np.ones(3))
+    assert got.tolist() == [2.0]
+    assert depth_finite(pts, [0.0, 0.0]).value * 3 == 2.0
+    assert _integer_counting_depth(pts, [0, 0]) == 2
+
+
+def test_batch_kernel_matches_probe_sweep_and_integer_reference():
+    gen = np.random.default_rng(2024)
+    ang = np.sort(gen.uniform(0.0, 2.0 * np.pi, 9))
+    verts = np.c_[np.cos(ang), np.sin(ang)] * 11.0 + gen.uniform(0.0, 1.0, 2)
+    m = LatticeCounting(Polytope.from_vertices_2d(verts))
+    pts = m.active_points()
+    N = len(pts)
+    assert 250 <= N <= 350
+    batch = _sweep_counting_min_batch(pts, pts, np.ones(N))
+    sweep = [round(min_direction_2d(m, p).value * N) for p in pts]
+    exact = [_integer_counting_depth(pts, p) for p in pts]
+    assert batch.tolist() == sweep
+    assert sweep == exact

@@ -5,8 +5,8 @@ from scipy.spatial import ConvexHull
 from centercut.errors import (BudgetExceeded, Infeasible, MalformedPolygon,
                               Unbounded)
 from centercut.geom import (Box, Direction, Halfspace, Polytope, clip_polygon,
-                            enumerate_lattice_points, enumerate_vertices,
-                            lattice_width_2d, polygon_area)
+                            convex_hull_2d, enumerate_lattice_points,
+                            enumerate_vertices, lattice_width_2d, polygon_area)
 
 SQUARE = Polytope.from_vertices_2d([[0, 0], [1, 0], [1, 1], [0, 1]])
 TRIANGLE_2 = Polytope.from_vertices_2d([[0, 0], [2, 0], [0, 2]])
@@ -197,6 +197,18 @@ def test_lattice_width_unimodular_invariance():
         img = _hull_polygon(base.vertices() @ M.T.astype(float))
         w1, _ = lattice_width_2d(img)
         assert w1 == pytest.approx(w0, abs=1e-9)
+
+
+def test_convex_hull_2d_drops_interior_collinear_and_duplicate_points():
+    pts = [[1, 1], [2, 0], [0, 0], [2, 2], [1, 0], [0, 2], [2, 2], [0, 1], [1, 1]]
+    assert convex_hull_2d(pts).tolist() == [[0, 0], [2, 0], [2, 2], [0, 2]]
+    assert convex_hull_2d([[2, 2], [0, 0], [1, 1], [0, 0]]).tolist() == [[0, 0], [2, 2]]
+    assert convex_hull_2d([[3, 1], [3, 1]]).tolist() == [[3, 1]]
+    gen = np.random.default_rng(77)
+    for _ in range(20):
+        cloud = gen.normal(size=(40, 2))
+        want = _hull_polygon(cloud).vertices()
+        assert np.allclose(convex_hull_2d(cloud), want, atol=1e-12)
 
 
 def test_box_half_open_semantics():

@@ -54,6 +54,12 @@ def test_mixed_strip_mass_two_thirds():
     assert float(e) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_mixed_two_continuous_coords_fibers_are_squares():
+    m = MixedInteger(Polytope.from_box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), n=1, d=2)
+    assert m.total_mass == pytest.approx(2.0, abs=1e-12)
+    assert [v for _z, _p, v in m.fiber_slices()] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
 def test_mc_mass_path_reports_stderr():
     cube = Polytope.from_box([0.0] * 3, [1.0] * 3)
     m = UniformPolytope(cube)
