@@ -355,12 +355,42 @@ def centerpoint_2d_integer(P: Polytope, cap: int = 100_000) -> CenterpointResult
 # ---------------------------------------------------------------------------
 # exact mixed route (n=1, d=1)
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, a, b, tol):
+    """Golden-section minimum of f on [a, b]; returns (x, f(x)).
+
+    Endpoints are evaluated too, so on intervals where f is monotone or has
+    a single interior maximum the returned value is still the minimum.
+    """
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+    xm = (a + b) / 2.0
+    cands = [(f(a), a), (f(b), b), (f1, x1), (f2, x2), (f(xm), xm)]
+    fv, xv = min(cands, key=lambda t: t[0])
+    return xv, fv
+
+
 def centerpoint_mixed_2d(m: MixedInteger) -> CenterpointResult:
     """Depth maximizer over fibers for n=1, d=1 mixed measures.
 
     Depth is quasi-concave along each fiber line, so each fiber is searched
-    by golden section over the continuous block (with endpoint and midpoint
-    probes); the best fiber wins, lexicographic ties.
+    by golden section over the continuous block, to 1e-9 of its length, with
+    endpoint and midpoint probes; the best fiber wins, lexicographic ties.
+    Every probe is an exact ``min_direction_2d`` depth, so the returned
+    depth is exact for the returned point, while the point itself is
+    located only to the search tolerance.
     """
     if m.n != 1 or m.d != 1:
         raise ValueError("exact mixed centerpoint supports n=1, d=1")
@@ -372,7 +402,7 @@ def centerpoint_mixed_2d(m: MixedInteger) -> CenterpointResult:
             return -min_direction_2d(m, np.array([_z, y])).value
 
         span = hi - lo
-        y0, fv = depth_mod._golden_min(f, lo, hi, tol=max(1e-9, 1e-9 * span))
+        y0, fv = _golden_min(f, lo, hi, tol=max(1e-9, 1e-9 * span))
         for y, v in ((y0, -fv), ((lo + hi) / 2.0, None), (lo, None), (hi, None)):
             if v is None:
                 v = min_direction_2d(m, np.array([zf, y])).value
@@ -426,6 +456,10 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
     along the flatness direction, recurse per fiber (base case n=0 returns
     the slice midpoint), then return the best point of the finite auxiliary
     measure weighted by fiber masses.
+
+    The returned depth is exact for n=1 (``min_direction_2d``). For n=2 it
+    is ``depth_sampled`` over 2000 directions: an upper bound on the true
+    depth, reported with ``exact=False``.
     """
     if n < 1 or n > 2 or d != 1:
         raise ValueError("width-based recursion supports n in {1,2}, d=1")

@@ -4,9 +4,10 @@ The depth of a point x under a measure m is the infimum over unit directions
 u of the mass of the closed halfspace {y : u.(y - x) >= 0}. Engines here:
 
 * ``depth_finite``: exact for weighted point lists in dimensions 1-3.
-* ``min_direction_2d``: exact angular sweeps for the 2D measure families
-  (counting sweeps are fully exact; smooth-area sweeps carry the 1-D search
-  tolerance in the ``gap`` field).
+* ``min_direction_2d``: exact for the 2D measure families. Counting
+  measures use the angular sweeps below; uniform polygons and n=1, d=1
+  mixed measures evaluate a finite candidate set of angles that provably
+  contains a minimizer (see ``_sweep_uniform_2d`` and ``_sweep_mixed_2d``).
 * ``depth_sampled``: an upper bound from finitely many random directions.
 * ``depth_angle_grid``: a dense fixed-grid oracle, used for cross-checks.
 
@@ -43,8 +44,6 @@ from .measures import (FinitePointMass, LatticeCounting, Measure, MixedInteger,
                        RngState, UniformPolytope)
 
 TWO_PI = 2.0 * math.pi
-GOLDEN_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,18 @@ def _window_masses(betas, weights, alphas):
     return cum[i1] - cum[i0]
 
 
-def _counting_candidates(betas):
-    events = np.unique(np.mod(np.concatenate([betas - math.pi / 2.0,
-                                              betas + math.pi / 2.0]), TWO_PI))
+def _events_and_midpoints(events):
+    """Sorted distinct event angles and the midpoint of each arc between
+    neighbouring events (the last arc wraps through 0)."""
+    events = np.unique(np.mod(events, TWO_PI))
     mids = (events + np.roll(events, -1)) / 2.0
     mids[-1] = math.fmod((events[-1] + events[0] + TWO_PI) / 2.0, TWO_PI)
+    return events, mids
+
+
+def _counting_candidates(betas):
+    events, mids = _events_and_midpoints(
+        np.concatenate([betas - math.pi / 2.0, betas + math.pi / 2.0]))
     cand = np.concatenate([events, events - 1e-12, events + 1e-12, mids])
     return np.sort(np.mod(cand, TWO_PI))
 
@@ -248,63 +254,7 @@ def depth_finite(points, x, weights=None) -> DepthResult:
 
 
 # ---------------------------------------------------------------------------
-# smooth-area sweeps (uniform polygons, mixed fibers)
-
-def _golden_min(f, a, b, tol=GOLDEN_TOL):
-    """Golden-section minimum of f on [a, b]; returns (x, f(x)).
-
-    Endpoints are evaluated too, so on arcs where f is monotone or has a
-    single interior maximum the returned value is still the arc minimum.
-    """
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    xm = (a + b) / 2.0
-    cands = [(f(a), a), (f(b), b), (f1, x1), (f2, x2), (f(xm), xm)]
-    fv, xv = min(cands, key=lambda t: t[0])
-    return xv, fv
-
-
-def _arc_list(events):
-    ev = np.unique(np.mod(events, TWO_PI))
-    if len(ev) == 0:
-        return [(0.0, TWO_PI)]
-    arcs = [(float(ev[i]), float(ev[i + 1])) for i in range(len(ev) - 1)]
-    arcs.append((float(ev[-1]), float(ev[0]) + TWO_PI))
-    return arcs
-
-
-def _sweep_smooth(mass_at, events, chunk=None):
-    """Minimize a piecewise-smooth angular mass over [0, 2pi).
-
-    Events bound the smooth arcs; each arc (optionally split into chunks) is
-    searched by golden section with endpoint evaluation. Returns (mass, angle)
-    with smallest-angle tie-breaking at 1e-15 resolution.
-    """
-    best = math.inf
-    best_a = 0.0
-    for a, b in _arc_list(events):
-        pieces = [(a, b)]
-        if chunk is not None and b - a > chunk:
-            ks = np.linspace(a, b, int(math.ceil((b - a) / chunk)) + 1)
-            pieces = list(zip(ks[:-1], ks[1:]))
-        for lo, hi in pieces:
-            xv, fv = _golden_min(mass_at, lo, hi)
-            for ang, val in ((lo, mass_at(lo)), (xv, fv)):
-                if val < best - 1e-15:
-                    best = val
-                    best_a = ang
-    return best, math.fmod(best_a, TWO_PI)
-
+# smooth-area engines (uniform polygons, mixed fibers): finite candidate sets
 
 def _outside_witness(verts, x):
     """Inward edge normal of a region edge strictly separating x, if any."""
@@ -323,24 +273,47 @@ def _outside_witness(verts, x):
     return None
 
 
+def _event_angles(pts, x):
+    """Angles a whose cut line through x passes through one of ``pts``."""
+    rel = pts - x
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    keep = r > 1e-12 * max(1.0, float(np.max(np.abs(pts))))
+    betas = np.arctan2(rel[keep, 0], rel[keep, 1])
+    return np.concatenate([betas - math.pi / 2.0, betas + math.pi / 2.0])
+
+
 def _sweep_uniform_2d(m: UniformPolytope, x):
+    """Exact depth for a uniform polygon.
+
+    Between vertex events the cut line crosses two fixed edges i, j at
+    distances r_i, r_j from x, and the kept area changes at rate
+    (r_i^2 - r_j^2) / 2 in the angle. So the area is minimized at an event or
+    at the chord that x bisects, whose normal is parallel to
+    d_j n_i + d_i n_j (n the unit edge normals, d the distances from x to the
+    edge lines). Every such angle and its antipode is evaluated exactly.
+    """
     verts = m.region_vertices()
     sep = _outside_witness(verts, x)
     if sep is not None:
         return DepthResult(0.0, Direction.from_vector(sep), True, 0.0)
-    rel = verts - x
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    keep = r > 1e-12 * max(1.0, float(np.max(np.abs(verts))))
-    betas = np.arctan2(rel[keep, 0], rel[keep, 1])
-    events = np.concatenate([betas - math.pi / 2.0, betas + math.pi / 2.0])
-
-    def mass_at(alpha):
-        u = _u(alpha)
+    edges = np.roll(verts, -1, axis=0) - verts
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    dist = np.einsum("ij,ij->i", normals, verts - x)
+    i, j = np.triu_indices(len(verts), 1)
+    bis = dist[j, None] * normals[i] + dist[i, None] * normals[j]
+    chords = np.arctan2(bis[:, 0], bis[:, 1])
+    cand = np.unique(np.mod(np.concatenate(
+        [_event_angles(verts, x), chords, chords + math.pi]), TWO_PI))
+    best = math.inf
+    best_a = 0.0
+    for a in cand:
+        u = _u(a)
         kept = geom.clip_polygon_vertices(verts, u, float(u @ x))
-        return abs(geom.shoelace_area(kept))
-
-    best, alpha = _sweep_smooth(mass_at, events)
-    return _result(best / m.total_mass, alpha, False, GOLDEN_TOL)
+        area = abs(geom.shoelace_area(kept))
+        if area < best - 1e-15:
+            best, best_a = area, a
+    return _result(best / m.total_mass, best_a, True, 0.0)
 
 
 def _mixed_arrays(m: MixedInteger):
@@ -371,57 +344,40 @@ def _mixed_masses(Z, LO, HI, total, xv, alphas):
     return kept.sum(axis=1) / total
 
 
-def _sweep_mixed_2d(m: MixedInteger, x, grid: int = 4096):
-    """Depth for n=1, d=1 mixed measures: dense vectorized bracketing over
-    fiber-endpoint events plus a uniform grid, golden refinement of the best
-    brackets, and explicit probes of the lattice stratum u = (+-1, 0)."""
+def _sweep_mixed_2d(m: MixedInteger, x):
+    """Exact depth for n=1, d=1 mixed measures.
+
+    Between fiber-endpoint events each fiber's kept length is affine in
+    tan(a), so the mass is monotone on every arc, continuous at the events,
+    and constant on the arcs that end at the lattice stratum u = (+-1, 0),
+    where whole fibers flip. Its minimum is therefore attained at an event,
+    on the stratum, or at the midpoint of an arc; all of them are evaluated
+    in one vectorized pass. Midpoints, rather than angles nudged 1e-12 off
+    the stratum, keep the witness away from near-vertical cuts, whose offset
+    u.x ``halfspace_mass`` cannot resolve to 1e-12.
+    """
     if m.n != 1 or m.d != 1:
         raise DimensionTooLarge("exact mixed sweep supports n=1, d=1 only")
     xv = np.asarray(x, dtype=float).ravel()
     Z, LO, HI = _mixed_arrays(m)
-    total = m.total_mass
     endpoints = np.concatenate([np.column_stack([Z, LO]), np.column_stack([Z, HI])])
-    rel = endpoints - xv
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    keep = r > 1e-12 * max(1.0, float(np.abs(endpoints).max()))
-    betas = np.arctan2(rel[keep, 0], rel[keep, 1])
-    events = np.mod(np.concatenate([betas - math.pi / 2.0, betas + math.pi / 2.0]),
-                    TWO_PI)
-    step = TWO_PI / grid
-    cand = np.unique(np.concatenate([
-        np.linspace(0.0, TWO_PI, grid, endpoint=False),
-        events, events - 1e-12, events + 1e-12,
-        [math.pi / 2.0, 3.0 * math.pi / 2.0],
-    ]))
-    vals = _mixed_masses(Z, LO, HI, total, xv, cand)
-    order = np.argsort(vals, kind="stable")
-
-    def mass_at(alpha):
-        return float(_mixed_masses(Z, LO, HI, total, xv, [alpha])[0])
-
-    best = float(vals[order[0]])
-    best_a = float(cand[order[0]])
-    seen = []
-    for k in order[:8]:
-        a0 = float(cand[k])
-        if any(abs(a0 - s0) < 2.5 * step for s0 in seen):
-            continue
-        seen.append(a0)
-        xa, fa = _golden_min(mass_at, a0 - step, a0 + step)
-        if fa < best - 1e-15 or (fa < best + 1e-15 and xa < best_a):
-            best, best_a = fa, math.fmod(xa + TWO_PI, TWO_PI)
-        if len(seen) >= 4:
-            break
-    return _result(best, best_a, False, GOLDEN_TOL)
+    events, mids = _events_and_midpoints(np.concatenate(
+        [_event_angles(endpoints, xv), [math.pi / 2.0, 3.0 * math.pi / 2.0]]))
+    cand = np.sort(np.concatenate([events, mids]))
+    vals = _mixed_masses(Z, LO, HI, m.total_mass, xv, cand)
+    k = int(np.argmin(vals))
+    return _result(vals[k], cand[k], True, 0.0)
 
 
 def min_direction_2d(m: Measure, x) -> DepthResult:
-    """Exact depth engine for the 2D measure families.
+    """Exact depth engine for the 2D measure families; every family returns
+    ``exact=True, gap=0.0``.
 
-    Counting families use the fully exact angular sweep (gap 0). Uniform
-    polygons and n=1, d=1 mixed measures locate critical angles at vertex or
-    fiber-endpoint events and search each smooth arc to the 1e-10 tolerance
-    reported in ``gap``.
+    Counting families use the exact angular sweep. Uniform polygons and n=1,
+    d=1 mixed measures evaluate a finite candidate set that provably holds a
+    minimizing angle: the vertex or fiber-endpoint events, plus the bisected
+    chords for polygons and the lattice stratum u = (+-1, 0) for mixed
+    measures.
     """
     xv = np.asarray(x, dtype=float).ravel()
     if isinstance(m, LatticeCounting):

@@ -286,10 +286,8 @@ class Polytope:
             return self.cached_vertices
         verts = enumerate_vertices(self)
         if self.dim == 2 and len(verts) >= 3:
-            # enumeration returns lex order; rebuild the cycle by angle
-            mid = verts.mean(axis=0)
-            ang = np.arctan2(verts[:, 1] - mid[1], verts[:, 0] - mid[0])
-            verts = canonical_polygon(verts[np.argsort(ang, kind="stable")])
+            # enumeration returns lex order; the hull rebuilds the cycle
+            verts = convex_hull_2d(verts)
         object.__setattr__(self, "cached_vertices", verts)
         return verts
 

@@ -107,6 +107,21 @@ def test_cli_depth(tmp_path):
     assert len(got["witness"]) == 2
 
 
+@pytest.mark.parametrize("measure, point, value", [
+    ({"family": "uniform", "polytope": SQUARE_ROWS}, [0.2, 0.7], 0.12),
+    ({"family": "mixed", "polytope": [[1, 0, 2], [-1, 0, 0], [0, 1, 1], [0, -1, 0]],
+      "n": 1, "d": 1}, [1.0, 0.2], 0.2),
+])
+def test_cli_depth_is_exact_for_smooth_families(tmp_path, measure, point, value):
+    doc = {"schema_version": 1, "command": "depth", "measure": measure, "point": point}
+    code, out = _run(tmp_path, doc, "depth")
+    assert code == 0
+    got = json.loads(out.read_text())
+    assert got["exact"] is True
+    assert got["gap"] == 0.0
+    assert got["value"] == pytest.approx(value, abs=1e-12)
+
+
 def test_cli_centerpoint_exact_integer(tmp_path):
     doc = {"schema_version": 1, "command": "centerpoint",
            "measure": {"family": "lattice",
