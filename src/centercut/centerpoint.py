@@ -18,7 +18,8 @@ import numpy as np
 from . import depth as depth_mod
 from . import geom
 from .depth import depth_finite, min_direction_2d
-from .errors import BudgetExceeded, EmptyLattice, EmptyRegion, Infeasible
+from .errors import (BudgetExceeded, DimensionTooLarge, EmptyLattice,
+                     EmptyRegion, Infeasible)
 from .geom import Polytope
 from .measures import (LatticeCounting, Measure, MixedInteger, RngState,
                        UniformPolytope)
@@ -183,43 +184,46 @@ _PRUNE_DIRS = 16
 _BATCH_ELEMENTS = 25_000
 
 
-def _depth_upper_bounds(pts, cand):
-    """Sound upper bounds on sample depth: closed-halfplane mass along a few
-    fixed directions, with a membership pad wider than the exact engine's."""
-    pts = np.asarray(pts, dtype=float)
-    cand = np.asarray(cand, dtype=float)
-    N = len(pts)
+def _depth_upper_bounds(pts, cand, w):
+    """Sound upper bounds on the depth of ``cand`` under the weights ``w`` on
+    ``pts``: closed-halfplane mass along a few fixed directions, with a
+    membership pad wider than the exact engine's."""
     ang = np.arange(_PRUNE_DIRS) * (math.pi / _PRUNE_DIRS)
     U = np.stack([np.sin(ang), np.cos(ang)], axis=1)
     pad = 1e-9 * max(1.0, float(np.abs(pts).max()), float(np.abs(cand).max()))
-    pu = pts @ U.T
-    cu = cand @ U.T
+    pu = U @ pts.T
+    cu = U @ cand.T
+    order = np.argsort(pu, axis=1)
+    pu = np.take_along_axis(pu, order, axis=1)
+    cum = np.zeros((_PRUNE_DIRS, len(pts) + 1))
+    np.cumsum(w[order], axis=1, out=cum[:, 1:])
+    lo, hi = cu - pad, cu + pad
+    total = float(w.sum())
     ub = np.full(len(cand), np.inf)
     for k in range(_PRUNE_DIRS):
-        col = np.sort(pu[:, k])
-        above = N - np.searchsorted(col, cu[:, k] - pad, side="left")
-        below = np.searchsorted(col, cu[:, k] + pad, side="right")
-        ub = np.minimum(ub, np.minimum(above, below) / N)
-    return ub
+        above = total - cum[k, np.searchsorted(pu[k], lo[k], side="left")]
+        below = cum[k, np.searchsorted(pu[k], hi[k], side="right")]
+        np.minimum(ub, np.minimum(above, below), out=ub)
+    return ub / total
 
 
-def _deepest_depths(pts, cand, K, vals):
+def _deepest_depths(pts, cand, w, K, vals):
     """Fill the NaN entries of ``vals`` with exact depths of ``cand`` under
-    the counting measure on ``pts``, in descending upper-bound order, and stop
+    the weights ``w`` on ``pts``, in descending upper-bound order, and stop
     once no remaining bound can reach the K-th largest value minus 1e-12, so
     every entry left NaN lies more than 1e-12 below the K-th largest value.
     Each batch holds about _BATCH_ELEMENTS (row, point) pairs."""
-    ub = _depth_upper_bounds(pts, cand)
+    ub = _depth_upper_bounds(pts, cand, w)
     todo = np.flatnonzero(np.isnan(vals))
     order = todo[np.argsort(-ub[todo], kind="stable")]
     top = np.sort(vals[~np.isnan(vals)])[-K:]   # the K largest so far
-    w = np.ones(len(pts))
+    total = float(w.sum())
     rows = max(1, _BATCH_ELEMENTS // len(pts))
     for s in range(0, len(order), rows):
         take = order[s:s + rows]
         if len(top) == K and ub[take[0]] < top[0] - 1e-12:
             break
-        got = depth_mod._sweep_counting_min_batch(cand[take], pts, w) / len(pts)
+        got = depth_mod._sweep_counting_min_batch(cand[take], pts, w)[0] / total
         vals[take] = got
         top = np.sort(np.concatenate([top, got]))[-K:]
     return vals
@@ -230,23 +234,32 @@ def _topk_indices(pts, K):
     ascending, exactly as a full stable argsort would pick them. Returns
     (indices, values with NaN where the depth was never needed)."""
     pts = np.asarray(pts, dtype=float)
-    vals = _deepest_depths(pts, pts, K, np.full(len(pts), np.nan))
+    vals = _deepest_depths(pts, pts, np.ones(len(pts)), K, np.full(len(pts), np.nan))
     filled = np.flatnonzero(~np.isnan(vals))
     top = filled[np.lexsort((filled, -vals[filled]))][:K]
     return top, vals
 
 
-def _pruned_lex_best(pts, cand, known=None):
-    """Index and value of the exact sample-depth maximizer over ``cand``,
-    lexicographically smallest among values within 1e-12 of the best, as
-    _lex_best over every exact depth would pick it. ``known`` optionally
-    carries already-exact values (NaN where unknown) for a prefix of cand.
+def _pruned_lex_best(pts, cand, weights=None, known=None):
+    """Index and exact depth of the deepest point of ``cand`` under the
+    weights on ``pts`` (unit weights when None), lexicographically smallest
+    among values within 1e-12 of the best, as _lex_best over every exact
+    depth would pick it. The one deepest-point search over a finite set:
+    2D points run the pruned batch search, where ``known`` optionally carries
+    already-exact values (NaN where unknown) for a prefix of cand; other
+    dimensions evaluate ``depth_finite`` at every candidate.
     """
+    pts = np.asarray(pts, dtype=float)
     cand = np.asarray(cand, dtype=float)
+    w = np.ones(len(pts)) if weights is None else np.asarray(weights, dtype=float)
+    if pts.shape[1] != 2:
+        vals = np.array([depth_finite(pts, c, w).value for c in cand])
+        k = _lex_best(cand, vals)
+        return k, float(vals[k])
     vals = np.full(len(cand), np.nan)
     if known is not None:
         vals[:len(known)] = known
-    vals = _deepest_depths(pts, cand, 1, vals)
+    vals = _deepest_depths(pts, cand, w, 1, vals)
     filled = np.flatnonzero(~np.isnan(vals))
     k = int(filled[_lex_best(cand[filled], vals[filled])])
     return k, float(vals[k])
@@ -295,11 +308,7 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
         cand = _lattice_candidates(m, candidate_cap)
     else:
         cand = _mixed_candidates(m, pts, candidate_cap)
-    if S.dim == 2:
-        k, _val = _pruned_lex_best(pts, cand, known=known)
-    else:
-        depths = np.array([depth_finite(pts, c).value for c in cand])
-        k = _lex_best(cand, depths)
+    k, _val = _pruned_lex_best(pts, cand, known=known)
     best = cand[k]
     res = depth_finite(pts, best)
     return CenterpointResult(best, res, "mc", N, guarantee)
@@ -324,14 +333,16 @@ def _mixed_candidates(m: MixedInteger, pts, cap):
 # exact 2D lattice route
 
 def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
-    """Exact counting-measure centerpoint: the deepest active lattice point,
-    lexicographically smallest on ties.
+    """Exact counting-measure centerpoint of a 2D lattice measure: the
+    deepest active lattice point, lexicographically smallest on ties.
 
-    The search runs the batched counting kernel over the active points with
-    upper-bound pruning, which counts collinear points with the same 1e-12 rad
-    boundary slack as the probe sweep; only the winner goes through
-    ``min_direction_2d``, which supplies its witness direction.
+    ``_pruned_lex_best`` runs the batch counting kernel over the active
+    points with upper-bound pruning; only the winner goes through
+    ``min_direction_2d``, the same kernel with one center, for its witness
+    direction. Raises DimensionTooLarge for other dimensions.
     """
+    if m.dim != 2:
+        raise DimensionTooLarge(f"exact lattice centerpoint is 2D only, got {m.dim}")
     pts = m.active_points()
     k, _val = _pruned_lex_best(pts, pts)
     return CenterpointResult(pts[k], min_direction_2d(m, pts[k]), "exact2d-int", 0,
@@ -479,8 +490,7 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
             aux_pts = np.array([[float(z[0]), (p[0] + p[1]) / 2.0]
                                 for z, p, _v in m.fibers])
             aux_w = np.array([v for _z, _p, v in m.fibers])
-            vals = [depth_finite(aux_pts, q, aux_w).value for q in aux_pts]
-            point = aux_pts[_lex_best(aux_pts, vals, tol=1e-12)]
+            point = aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]]
         res = min_direction_2d(m, point)
         return CenterpointResult(point, res, "lenstra", 0, guarantee)
     # n == 2: slice the integer projection along its flatness direction
@@ -543,8 +553,7 @@ def _narrow_recursion(P: Polytope, m: MixedInteger, u, omega_bar) -> np.ndarray:
     if not aux_pts:
         raise EmptyLattice("no integer slice meets the polytope")
     aux_pts = np.array(aux_pts)
-    vals = [depth_finite(aux_pts, q, np.array(aux_w)).value for q in aux_pts]
-    return aux_pts[_lex_best(aux_pts, vals, tol=1e-12)]
+    return aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]]
 
 
 def _bezout(p: int, q: int):

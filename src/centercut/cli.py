@@ -397,18 +397,23 @@ def cmd_centerpoint(doc, args) -> dict:
         S = _build_constraint(doc["constraint"])
     else:
         S = _default_constraint(m)
+    mixed11 = isinstance(m, MixedInteger) and (m.n, m.d) == (1, 1)
     if method == "mc":
+        if S.kind == "mixed" and not mixed11:
+            _fail("$.method", "mc over a mixed constraint needs an n=1, d=1 "
+                  "mixed measure")
         res = centerpoint_monte_carlo(m, S, eps, delta, rng, C=c_const)
     elif method == "exact2d-int":
-        if isinstance(m, LatticeCounting):
+        if isinstance(m, LatticeCounting) and m.dim == 2:
             res = centerpoint_lattice_measure(m)
-        elif isinstance(m, MixedInteger):
+        elif mixed11:
             res = centerpoint_mixed_2d(m)
         else:
-            _fail("$.method", "exact2d-int needs a lattice or mixed measure")
+            _fail("$.method", "exact2d-int needs a 2D lattice or an n=1, d=1 "
+                  "mixed measure")
     elif method == "lenstra":
-        if not isinstance(m, MixedInteger):
-            _fail("$.method", "lenstra needs a mixed measure")
+        if not (isinstance(m, MixedInteger) and m.n in (1, 2) and m.d == 1):
+            _fail("$.method", "lenstra needs a mixed measure with n=1 or 2, d=1")
         res = centerpoint_lenstra_mixed(m.polytope, m.n, m.d)
     else:
         if not isinstance(m, UniformPolytope):

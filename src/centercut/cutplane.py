@@ -17,9 +17,10 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from . import depth as depth_mod
-from .centerpoint import (ConstraintSet, _lex_best, centerpoint_lattice_measure,
-                          centerpoint_mixed_2d, centroid, depth_guarantee)
-from .depth import depth_finite, min_direction_2d
+from .centerpoint import (ConstraintSet, _pruned_lex_best,
+                          centerpoint_lattice_measure, centerpoint_mixed_2d,
+                          centroid, depth_guarantee)
+from .depth import min_direction_2d
 from .errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
 from .geom import Box, Halfspace
 from .measures import (LatticeCounting, MASS_TOL, Measure, MixedInteger,
@@ -149,19 +150,10 @@ def _nearest_row(pts, target):
     return pts[i]
 
 
-def _best_finite_point(pts, weights):
-    vals = [depth_finite(pts, p, weights).value for p in pts]
-    k = _lex_best(pts, vals)
-    return pts[k], vals[k]
-
-
 def _pick_centerpoint(m: Measure, rng: RngState, i: int):
-    if isinstance(m, LatticeCounting):
-        if m.dim == 2:
-            r = centerpoint_lattice_measure(m)
-            return r.point, r.depth.value
-        pts = m.active_points().astype(float)
-        return _best_finite_point(pts, np.ones(len(pts)))
+    if isinstance(m, LatticeCounting) and m.dim == 2:
+        r = centerpoint_lattice_measure(m)
+        return r.point, r.depth.value
     if isinstance(m, UniformPolytope):
         if m.dim == 1:
             lo, hi = m._interval
@@ -176,8 +168,10 @@ def _pick_centerpoint(m: Measure, rng: RngState, i: int):
             return r.point, r.depth.value
         c = _mixed_mean(m)
         return c, depth_mod.depth_sampled(m, c, 500, rng.child(i)).value
+    # finite point masses and 1D/3D lattices: the deepest support point
     pts = m.active_points().astype(float)
-    return _best_finite_point(pts, m.active_weights())
+    k, val = _pruned_lex_best(pts, pts, m.active_weights())
+    return pts[k], val
 
 
 def _mixed_mean(m: MixedInteger) -> np.ndarray:

@@ -5,30 +5,28 @@ u of the mass of the closed halfspace {y : u.(y - x) >= 0}. Engines here:
 
 * ``depth_finite``: exact for weighted point lists in dimensions 1-3.
 * ``min_direction_2d``: exact for the 2D measure families. Counting
-  measures use the angular sweeps below; uniform polygons and n=1, d=1
+  measures use the counting kernel below; uniform polygons and n=1, d=1
   mixed measures evaluate a finite candidate set of angles that provably
   contains a minimizer (see ``_sweep_uniform_2d`` and ``_sweep_mixed_2d``).
 * ``depth_sampled``: an upper bound from finitely many random directions.
 * ``depth_angle_grid``: a dense fixed-grid oracle, used for cross-checks.
 
-Counting sweeps work in the angle parametrization u(a) = (sin a, cos a): a
-point at offset w from x has u(a).w = |w| cos(a - b) with b = atan2(w1, w2),
+Counting measures work in the angle parametrization u(a) = (sin a, cos a):
+a point at offset w from x has u(a).w = |w| cos(a - b) with b = atan2(w1, w2),
 so it lies in the closed halfspace exactly when b is within pi/2 of a. The
 mass is therefore a half-circle window sum over the sorted b's, piecewise
-constant in a with breakpoints at b +- pi/2. Two engines evaluate it:
-
-* ``_sweep_counting_2d`` probes every breakpoint, the breakpoints nudged by
-  1e-12 to either side, and every midpoint of consecutive breakpoints, which
-  visits every constancy arc and also returns a minimizing angle. It serves
-  the calls that need a witness direction: ``min_direction_2d``,
-  ``depth_finite`` and the inner sweep of the 3D engine.
-* ``_sweep_counting_min_batch`` returns the minimum only, for many query
-  points at once. It backs every deepest-point search over a finite set (the
-  exact lattice centerpoint and the Monte Carlo route).
+constant in a with breakpoints at b +- pi/2. One kernel evaluates its
+minimum exactly: ``_sweep_counting_min_batch`` maximizes the complementary
+open arc with one searchsorted per query point, for many query points at
+once, and returns a minimizing angle from the middle of a constancy arc. It
+serves ``depth_finite`` in 2D, the inner sweep of the 3D engine,
+``min_direction_2d`` for counting measures and every deepest-point search
+over a finite set. ``_window_masses`` evaluates the window sums on a given
+angle list for the ``depth_angle_grid`` reference oracle.
 
 Both treat angles within 1e-12 rad of a window boundary as on it, so points
 that are collinear with x, which floating-point atan2 puts a few ulps to
-either side of each other's antipode, count the same in both.
+either side of each other's antipode, count as on the boundary.
 """
 from __future__ import annotations
 
@@ -97,49 +95,32 @@ def _events_and_midpoints(events):
     return events, mids
 
 
-def _counting_candidates(betas):
-    events, mids = _events_and_midpoints(
-        np.concatenate([betas - math.pi / 2.0, betas + math.pi / 2.0]))
-    cand = np.concatenate([events, events - 1e-12, events + 1e-12, mids])
-    return np.sort(np.mod(cand, TWO_PI))
-
-
-def _sweep_counting_2d(rel, weights):
-    """Exact min over directions of closed-halfplane weight, for points at
-    offsets ``rel`` from the query point. Returns (min weight, angle)."""
-    scale = max(1.0, float(np.max(np.abs(rel))) if len(rel) else 1.0)
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    at_center = r <= 1e-12 * scale
-    base = float(weights[at_center].sum())
-    v = rel[~at_center]
-    w = weights[~at_center]
-    if len(v) == 0:
-        return base, 0.0
-    betas = np.mod(np.arctan2(v[:, 0], v[:, 1]), TWO_PI)
-    cand = _counting_candidates(betas)
-    masses = base + _window_masses(betas, w, cand)
-    k = int(np.argmin(masses))    # candidates ascending: smallest angle wins ties
-    return float(masses[k]), float(cand[k])
-
-
 def _sweep_counting_min_batch(centers, pts, weights):
-    """Minimum closed-halfplane weight at each center, many centers at once.
+    """Minimum closed-halfplane weight at each center, with a minimizing
+    angle; many centers at once. Returns (minima, angles).
 
     Uses the complement identity: the closed window [a-pi/2, a+pi/2] misses
-    exactly one open arc of length pi, and the supremum of open-arc weight is
-    attained by a half-open arc [b_i, b_i+pi) anchored at a point angle. The
-    arc ends 1e-12 rad short of b_i+pi, the boundary slack of
+    exactly one open arc (a+pi/2, a+3pi/2), and the supremum of open-arc
+    weight is attained by a half-open arc [b_i, b_i+pi) anchored at a point
+    angle. The arc ends 1e-12 rad short of b_i+pi, the boundary slack of
     ``_window_masses``, so a point antipodal to b_i stays on the closed side
-    even when atan2 rounds its angle just below b_i+pi; with that slack the
-    result agrees with the minimum of ``_sweep_counting_2d``.
-    One searchsorted per row replaces the probe sweep; at-center points ride
-    along as zero-weight entries so rows stay rectangular without changing
-    any sum. One flat search serves every row by offsetting row j into the
-    disjoint block [4*pi*j, 4*pi*(j+1)).
+    even when atan2 rounds its angle just below b_i+pi.
+    One searchsorted per row does the sweep; at-center points ride along as
+    zero-weight entries so rows stay rectangular without changing any sum.
+    One flat search serves every row by offsetting row j into the disjoint
+    block [4*pi*j, 4*pi*(j+1)).
+
+    Witness: for the first maximizing anchor i with arc end j, any open arc
+    (s, s+pi) with s in (max(b_{i-1}, b_{j-1} - pi), min(b_i, b_j - pi))
+    misses exactly the points i..j-1. The midpoint s of that interval lies
+    inside a constancy arc, away from every breakpoint, and the angle
+    s - pi/2 attains the minimum.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     pts = np.asarray(pts, dtype=float)
     C, N = len(centers), len(pts)
+    rows = np.arange(C)
+    rr = rows[:, None]
     rel = pts[None, :, :] - centers[:, None, :]
     scale = np.maximum(1.0, np.abs(rel).reshape(C, -1).max(axis=1))
     r = np.hypot(rel[..., 0], rel[..., 1])
@@ -150,18 +131,22 @@ def _sweep_counting_min_batch(centers, pts, weights):
     betas = np.where(at_center, 0.0,
                      np.mod(np.arctan2(rel[..., 0], rel[..., 1]), TWO_PI))
     order = np.argsort(betas, axis=1, kind="stable")
-    betas = np.take_along_axis(betas, order, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
+    betas = betas[rr, order]
+    w = w[rr, order]
     ext = np.concatenate([betas, betas + TWO_PI], axis=1)
     cum = np.zeros((C, 2 * N + 1))
     np.cumsum(np.concatenate([w, w], axis=1), axis=1, out=cum[:, 1:])
-    offs = (2.0 * TWO_PI) * np.arange(C)[:, None]
+    offs = (2.0 * TWO_PI) * rr
     idx = np.searchsorted((ext + offs).ravel(),
                           (betas + (math.pi - 1e-12) + offs).ravel(), side="left")
-    idx = np.clip(idx.reshape(C, N) - 2 * N * np.arange(C)[:, None], 0, 2 * N)
-    rows = np.arange(C)[:, None]
-    open_max = (cum[rows, idx] - cum[:, :N]).max(axis=1)
-    return total - open_max
+    idx = np.clip(idx.reshape(C, N) - 2 * N * rr, 0, 2 * N)
+    open_w = cum[rr, idx] - cum[:, :N]
+    i = np.argmax(open_w, axis=1)
+    j = idx[rows, i]
+    b_prev = np.where(i > 0, ext[rows, i - 1], betas[:, -1] - TWO_PI)
+    lo = np.maximum(b_prev, ext[rows, j - 1] - math.pi)
+    hi = np.minimum(ext[rows, i], ext[rows, j] - math.pi)
+    return total - open_w[rows, i], (lo + hi) / 2.0 - math.pi / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +204,8 @@ def _depth_finite_3d(rel, weights, total):
             if bnd.any():
                 t1, t2 = _plane_basis(u)
                 proj = np.column_stack([v[bnd] @ t1, v[bnd] @ t2])
-                sub, _a = _sweep_counting_2d(proj, w[bnd])
-                mass += sub
+                sub, _a = _sweep_counting_min_batch(np.zeros(2), proj, w[bnd])
+                mass += float(sub[0])
             if mass < best - 1e-15:
                 best = mass
                 best_u = u
@@ -247,8 +232,8 @@ def depth_finite(points, x, weights=None) -> DepthResult:
         val, u = _depth_finite_1d(rel[:, 0], w, total)
         return DepthResult(val, Direction.from_vector(u), True, 0.0)
     if dim == 2:
-        mass, alpha = _sweep_counting_2d(rel, w)
-        return _result(mass / total, alpha, True, 0.0)
+        mass, alpha = _sweep_counting_min_batch(xv, pts, w)
+        return _result(mass[0] / total, alpha[0], True, 0.0)
     val, u = _depth_finite_3d(rel, w, total)
     return DepthResult(val, Direction.from_vector(u), True, 0.0)
 
@@ -373,24 +358,18 @@ def min_direction_2d(m: Measure, x) -> DepthResult:
     """Exact depth engine for the 2D measure families; every family returns
     ``exact=True, gap=0.0``.
 
-    Counting families use the exact angular sweep. Uniform polygons and n=1,
+    Counting families use the batch counting kernel. Uniform polygons and n=1,
     d=1 mixed measures evaluate a finite candidate set that provably holds a
     minimizing angle: the vertex or fiber-endpoint events, plus the bisected
     chords for polygons and the lattice stratum u = (+-1, 0) for mixed
     measures.
     """
     xv = np.asarray(x, dtype=float).ravel()
-    if isinstance(m, LatticeCounting):
+    if isinstance(m, (LatticeCounting, FinitePointMass)):
         if m.dim != 2:
-            raise DimensionTooLarge("lattice sweep is 2D only")
-        pts = m.active_points()
-        mass, alpha = _sweep_counting_2d(pts - xv, np.ones(len(pts)))
-        return _result(mass / m.total_mass, alpha, True, 0.0)
-    if isinstance(m, FinitePointMass):
-        if m.dim != 2:
-            raise DimensionTooLarge("finite-point sweep here is 2D only")
-        mass, alpha = _sweep_counting_2d(m.active_points() - xv, m.active_weights())
-        return _result(mass / m.total_mass, alpha, True, 0.0)
+            raise DimensionTooLarge("counting sweep is 2D only")
+        mass, alpha = _sweep_counting_min_batch(xv, m.active_points(), m.active_weights())
+        return _result(mass[0] / m.total_mass, alpha[0], True, 0.0)
     if isinstance(m, UniformPolytope):
         if m.dim != 2:
             raise DimensionTooLarge("uniform sweep is 2D only")
@@ -430,10 +409,8 @@ def depth_angle_grid(m: Measure, x, num_angles: int) -> DepthResult:
     xv = np.asarray(x, dtype=float).ravel()
     alphas = np.linspace(0.0, TWO_PI, num_angles, endpoint=False)
     if isinstance(m, (FinitePointMass, LatticeCounting)):
-        pts = m.active_points()
-        w = (m.active_weights() if isinstance(m, FinitePointMass)
-             else np.ones(len(pts)))
-        rel = pts - xv
+        w = m.active_weights()
+        rel = m.active_points() - xv
         scale = max(1.0, float(np.max(np.abs(rel))) if len(rel) else 1.0)
         r = np.hypot(rel[:, 0], rel[:, 1])
         at_center = r <= 1e-12 * scale

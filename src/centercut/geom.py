@@ -407,7 +407,7 @@ def clip_polygon_vertices(verts: np.ndarray, normal, offset: float,
             out.append(a + t * (b - a))
     if not out:
         return np.zeros((0, 2))
-    return canonical_polygon(np.array(out))
+    return canonical_polygon(np.array(out), tol=keep_tol)
 
 
 def clip_polygon(poly: Polytope, h: Halfspace) -> Polytope:

@@ -160,6 +160,9 @@ class LatticeCounting(Measure):
     def active_points(self) -> np.ndarray:
         return self._points
 
+    def active_weights(self) -> np.ndarray:
+        return np.ones(len(self._points))
+
     def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
         inside = h.contains(self._points)
         return MassEstimate(float(inside.sum()) / self.total_mass)

@@ -8,12 +8,13 @@ from scipy.spatial import ConvexHull
 
 from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
                                    _project_vertices, centerpoint_2d_integer,
+                                   centerpoint_lattice_measure,
                                    centerpoint_lenstra_mixed,
                                    centerpoint_mixed_2d,
                                    centerpoint_monte_carlo, centroid,
                                    depth_guarantee, mc_sample_size)
 from centercut.depth import depth_finite, depth_sampled, min_direction_2d
-from centercut.errors import BudgetExceeded, EmptyLattice
+from centercut.errors import BudgetExceeded, DimensionTooLarge, EmptyLattice
 from centercut.geom import Polytope, lattice_width_2d
 from centercut.measures import (LatticeCounting, MixedInteger, RngState,
                                 UniformPolytope)
@@ -255,6 +256,8 @@ def test_exact_integer_empty_and_budget():
         centerpoint_2d_integer(Polytope.from_box([0.2, 0.1], [0.8, 0.9]))
     with pytest.raises(BudgetExceeded):
         centerpoint_2d_integer(Polytope.from_box([0.0, 0.0], [9.0, 9.0]), cap=10)
+    with pytest.raises(DimensionTooLarge):
+        centerpoint_lattice_measure(LatticeCounting(Polytope.from_box([0.0] * 3, [2.0] * 3)))
 
 
 def test_translation_equivariance():

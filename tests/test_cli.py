@@ -9,6 +9,8 @@ from centercut.errors import ParseError, SchemaError
 
 SQUARE_ROWS = [[1, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]]
 GRID4_ROWS = [[1, 0, 4], [-1, 0, 0], [0, 1, 4], [0, -1, 0]]
+CUBE_ROWS = [[1, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 0, 2], [0, -1, 0, 0],
+             [0, 0, 1, 2], [0, 0, -1, 0]]
 EMPTY_LATTICE_ROWS = [[1, 0, 0.8], [-1, 0, -0.2], [0, 1, 1], [0, -1, 0]]
 
 DEPTH_DOC = {
@@ -199,6 +201,20 @@ def test_cli_centroid_rejects_non_uniform_measures(tmp_path, measure):
     doc = {"schema_version": 1, "command": "centerpoint", "measure": measure}
     inp = _write(tmp_path, doc)
     assert main(["centerpoint", "--input", inp, "--method", "centroid"]) == 2
+
+
+@pytest.mark.parametrize("measure, method", [
+    ({"family": "mixed", "polytope": CUBE_ROWS, "n": 1, "d": 2}, "exact2d-int"),
+    ({"family": "mixed", "polytope": CUBE_ROWS, "n": 1, "d": 2}, "lenstra"),
+    ({"family": "mixed", "polytope": CUBE_ROWS, "n": 1, "d": 2}, "mc"),
+    ({"family": "lattice", "polytope": CUBE_ROWS}, "exact2d-int"),
+])
+def test_cli_centerpoint_rejects_unsupported_method_measure_pairs(tmp_path, capsys,
+                                                                  measure, method):
+    doc = {"schema_version": 1, "command": "centerpoint", "measure": measure}
+    inp = _write(tmp_path, doc)
+    assert main(["centerpoint", "--input", inp, "--method", method]) == 2
+    assert "$.method" in capsys.readouterr().err
 
 
 def test_cli_adversary_run(tmp_path):

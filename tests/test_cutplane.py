@@ -7,15 +7,16 @@ import pytest
 
 from centercut.adversary import (ContinuousMedian, IntegerFiber,
                                  game_constraint_set, game_measure)
-from centercut.centerpoint import ConstraintSet
+from centercut.centerpoint import ConstraintSet, _lex_best
 from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
                                 ConvexQuadratic, RandomFeasible, Sum,
                                 epigraph_cut, evaluate, iteration_upper_bound,
                                 mixed_gap_bound, solve, unit_ball_volume)
+from centercut.depth import depth_finite
 from centercut.errors import InfeasibleStart, ZeroSubgradient
 from centercut.geom import Box, Polytope
-from centercut.measures import (LatticeCounting, MixedInteger, RngState,
-                                UniformPolytope)
+from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
+                                RngState, UniformPolytope)
 
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
 E_UNIT = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -181,6 +182,24 @@ def test_solve_trace_mass_contraction():
         if row.depth is not None:
             assert row.mass_after <= (1.0 - row.depth + 1e-6) * prev
         prev = row.mass_after
+
+
+def test_finite_centerpoint_pick_matches_brute_force():
+    # weighted points on a small grid (duplicates and collinear triples): the
+    # Centerpoint strategy picks what a per-point depth_finite loop picks
+    gen = np.random.default_rng(91)
+    E0 = Box(np.zeros(2), np.full(2, 7.0))
+    for _ in range(6):
+        pts = gen.integers(0, 7, size=(int(gen.integers(5, 60)), 2)).astype(float)
+        nu = FinitePointMass(pts, gen.uniform(0.2, 3.0, len(pts)))
+        rep = solve(ConvexQuadratic(np.eye(2), gen.uniform(0.0, 7.0, 2)),
+                    ConstraintSet.continuous(2), nu, E0, 0.05)
+        m = nu.restrict(tuple(E0.half_open_cuts()))
+        act, w = m.active_points(), m.active_weights()
+        vals = [depth_finite(act, p, w).value for p in act]
+        k = _lex_best(act, vals)
+        assert np.array_equal(rep.iteration_trace[0].point, act[k])
+        assert rep.iteration_trace[0].depth <= vals[k] + 1e-12
 
 
 def test_solve_mixed_gap_bound():

@@ -251,13 +251,19 @@ def _integer_counting_depth(points, x):
 
 def test_batch_kernel_counts_antipodal_collinear_points():
     pts = np.array([[0.0, 0.0], [-6.0, -5.0], [12.0, 10.0]])
-    got = _sweep_counting_min_batch(np.zeros((1, 2)), pts, np.ones(3))
+    got, angle = _sweep_counting_min_batch(np.zeros((1, 2)), pts, np.ones(3))
     assert got.tolist() == [2.0]
+    u = np.array([np.sin(angle[0]), np.cos(angle[0])])
+    assert int((pts @ u >= -1e-12).sum()) == 2
     assert depth_finite(pts, [0.0, 0.0]).value * 3 == 2.0
     assert _integer_counting_depth(pts, [0, 0]) == 2
 
 
-def test_batch_kernel_matches_probe_sweep_and_integer_reference():
+def test_batch_kernel_matches_integer_reference():
+    """The batch kernel over every point of a seeded lattice polygon (with
+    many collinear triples) equals an integer-arithmetic depth, one center at
+    a time as in ``min_direction_2d`` or all at once, and every witness
+    attains its depth."""
     gen = np.random.default_rng(2024)
     ang = np.sort(gen.uniform(0.0, 2.0 * np.pi, 9))
     verts = np.c_[np.cos(ang), np.sin(ang)] * 11.0 + gen.uniform(0.0, 1.0, 2)
@@ -265,11 +271,35 @@ def test_batch_kernel_matches_probe_sweep_and_integer_reference():
     pts = m.active_points()
     N = len(pts)
     assert 250 <= N <= 350
-    batch = _sweep_counting_min_batch(pts, pts, np.ones(N))
-    sweep = [round(min_direction_2d(m, p).value * N) for p in pts]
+    batch, _angles = _sweep_counting_min_batch(pts, pts, np.ones(N))
+    single = [min_direction_2d(m, p) for p in pts]
     exact = [_integer_counting_depth(pts, p) for p in pts]
-    assert batch.tolist() == sweep
-    assert sweep == exact
+    assert batch.tolist() == [round(r.value * N) for r in single]
+    assert batch.tolist() == exact
+    for p, r in zip(pts, single):
+        _assert_exact_and_attained(m, p, r)
+
+
+def test_counting_witness_attains_weighted_depth():
+    """Weighted points, some at x and some collinear with x on both sides:
+    ``depth_finite`` and ``min_direction_2d`` agree, never exceed a dense
+    angle sweep, and their witnesses attain the depth."""
+    gen = np.random.default_rng(606)
+    for _ in range(12):
+        pts = gen.uniform(-3, 3, size=(int(gen.integers(3, 15)), 2))
+        x = pts[0].copy()
+        d = gen.normal(size=2)
+        line = x + np.outer(gen.choice([-2.0, -0.5, 1.0, 2.5], 3), d)
+        pts = np.vstack([pts, line, [x]])
+        w = gen.uniform(0.2, 3.0, len(pts))
+        m = FinitePointMass(pts, w)
+        for q in (x, line[0], pts.mean(axis=0)):
+            a = depth_finite(pts, q, weights=w)
+            b = min_direction_2d(m, q)
+            assert a.value == b.value
+            assert a.value <= _brute_depth(pts, w, q) + 1e-12
+            _assert_exact_and_attained(m, q, a)
+            _assert_exact_and_attained(m, q, b)
 
 
 # 200k reference angles, evaluated in chunks to bound the working set

@@ -38,6 +38,17 @@ def test_uniform_square_halfspace_mass_half():
     assert float(e) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-11, 1e-10, -1e-10, 1e-9, 3e-9])
+def test_uniform_cut_near_a_vertex_keeps_its_sliver(offset):
+    # a cut through the center passing within ~offset of two corners: the
+    # crossing points must not be merged into the corners
+    m = UniformPolytope(UNIT_SQUARE)
+    a = 0.75 * np.pi + offset
+    u = np.array([np.sin(a), np.cos(a)])
+    e = halfspace_mass(m, Halfspace.from_vector(u, float(u @ [0.5, 0.5])))
+    assert float(e) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_lattice_grid_mass_six_ninths():
     m = LatticeCounting(SQUARE_2)
     assert m.total_mass == 9.0
