@@ -21,8 +21,8 @@ from .depth import depth_finite, min_direction_2d
 from .errors import (BudgetExceeded, DimensionTooLarge, EmptyLattice,
                      EmptyRegion, Infeasible)
 from .geom import Polytope
-from .measures import (LatticeCounting, Measure, MixedInteger, RngState,
-                       UniformPolytope)
+from .measures import (FinitePointMass, LatticeCounting, Measure, MixedInteger,
+                       RngState, UniformPolytope)
 
 DEFAULT_C = 0.5
 CANDIDATE_CAP = 1_000_000
@@ -179,17 +179,48 @@ def _continuous_candidates_2d(pts, cap):
 
 
 _PRUNE_DIRS = 16
+_PRUNE_ANGLES = np.arange(_PRUNE_DIRS) * (math.pi / _PRUNE_DIRS)
+_EVEN_DIRS = np.stack([np.sin(_PRUNE_ANGLES), np.cos(_PRUNE_ANGLES)], axis=1)
 # (row, point) pairs per batch of the counting kernel: small batches keep the
 # working set near 1 MB and let the upper-bound pruning stop early
 _BATCH_ELEMENTS = 25_000
 
 
+def _prune_directions(pts, w):
+    """_PRUNE_DIRS unit directions, evenly spaced after whitening ``pts``.
+
+    For an elongated cloud the evenly spaced directions v are mapped to
+    L^-T v, with L the Cholesky factor of the weighted 2x2 second moments of
+    ``pts`` about their mean, so a thin cloud gets as many directions across
+    it as along it. Collinear points, and clouds whose principal moments lie
+    within a factor 4 of each other, keep the evenly spaced directions: on
+    such clouds adapted ones bound no tighter. The moments are summed in
+    closed form, since ``np.cov`` with ``eigh`` costs several times as much
+    on the small point sets of lattice picks.
+    """
+    total = float(w.sum())
+    d = pts - (w @ pts) / total
+    (sxx, sxy), (_syx, syy) = ((d.T * w) @ d / total).tolist()
+    # tr^2 / det = q + 2 + 1/q for the ratio q >= 1 of the principal moments
+    tr2 = (sxx + syy) ** 2
+    det = sxx * syy - sxy * sxy
+    if not 1e-12 * tr2 < det < tr2 / 6.25:
+        return _EVEN_DIRS
+    l11 = math.sqrt(sxx)
+    l21 = sxy / l11
+    l22 = math.sqrt(det / sxx)
+    # row vectors: v^T L^-1 = (L^-T v)^T
+    U = _EVEN_DIRS @ np.array([[1.0 / l11, 0.0], [-l21 / (l11 * l22), 1.0 / l22]])
+    return U / np.hypot(U[:, 0], U[:, 1])[:, None]
+
+
 def _depth_upper_bounds(pts, cand, w):
     """Sound upper bounds on the depth of ``cand`` under the weights ``w`` on
-    ``pts``: closed-halfplane mass along a few fixed directions, with a
-    membership pad wider than the exact engine's."""
-    ang = np.arange(_PRUNE_DIRS) * (math.pi / _PRUNE_DIRS)
-    U = np.stack([np.sin(ang), np.cos(ang)], axis=1)
+    ``pts``: closed-halfplane mass along the unit directions of
+    ``_prune_directions``, adapted to the shape of ``pts``, with a membership
+    pad wider than the exact engine's. Any direction gives an upper bound,
+    since depth is the infimum over all of them."""
+    U = _prune_directions(pts, w)
     pad = 1e-9 * max(1.0, float(np.abs(pts).max()), float(np.abs(cand).max()))
     pu = U @ pts.T
     cu = U @ cand.T
@@ -266,8 +297,9 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
 
 
 def _lattice_candidates(m: Measure, cap):
-    lo, hi = None, None
-    if isinstance(m, LatticeCounting):
+    """Integer grid of the bounding box of the support: the active points of
+    a finite-support measure, the polytope otherwise."""
+    if isinstance(m, (LatticeCounting, FinitePointMass)):
         pts = m.active_points()
         lo, hi = pts.min(axis=0), pts.max(axis=0)
     else:
@@ -309,7 +341,7 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
     else:
         cand = _mixed_candidates(m, pts, candidate_cap)
     k, _val = _pruned_lex_best(pts, cand, known=known)
-    best = cand[k]
+    best = cand[k].copy()   # a view would keep the whole candidate array alive
     res = depth_finite(pts, best)
     return CenterpointResult(best, res, "mc", N, guarantee)
 
@@ -345,7 +377,8 @@ def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
         raise DimensionTooLarge(f"exact lattice centerpoint is 2D only, got {m.dim}")
     pts = m.active_points()
     k, _val = _pruned_lex_best(pts, pts)
-    return CenterpointResult(pts[k], min_direction_2d(m, pts[k]), "exact2d-int", 0,
+    point = pts[k].copy()
+    return CenterpointResult(point, min_direction_2d(m, point), "exact2d-int", 0,
                              depth_guarantee(ConstraintSet.lattice(2)))
 
 
@@ -490,7 +523,7 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
             aux_pts = np.array([[float(z[0]), (p[0] + p[1]) / 2.0]
                                 for z, p, _v in m.fibers])
             aux_w = np.array([v for _z, _p, v in m.fibers])
-            point = aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]]
+            point = aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]].copy()
         res = min_direction_2d(m, point)
         return CenterpointResult(point, res, "lenstra", 0, guarantee)
     # n == 2: slice the integer projection along its flatness direction
@@ -553,7 +586,7 @@ def _narrow_recursion(P: Polytope, m: MixedInteger, u, omega_bar) -> np.ndarray:
     if not aux_pts:
         raise EmptyLattice("no integer slice meets the polytope")
     aux_pts = np.array(aux_pts)
-    return aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]]
+    return aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]].copy()
 
 
 def _bezout(p: int, q: int):

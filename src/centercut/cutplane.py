@@ -171,7 +171,7 @@ def _pick_centerpoint(m: Measure, rng: RngState, i: int):
     # finite point masses and 1D/3D lattices: the deepest support point
     pts = m.active_points().astype(float)
     k, val = _pruned_lex_best(pts, pts, m.active_weights())
-    return pts[k], val
+    return pts[k].copy(), val
 
 
 def _mixed_mean(m: MixedInteger) -> np.ndarray:

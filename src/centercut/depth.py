@@ -8,7 +8,8 @@ u of the mass of the closed halfspace {y : u.(y - x) >= 0}. Engines here:
   measures use the counting kernel below; uniform polygons and n=1, d=1
   mixed measures evaluate a finite candidate set of angles that provably
   contains a minimizer (see ``_sweep_uniform_2d`` and ``_sweep_mixed_2d``).
-* ``depth_sampled``: an upper bound from finitely many random directions.
+* ``depth_sampled``: an upper bound from finitely many random directions,
+  one vectorized pass for mixed measures with one continuous coordinate.
 * ``depth_angle_grid``: a dense fixed-grid oracle, used for cross-checks.
 
 Counting measures work in the angle parametrization u(a) = (sin a, cos a):
@@ -302,10 +303,8 @@ def _sweep_uniform_2d(m: UniformPolytope, x):
 
 
 def _mixed_arrays(m: MixedInteger):
-    Z = np.array([z[0] for z, _p, _v in m.fibers], dtype=float)
-    LO = np.array([p[0] for _z, p, _v in m.fibers], dtype=float)
-    HI = np.array([p[1] for _z, p, _v in m.fibers], dtype=float)
-    return Z, LO, HI
+    """Fiber positions and interval ends of an n=1, d=1 measure."""
+    return m._z[:, 0], m._lo, m._hi
 
 
 def _mixed_masses(Z, LO, HI, total, xv, alphas):
@@ -383,18 +382,31 @@ def min_direction_2d(m: Measure, x) -> DepthResult:
 # sampled and grid bounds
 
 def depth_sampled(m: Measure, x, num_directions: int, rng: RngState) -> DepthResult:
-    """Upper bound: minimum halfspace mass over random unit directions."""
+    """Upper bound: minimum closed-halfspace mass through x over random unit
+    directions, the first minimizer (within 1e-15) as the witness.
+
+    Mixed measures with d = 1 evaluate every direction in one
+    ``MixedInteger.halfspace_masses`` pass; other families call
+    ``halfspace_mass`` once per direction. Both round each direction's
+    normal and offset as the per-direction ``Halfspace`` does.
+    """
     xv = np.asarray(x, dtype=float).ravel()
     gen = rng.generator()
     dirs = gen.normal(size=(num_directions, m.dim))
     norms = np.linalg.norm(dirs, axis=1)
     dirs[norms < 1e-12] = np.eye(m.dim)[0]
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    if isinstance(m, MixedInteger) and m.d == 1:
+        # row_dots rounds as Direction.from_vector's norm and u @ x do, so
+        # every value equals the loop's bit for bit
+        units = dirs / np.sqrt(geom.row_dots(dirs, dirs))[:, None]
+        vals = m.halfspace_masses(units, geom.row_dots(dirs, xv)).tolist()
+    else:
+        vals = [m.halfspace_mass(Halfspace(Direction.from_vector(u), float(u @ xv))).value
+                for u in dirs]
     best = math.inf
     best_u = dirs[0]
-    for u in dirs:
-        h = Halfspace(Direction.from_vector(u), float(u @ xv))
-        v = m.halfspace_mass(h).value
+    for u, v in zip(dirs, vals):
         if v < best - 1e-15:
             best, best_u = v, u
     return DepthResult(float(best), Direction.from_vector(best_u), False, 1.0)

@@ -40,6 +40,20 @@ def _vector(x, dim: Optional[int] = None) -> np.ndarray:
     return a
 
 
+def row_dots(a, b) -> np.ndarray:
+    """Dot products along the last axis: ``a[i] @ b[i]`` for every index i
+    of the broadcast leading axes.
+
+    Each entry is rounded exactly as the 1-D product ``a[i] @ b[i]`` is:
+    numpy's matmul runs one BLAS dot per (1 x k)(k x 1) product, while an
+    axis-wise sum or a matrix-vector product can round differently in the
+    last ulp.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit vector of R^n (norm within 1e-12 of 1)."""
@@ -201,16 +215,28 @@ class Polytope:
     @classmethod
     def from_halfspaces(cls, constraints: Iterable[Halfspace], validate: bool = True,
                         vertices: Optional[np.ndarray] = None) -> "Polytope":
+        """Polytope of the closed constraints.
+
+        ``validate`` raises Infeasible or Unbounded for a system that is not
+        a nonempty bounded polytope. In dimensions <= 3 without given
+        ``vertices`` it does so by enumerating the vertices, whose 2*dim+1
+        LP check then runs once and whose result is cached for
+        ``vertices()``; otherwise it runs the LP check alone.
+        """
         cs = tuple(h.as_closed() for h in constraints)
         if not cs:
             raise ValueError("a polytope needs at least one constraint")
         dim = cs[0].dim
         if any(h.dim != dim for h in cs):
             raise ValueError("mixed constraint dimensions")
-        if validate:
-            _lp_feasible_bounded(cs, dim)
         verts = None if vertices is None else np.asarray(vertices, dtype=float)
-        return cls(dim, cs, verts)
+        poly = cls(dim, cs, verts)
+        if validate:
+            if dim <= 3 and verts is None:
+                poly.vertices()   # runs the LP check once and caches the vertices
+            else:
+                _lp_feasible_bounded(cs, dim)
+        return poly
 
     @classmethod
     def from_rows(cls, rows, validate: bool = True) -> "Polytope":

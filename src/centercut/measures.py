@@ -324,6 +324,10 @@ class MixedInteger(Measure):
         self._build_fibers(rng, mc_samples)
         self.total_mass = float(sum(f[2] for f in self.fibers))
         self._check_nonempty()
+        if d == 1:   # fiber arrays for halfspace_masses and the exact 2D depth engine
+            self._z = np.array([z for z, _p, _v in self.fibers], dtype=float)
+            self._lo, self._hi = np.array([p for _z, p, _v in self.fibers], dtype=float).T
+            self._vol = np.array([v for _z, _p, v in self.fibers])
 
     @property
     def dim(self) -> int:
@@ -399,7 +403,38 @@ class MixedInteger(Measure):
         """List of (integer block tuple, payload, volume)."""
         return list(self.fibers)
 
+    def halfspace_masses(self, normals, offsets, closed: bool = True) -> np.ndarray:
+        """Normalized masses of the halfspaces ``{y : normals[i] . y >= offsets[i]}``
+        (unit normals) for d = 1, all rows in one pass over (rows x fibers).
+
+        Each fiber keeps the part of its interval on the kept side; a row
+        whose continuous entry is numerically zero keeps or drops whole
+        fibers, and its openness decides a fiber exactly on the boundary.
+        Fibers are summed one by one in fiber order, so a row's value does
+        not depend on the other rows.
+        """
+        if self.d != 1:
+            raise ValueError("halfspace_masses needs d = 1")
+        N = np.atleast_2d(np.asarray(normals, dtype=float))
+        a = N[:, self.n]
+        rhs = np.asarray(offsets, dtype=float)[:, None] - geom.row_dots(
+            N[:, None, :self.n], self._z[None, :, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = rhs / a[:, None]
+            kept = np.where(a[:, None] > 0,
+                            np.maximum(self._hi - np.maximum(self._lo, t), 0.0),
+                            np.maximum(np.minimum(self._hi, t) - self._lo, 0.0))
+        whole = np.sqrt(a * a) <= 1e-12   # np.linalg.norm of the one-entry tail
+        if whole.any():
+            slack = -rhs[whole]
+            inside = slack >= -geom.EPS if closed else slack > geom.EPS
+            kept[whole] = np.where(inside, self._vol, 0.0)
+        kept = np.cumsum(kept, axis=1)[:, -1]   # sequential, unlike sum()
+        return np.minimum(np.maximum(kept / self.total_mass, 0.0), 1.0)
+
     def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
+        if self.d == 1:
+            return MassEstimate(float(self.halfspace_masses(h.n, [h.offset], h.closed)[0]))
         head, tail = h.n[:self.n], h.n[self.n:]
         kept = 0.0
         exact = self.d <= 2
@@ -412,15 +447,7 @@ class MixedInteger(Measure):
                 if inside:
                     kept += vol
                 continue
-            if self.d == 1:
-                lo, hi = payload
-                a = float(tail[0])
-                t = rhs / a
-                if a > 0:
-                    kept += max(hi - max(lo, t), 0.0)
-                else:
-                    kept += max(min(hi, t) - lo, 0.0)
-            elif self.d == 2:
+            if self.d == 2:
                 cut = geom.clip_polygon_vertices(payload, tail, rhs)
                 kept += abs(geom.shoelace_area(cut))
             else:

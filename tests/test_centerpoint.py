@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from centercut import depth as depth_mod
 from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
-                                   _project_vertices, centerpoint_2d_integer,
+                                   _EVEN_DIRS, _depth_upper_bounds,
+                                   _lex_best, _project_vertices,
+                                   _prune_directions, _pruned_lex_best,
+                                   centerpoint_2d_integer,
                                    centerpoint_lattice_measure,
                                    centerpoint_lenstra_mixed,
                                    centerpoint_mixed_2d,
@@ -371,3 +375,90 @@ def test_lenstra_validation():
         centerpoint_lenstra_mixed(Polytope.from_box([0.0] * 4, [1.0] * 4), 3, 1)
     with pytest.raises(ValueError):
         centerpoint_lenstra_mixed(Polytope.from_box([0.0] * 3, [1.0] * 3), 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# shape-adapted pruning and result memory
+
+def _thin_triangles(seed, count):
+    gen = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        v = gen.uniform(-5.0, 5.0, size=(3, 2))
+        e1, e2 = v[1] - v[0], v[2] - v[0]
+        if 0.05 <= abs(e1[0] * e2[1] - e1[1] * e2[0]) / 2.0 <= 0.2:
+            out.append(UniformPolytope(Polytope.from_vertices_2d(v)))
+    return out
+
+
+def _weighted_collinear_sets(seed, count):
+    # grid points have many collinear triples; candidates add pair midpoints
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        pts = gen.integers(0, 5, size=(40, 2)).astype(float)
+        w = gen.integers(1, 4, size=40).astype(float)
+        i, j = gen.integers(0, 40, size=(2, 30))
+        out.append((pts, np.vstack([pts, (pts[i] + pts[j]) / 2.0]), w))
+    return out
+
+
+def _bound_and_search_cases():
+    cases = []
+    for k, m in enumerate(_thin_triangles(7, 5)):
+        pts = m.sample(RngState(k), 300)
+        extra = m.sample(RngState(100 + k), 60) * 1.01
+        cases.append((pts, np.vstack([pts, extra]), np.ones(len(pts))))
+    return cases + _weighted_collinear_sets(8, 5)
+
+
+def test_adapted_upper_bounds_are_sound_and_search_matches_brute_force():
+    for pts, cand, w in _bound_and_search_cases():
+        exact = depth_mod._sweep_counting_min_batch(cand, pts, w)[0] / w.sum()
+        # weighted sums are taken in another order here than in the bound
+        assert np.all(_depth_upper_bounds(pts, cand, w) >= exact - 1e-12)
+        k, val = _pruned_lex_best(pts, cand, w)
+        assert k == _lex_best(cand, exact) and val == exact[k]
+
+
+def test_prune_directions_adapt_only_to_elongated_clouds():
+    grid = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+    line = np.array([[i, 2.0 * i + 1.0] for i in range(6)])
+    for pts in (grid, line, grid * [1.0, 1.9]):   # principal moments within 4x
+        assert _prune_directions(pts, np.ones(len(pts))) is _EVEN_DIRS
+    for m in _thin_triangles(3, 3):
+        pts = m.sample(RngState(0), 200)
+        U = _prune_directions(pts, np.ones(len(pts)))
+        assert U.shape == _EVEN_DIRS.shape and not np.allclose(U, _EVEN_DIRS)
+        assert np.allclose(np.hypot(U[:, 0], U[:, 1]), 1.0)
+
+
+def test_adapted_pruning_keeps_thin_triangles_cheap(monkeypatch):
+    # with 16 fixed directions these searches evaluated 300-1500 exact rows
+    rows = []
+    real = depth_mod._sweep_counting_min_batch
+
+    def counted(centers, pts, w):
+        rows.append(len(np.atleast_2d(centers)))
+        return real(centers, pts, w)
+
+    monkeypatch.setattr(depth_mod, "_sweep_counting_min_batch", counted)
+    for k, m in enumerate(_thin_triangles(5, 4)):
+        rows.clear()
+        centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(k))
+        assert sum(rows) <= 250
+
+
+def test_result_points_own_their_memory():
+    lattice = LatticeCounting(Polytope.from_box([0.0, 0.0], [4.0, 3.0]))
+    results = [
+        centerpoint_monte_carlo(UniformPolytope(TRIANGLE), ConstraintSet.continuous(2),
+                                0.2, 0.2, RngState(1)),
+        centerpoint_monte_carlo(lattice, ConstraintSet.lattice(2), 0.2, 0.2, RngState(1)),
+        centerpoint_lattice_measure(lattice),
+        centerpoint_mixed_2d(MixedInteger(STRIP, 1, 1)),
+        centerpoint_lenstra_mixed(STRIP, 1, 1),
+        centerpoint_lenstra_mixed(Polytope.from_box([0.0, 0.0, 0.0], [3.0, 3.0, 1.0]), 2, 1),
+    ]
+    for res in results:
+        assert res.point.base is None

@@ -217,6 +217,17 @@ def test_cli_centerpoint_rejects_unsupported_method_measure_pairs(tmp_path, caps
     assert "$.method" in capsys.readouterr().err
 
 
+def test_cli_centerpoint_mc_lattice_constraint_on_finite_points(tmp_path):
+    doc = {"schema_version": 1, "command": "centerpoint", "method": "mc",
+           "measure": {"family": "finite",
+                       "points": [[0, 0], [3, 0], [0, 3], [3, 3], [1.5, 1.2]]},
+           "constraint": {"kind": "lattice", "n": 2}}
+    code, out = _run(tmp_path, doc, "centerpoint")
+    assert code == 0
+    point = json.loads(out.read_text())["point"]
+    assert len(point) == 2 and all(c == int(c) for c in point)
+
+
 def test_cli_adversary_run(tmp_path):
     doc = {"schema_version": 1, "command": "adversary-run",
            "game": {"kind": "integer_fiber", "n": 2, "B": 8}, "delta": 0.5}

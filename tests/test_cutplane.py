@@ -277,3 +277,16 @@ def test_mixed_gap_bound_frozen():
     for L, delta, d in [(1.0, 0.0, 1), (1.0, 0.5, 0), (-1.0, 0.5, 1)]:
         with pytest.raises(ValueError):
             mixed_gap_bound(L, delta, d)
+
+
+@pytest.mark.parametrize("measure", [
+    LatticeCounting(Polytope.from_box([0.0, 0.0], [4.0, 4.0])),
+    LatticeCounting(Polytope.from_box([0.0], [6.0])),
+    FinitePointMass([[0, 0], [3, 1], [1, 3], [2, 2], [4, 4]], [1, 2, 1, 3, 1]),
+])
+def test_solve_best_point_owns_its_memory(measure):
+    dim = measure.dim
+    o = ConvexQuadratic(np.eye(dim), np.full(dim, 1.3), 0.0)
+    S = ConstraintSet.lattice(dim)
+    rep = solve(o, S, measure, Box(np.zeros(dim), np.full(dim, 5.0)), 0.5)
+    assert rep.best_point is not None and rep.best_point.base is None

@@ -386,3 +386,86 @@ def test_mixed_engine_is_exact_on_random_trapezoids():
             _assert_exact_and_attained(m, x, res)
             dense = _dense_min(lambda a: _mixed_masses(Z, LO, HI, m.total_mass, x, a))
             assert res.value <= dense + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched sampled depth for mixed measures with one continuous coordinate
+
+def _scalar_mixed_mass(m, h):
+    """The per-fiber scalar d = 1 evaluator that ``halfspace_masses`` replaced."""
+    head, tail = h.n[:m.n], h.n[m.n:]
+    kept = 0.0
+    for z, (lo, hi), vol in m.fibers:
+        rhs = h.offset - float(head @ np.asarray(z, dtype=float))
+        if np.linalg.norm(tail) <= 1e-12:
+            slack = -rhs
+            if (slack >= -1e-9) if h.closed else (slack > 1e-9):
+                kept += vol
+            continue
+        a = float(tail[0])
+        t = rhs / a
+        kept += max(hi - max(lo, t), 0.0) if a > 0 else max(min(hi, t) - lo, 0.0)
+    return min(max(kept / m.total_mass, 0.0), 1.0)
+
+
+def _sampled_by_loop(m, x, num, rng):
+    """depth_sampled as one halfspace_mass call per direction."""
+    dirs = rng.generator().normal(size=(num, m.dim))
+    dirs[np.linalg.norm(dirs, axis=1) < 1e-12] = np.eye(m.dim)[0]
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    best, best_u, hs = np.inf, dirs[0], []
+    for u in dirs:
+        h = Halfspace(Direction.from_vector(u), float(u @ x))
+        hs.append(h)
+        v = m.halfspace_mass(h).value
+        if v < best - 1e-15:
+            best, best_u = v, u
+    return best, Direction.from_vector(best_u).coords, hs
+
+
+def _seeded_mixed_measures():
+    gen = np.random.default_rng(2718)
+    out = []
+    for _ in range(3):   # n=1, d=1 trapezoids
+        K = int(gen.integers(2, 6))
+        b0, b1 = gen.uniform(-1.0, 1.0, 2)
+        t0, t1 = b0 + gen.uniform(0.2, 2.5), b1 + gen.uniform(0.2, 2.5)
+        out.append(MixedInteger(Polytope.from_rows(
+            [[-1, 0, 0], [1, 0, K], [(b1 - b0) / K, -1, -b0], [(t0 - t1) / K, 1, t0]]), 1, 1))
+    for _ in range(3):   # n=2, d=1: a hexagon in the integer plane times a sloped block
+        ang = np.sort(gen.uniform(0.0, 2.0 * np.pi, 6))
+        v = np.c_[np.cos(ang), np.sin(ang)] * gen.uniform(2.5, 3.5) + gen.uniform(0, 1, 2)
+        rows = [[-h.n[0], -h.n[1], 0.0, -h.offset]
+                for h in Polytope.from_vertices_2d(v[ConvexHull(v).vertices]).constraints]
+        g = gen.uniform(-0.05, 0.05, 2)
+        rows += [[0, 0, -1, 0], [-g[0], -g[1], 1, gen.uniform(1, 2) - g @ v.mean(axis=0)]]
+        out.append(MixedInteger(Polytope.from_rows(rows), 2, 1))
+    return out
+
+
+def test_batched_sampled_depth_matches_per_direction_loop():
+    for i, m in enumerate(_seeded_mixed_measures()):
+        for j, x in enumerate(m.sample(RngState(i), 4)):
+            rng = RngState(100 * i + j)
+            res = depth_sampled(m, x, 300, rng)
+            value, witness, hs = _sampled_by_loop(m, x, 300, rng)
+            assert res.value == value
+            assert np.array_equal(res.witness.coords, witness)
+            # the one-row evaluator behind halfspace_mass is the scalar one
+            assert all(m.halfspace_mass(h).value == _scalar_mixed_mass(m, h) for h in hs[:40])
+
+
+@pytest.mark.parametrize("rows, n, normal, offset, closed_mass, open_mass", [
+    # fibers x = 0..3 of [0,3]x[0,1]; x >= 1 keeps three, x > 1 two
+    ([[1, 0, 3], [-1, 0, 0], [0, 1, 1], [0, -1, 0]], 1, [1.0, 0.0], 1.0, 0.75, 0.5),
+    ([[1, 0, 3], [-1, 0, 0], [0, 1, 1], [0, -1, 0]], 1, [-1.0, 0.0], -2.0, 0.75, 0.5),
+    # fibers (x, y) in {0,1}^2 of the unit cube; 0.6x + 0.8y >= 0.6 keeps all but (0, 0)
+    ([[1, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 1], [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, -1, 0]],
+     2, [0.6, 0.8, 0.0], 0.6, 0.75, 0.5),
+])
+def test_whole_fiber_rows_match_scalar_evaluator(rows, n, normal, offset, closed_mass,
+                                                open_mass):
+    m = MixedInteger(Polytope.from_rows(rows), n, 1)
+    for closed, want in ((True, closed_mass), (False, open_mass)):
+        h = Halfspace(Direction(np.array(normal)), offset, closed)
+        assert m.halfspace_mass(h).value == _scalar_mixed_mass(m, h) == want

@@ -227,3 +227,47 @@ def test_from_rows_matches_from_box():
     Q = Polytope.from_box([0.0, 1.0], [2.0, 3.0])
     assert np.allclose(P.vertices(), Q.vertices())
     assert polygon_area(P) == pytest.approx(polygon_area(Q), abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 2], [-1, 0, 0], [0, 1, 1], [0, -1, 0], [1, 1, 2.5]],
+    [[1, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 0, 2], [0, -1, 0, 0], [0, 0, 1, 1],
+     [0, 0, -1, 0], [1, 1, 1, 4]],
+])
+def test_validated_polytope_runs_the_lp_check_once(monkeypatch, rows):
+    import centercut.geom as geom_mod
+    calls = []
+    real = geom_mod.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geom_mod, "linprog", counted)
+    P = Polytope.from_rows(rows)
+    P.vertices()
+    P.bounding_box()
+    assert len(calls) == 2 * P.dim + 1
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[1, 0], [-1, -1]], Infeasible),                         # x <= 0, x >= 1
+    ([[1, 1]], Unbounded),
+    ([[1, 0, 0], [-1, 0, -1], [0, 1, 1], [0, -1, 0]], Infeasible),
+    ([[1, 0, 1], [0, 1, 1], [0, -1, 0]], Unbounded),
+    ([[1, 0, 0, 0], [-1, 0, 0, -1], [0, 1, 0, 1], [0, -1, 0, 0], [0, 0, 1, 1],
+      [0, 0, -1, 0]], Infeasible),
+    ([[1, 0, 0, 1], [0, 1, 0, 1], [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, -1, 0]], Unbounded),
+    (np.vstack([np.hstack([np.eye(4), np.zeros((4, 1))]),
+                np.hstack([-np.eye(4), -np.ones((4, 1))])]), Infeasible),
+    (np.hstack([np.eye(4), np.ones((4, 1))]), Unbounded),
+])
+def test_validation_rejects_infeasible_and_unbounded_rows(rows, error):
+    with pytest.raises(error):
+        Polytope.from_rows(rows)
+
+
+def test_four_dimensional_box_validates_without_vertices():
+    P = Polytope.from_rows(np.vstack([np.hstack([np.eye(4), np.ones((4, 1))]),
+                                      np.hstack([-np.eye(4), np.zeros((4, 1))])]))
+    assert P.dim == 4 and P.cached_vertices is None
