@@ -85,6 +85,34 @@ class _Game:
     def _candidate_slack(self):
         return None
 
+    def _separating_direction(self, x, pts, seed):
+        """Unit u maximizing the slack min over ``pts`` of u.(x - p), among
+        the directions from the mean and from the nearest point, the +-axes,
+        then 720 grid angles in 2D or 256 normals seeded by (seed, queries)
+        otherwise; None unless the best slack exceeds 1e-9."""
+        dim = len(x)
+        dirs = [x - pts.mean(axis=0),
+                x - pts[int(np.argmin(np.linalg.norm(pts - x, axis=1)))]]
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = 1.0
+            dirs += [e, -e]
+        if dim == 2:
+            ths = np.linspace(0.0, 2.0 * math.pi, _SEP_GRID, endpoint=False)
+            dirs += [np.array([math.cos(t), math.sin(t)]) for t in ths]
+        else:
+            gen = RngState(seed, self.queries).generator()
+            dirs += list(gen.normal(size=(256, dim)))
+        best_u, best_slack = None, 0.0
+        for u in dirs:
+            nu = float(np.linalg.norm(u))
+            if nu <= 1e-12:
+                continue
+            slack = float(np.min((x - pts) @ u)) / nu
+            if slack > best_slack:
+                best_slack, best_u = slack, u / nu
+        return best_u if best_slack > 1e-9 else None
+
     def _next_xi(self, x) -> float:
         xi = self.eps_geom * 0.5 ** self.queries
         if self.pieces:
@@ -256,28 +284,9 @@ class IntegerFiber(_Game):
             e = np.zeros(self.n)
             e[0] = 1.0
             return e
-        dirs = [x - pts.mean(axis=0),
-                x - pts[int(np.argmin(np.linalg.norm(pts - x, axis=1)))]]
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = 1.0
-            dirs += [e, -e]
-        if self.n == 2:
-            ths = np.linspace(0.0, 2.0 * math.pi, _SEP_GRID, endpoint=False)
-            dirs += [np.array([math.cos(t), math.sin(t)]) for t in ths]
-        else:
-            gen = RngState(11, self.queries).generator()
-            dirs += list(gen.normal(size=(256, self.n)))
-        best_u, best_slack = None, 0.0
-        for u in dirs:
-            nu = float(np.linalg.norm(u))
-            if nu <= 1e-12:
-                continue
-            slack = float(np.min((x - pts) @ u)) / nu
-            if slack > best_slack:
-                best_slack, best_u = slack, u / nu
-        if best_u is not None and best_slack > 1e-9:
-            return best_u
+        u = self._separating_direction(x, pts, 11)
+        if u is not None:
+            return u
         # x sits inside the candidate hull off every fiber: concede the
         # least-damaging threshold cut
         options = []
@@ -403,30 +412,9 @@ class MixedFiber(_Game):
             e = np.zeros(self.n + self.d)
             e[0] = 1.0
             return e
-        pts = np.array(pts)
-        dim = self.n + self.d
-        dirs = [x - pts.mean(axis=0),
-                x - pts[int(np.argmin(np.linalg.norm(pts - x, axis=1)))]]
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = 1.0
-            dirs += [e, -e]
-        if dim == 2:
-            ths = np.linspace(0.0, 2.0 * math.pi, _SEP_GRID, endpoint=False)
-            dirs += [np.array([math.cos(t), math.sin(t)]) for t in ths]
-        else:
-            gen = RngState(13, self.queries).generator()
-            dirs += list(gen.normal(size=(256, dim)))
-        best_u, best_slack = None, 0.0
-        for u in dirs:
-            nu = float(np.linalg.norm(u))
-            if nu <= 1e-12:
-                continue
-            slack = float(np.min((x - pts) @ u)) / nu
-            if slack > best_slack:
-                best_slack, best_u = slack, u / nu
-        if best_u is not None and best_slack > 1e-9:
-            return best_u
+        u = self._separating_direction(x, np.array(pts), 13)
+        if u is not None:
+            return u
         # concede: pure threshold on the continuous axis losing least volume
         best_h, best_lost = None, math.inf
         for a in range(self.d):

@@ -9,7 +9,6 @@ blocks are exact integers).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,23 +138,22 @@ def mc_sample_size(eps: float, delta: float, vc_dim: int, C: float = DEFAULT_C) 
     return int(math.ceil(C / (eps * eps) * (vc_dim + math.log(1.0 / delta))))
 
 
-def _line_through(p, q):
-    d = q - p
-    n = np.array([-d[1], d[0]])
-    return n, float(n @ p)
-
-
-def _pair_intersections(lines, cap):
-    pts = []
-    for (n1, c1), (n2, c2) in itertools.combinations(lines, 2):
-        det = n1[0] * n2[1] - n1[1] * n2[0]
-        if abs(det) <= 1e-12:
-            continue
-        pts.append(np.array([(c1 * n2[1] - c2 * n1[1]) / det,
-                             (n1[0] * c2 - n2[0] * c1) / det]))
-        if len(pts) > cap:
-            raise BudgetExceeded("candidate cap exceeded while intersecting lines")
-    return pts
+def _arrangement_vertices(pts, cap):
+    """Pairwise intersections of the lines through pairs of ``pts``, both in
+    ``itertools.combinations`` order, skipping near-parallel pairs."""
+    i, j = np.triu_indices(len(pts), 1)
+    d = pts[j] - pts[i]
+    nrm = np.column_stack([-d[:, 1], d[:, 0]])
+    off = geom.row_dots(nrm, pts[i])
+    a, b = np.triu_indices(len(nrm), 1)
+    n1, n2, c1, c2 = nrm[a], nrm[b], off[a], off[b]
+    det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
+    keep = np.abs(det) > 1e-12
+    if np.count_nonzero(keep) > cap:
+        raise BudgetExceeded("candidate cap exceeded while intersecting lines")
+    n1, n2, c1, c2, det = n1[keep], n2[keep], c1[keep], c2[keep], det[keep]
+    return np.column_stack([(c1 * n2[:, 1] - c2 * n1[:, 1]) / det,
+                            (n1[:, 0] * c2 - n2[:, 0] * c1) / det])
 
 
 def _continuous_candidates_2d(pts, cap):
@@ -167,23 +165,18 @@ def _continuous_candidates_2d(pts, cap):
     exhaustive = n_lines * (n_lines - 1) // 2 + n <= min(cap, ARRANGEMENT_LIMIT)
     vals = None
     if exhaustive:
-        lines = [_line_through(p, q) for p, q in itertools.combinations(pts, 2)]
+        extra = _arrangement_vertices(pts, cap)
     else:
         top, vals = _topk_indices(pts, TOP_K)
-        lines = [_line_through(pts[i], pts[j])
-                 for i, j in itertools.combinations(sorted(top), 2)]
-    extra = _pair_intersections(lines, cap)
+        extra = _arrangement_vertices(pts[np.sort(top)], cap)
     if n + len(extra) > cap:
         raise BudgetExceeded(f"{n + len(extra)} candidates exceed cap {cap}")
-    return np.array(extra).reshape(-1, 2), vals
+    return extra, vals
 
 
 _PRUNE_DIRS = 16
 _PRUNE_ANGLES = np.arange(_PRUNE_DIRS) * (math.pi / _PRUNE_DIRS)
 _EVEN_DIRS = np.stack([np.sin(_PRUNE_ANGLES), np.cos(_PRUNE_ANGLES)], axis=1)
-# (row, point) pairs per batch of the counting kernel: small batches keep the
-# working set near 1 MB and let the upper-bound pruning stop early
-_BATCH_ELEMENTS = 25_000
 
 
 def _prune_directions(pts, w):
@@ -243,13 +236,13 @@ def _deepest_depths(pts, cand, w, K, vals):
     the weights ``w`` on ``pts``, in descending upper-bound order, and stop
     once no remaining bound can reach the K-th largest value minus 1e-12, so
     every entry left NaN lies more than 1e-12 below the K-th largest value.
-    Each batch holds about _BATCH_ELEMENTS (row, point) pairs."""
+    Each batch holds about ``depth._BATCH_ELEMENTS`` (row, point) pairs."""
     ub = _depth_upper_bounds(pts, cand, w)
     todo = np.flatnonzero(np.isnan(vals))
     order = todo[np.argsort(-ub[todo], kind="stable")]
     top = np.sort(vals[~np.isnan(vals)])[-K:]   # the K largest so far
     total = float(w.sum())
-    rows = max(1, _BATCH_ELEMENTS // len(pts))
+    rows = max(1, depth_mod._BATCH_ELEMENTS // len(pts))
     for s in range(0, len(order), rows):
         take = order[s:s + rows]
         if len(top) == K and ub[take[0]] < top[0] - 1e-12:
@@ -514,18 +507,8 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
     guarantee = DepthGuarantee(2 ** n * (d + 1), 1.0 / (2 ** n * (d + 1)),
                                lenstra_floor=_lenstra_floor(n, d))
     if n == 1:
-        lo, hi = P.bounding_box()
-        width = float(hi[0] - lo[0])
-        if width > omega_bar:
-            c = centroid(UniformPolytope(P))
-            point = _nearest_fiber_point(m, c)
-        else:
-            aux_pts = np.array([[float(z[0]), (p[0] + p[1]) / 2.0]
-                                for z, p, _v in m.fibers])
-            aux_w = np.array([v for _z, _p, v in m.fibers])
-            point = aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]].copy()
-        res = min_direction_2d(m, point)
-        return CenterpointResult(point, res, "lenstra", 0, guarantee)
+        point = _lenstra_point_1d(m, omega_bar)
+        return CenterpointResult(point, min_direction_2d(m, point), "lenstra", 0, guarantee)
     # n == 2: slice the integer projection along its flatness direction
     proj = _project_vertices(P, [0, 1])
     width, u = geom.lattice_width_2d(Polytope.from_vertices_2d(proj))
@@ -538,6 +521,18 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
         point = _narrow_recursion(P, m, u, omega_bar)
     res = depth_mod.depth_sampled(m, point, 2000, RngState(0))
     return CenterpointResult(point, res, "lenstra", 0, guarantee)
+
+
+def _lenstra_point_1d(m: MixedInteger, omega_bar) -> np.ndarray:
+    """The n=1, d=1 recursion point of a built measure: the centroid rounded
+    to the nearest fiber point when the integer width exceeds omega_bar,
+    otherwise the deepest fiber midpoint weighted by fiber lengths."""
+    lo, hi = m.polytope.bounding_box()
+    if float(hi[0] - lo[0]) > omega_bar:
+        return _nearest_fiber_point(m, centroid(UniformPolytope(m.polytope)))
+    aux_pts = np.array([[float(z[0]), (p[0] + p[1]) / 2.0] for z, p, _v in m.fibers])
+    aux_w = np.array([v for _z, _p, v in m.fibers])
+    return aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]].copy()
 
 
 def _slice_point(m: MixedInteger, z, target) -> np.ndarray:
@@ -579,8 +574,7 @@ def _narrow_recursion(P: Polytope, m: MixedInteger, u, omega_bar) -> np.ndarray:
             subm = MixedInteger(sub, 1, 1)
         except (Infeasible, EmptyRegion):
             continue
-        r = centerpoint_lenstra_mixed(sub, 1, 1, omega_bar)
-        k, y = r.point
+        k, y = _lenstra_point_1d(subm, omega_bar)
         aux_pts.append(np.concatenate([z0 + k * w, [y]]))
         aux_w.append(subm.total_mass)
     if not aux_pts:

@@ -3,7 +3,8 @@
 The depth of a point x under a measure m is the infimum over unit directions
 u of the mass of the closed halfspace {y : u.(y - x) >= 0}. Engines here:
 
-* ``depth_finite``: exact for weighted point lists in dimensions 1-3.
+* ``depth_finite``: exact for weighted point lists in dimensions 1-3; 3D
+  depth reduces to the counting kernel over lines through x.
 * ``min_direction_2d``: exact for the 2D measure families. Counting
   measures use the counting kernel below; uniform polygons and n=1, d=1
   mixed measures evaluate a finite candidate set of angles that provably
@@ -20,7 +21,8 @@ constant in a with breakpoints at b +- pi/2. One kernel evaluates its
 minimum exactly: ``_sweep_counting_min_batch`` maximizes the complementary
 open arc with one searchsorted per query point, for many query points at
 once, and returns a minimizing angle from the middle of a constancy arc. It
-serves ``depth_finite`` in 2D, the inner sweep of the 3D engine,
+is the one exact counting-depth kernel: it serves ``depth_finite`` in 2D and,
+through the reduction to planes normal to lines through x, in 3D, as well as
 ``min_direction_2d`` for counting measures and every deepest-point search
 over a finite set. ``_window_masses`` evaluates the window sums on a given
 angle list for the ``depth_angle_grid`` reference oracle.
@@ -43,6 +45,10 @@ from .measures import (FinitePointMass, LatticeCounting, Measure, MixedInteger,
                        RngState, UniformPolytope)
 
 TWO_PI = 2.0 * math.pi
+# (row, point) pairs per call of the counting kernel, in the 3D reduction and
+# in the deepest-point search: small batches keep the working set near 1 MB
+# and let the search's upper-bound pruning stop early
+_BATCH_ELEMENTS = 25_000
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,9 @@ def _events_and_midpoints(events):
 
 def _sweep_counting_min_batch(centers, pts, weights):
     """Minimum closed-halfplane weight at each center, with a minimizing
-    angle; many centers at once. Returns (minima, angles).
+    angle; many centers at once. Returns (minima, angles). ``pts`` is one
+    (N, 2) point set shared by every center, or one set per center,
+    shape (C, N, 2).
 
     Uses the complement identity: the closed window [a-pi/2, a+pi/2] misses
     exactly one open arc (a+pi/2, a+3pi/2), and the supremum of open-arc
@@ -119,10 +127,10 @@ def _sweep_counting_min_batch(centers, pts, weights):
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     pts = np.asarray(pts, dtype=float)
-    C, N = len(centers), len(pts)
+    C, N = len(centers), pts.shape[-2]
     rows = np.arange(C)
     rr = rows[:, None]
-    rel = pts[None, :, :] - centers[:, None, :]
+    rel = (pts if pts.ndim == 3 else pts[None]) - centers[:, None, :]
     scale = np.maximum(1.0, np.abs(rel).reshape(C, -1).max(axis=1))
     r = np.hypot(rel[..., 0], rel[..., 1])
     at_center = r <= 1e-12 * scale[:, None]
@@ -161,65 +169,64 @@ def _depth_finite_1d(vals, weights, total):
     return m_minus / total, np.array([-1.0])
 
 
-def _plane_basis(u):
-    pick = np.eye(3)[int(np.argmin(np.abs(u)))]
-    t1 = np.cross(u, pick)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(u, t1)
-    return t1, t2
-
-
 def _depth_finite_3d(rel, weights, total):
+    """Line reduction of 3D counting depth; returns (value, witness).
+
+    Each non-center unit offset e gives the line L through x along e. The
+    offsets on L (projected length <= 1e-12, the kernel's at-center test)
+    split into the ray along e and the opposite ray; the others are
+    projected onto the plane normal to e, one kernel row per line, in blocks
+    of about _BATCH_ELEMENTS (row, point) pairs.
+    """
     scale = max(1.0, float(np.max(np.abs(rel))))
     r = np.linalg.norm(rel, axis=1)
     at_center = r <= 1e-12 * scale
     base = float(weights[at_center].sum())
-    v = rel[~at_center]
     w = weights[~at_center]
-    rv = r[~at_center]
-    if len(v) == 0:
+    if len(w) == 0:
         return 1.0, np.array([0.0, 0.0, 1.0])
-    normals = []
-    for i in range(len(v) - 1):
-        cr = np.cross(v[i], v[i + 1:])
-        ns = np.linalg.norm(cr, axis=1)
-        keep = ns > 1e-12 * rv[i] * rv[i + 1:]
-        normals.extend(cr[keep] / ns[keep, None])
-    if not normals:
-        # all offsets collinear: a 1-D problem along the common line
-        e = v[int(np.argmax(np.linalg.norm(v, axis=1)))]
-        e = e / np.linalg.norm(e)
-        t = v @ e
-        val, uw = _depth_finite_1d(t, w, 1.0)
-        return (base + val) / total, uw[0] * e
-    best = math.inf
-    best_u = None
-    for n in normals:
-        for u in (n, -n):
-            vals = v @ u
-            strict = vals > geom.EPS
-            bnd = np.abs(vals) <= geom.EPS
-            mass = base + float(w[strict].sum())
-            if mass >= best:
-                continue
-            if bnd.any():
-                t1, t2 = _plane_basis(u)
-                proj = np.column_stack([v[bnd] @ t1, v[bnd] @ t2])
-                sub, _a = _sweep_counting_min_batch(np.zeros(2), proj, w[bnd])
-                mass += float(sub[0])
-            if mass < best - 1e-15:
-                best = mass
-                best_u = u
-    return best / total, best_u
+    U = rel[~at_center] / r[~at_center, None]
+    best = (math.inf,)
+    step = max(1, _BATCH_ELEMENTS // len(U))
+    for s in range(0, len(U), step):
+        E = U[s:s + step]
+        t1 = np.cross(E, np.eye(3)[np.argmin(np.abs(E), axis=1)])
+        t1 /= np.linalg.norm(t1, axis=1)[:, None]
+        t2 = np.cross(E, t1)
+        proj = np.stack([t1 @ U.T, t2 @ U.T], axis=-1)
+        on_line = np.hypot(proj[..., 0], proj[..., 1]) <= 1e-12
+        along = E @ U.T
+        fwd = np.where(on_line & (along > 0), w, 0.0).sum(axis=1)
+        back = np.where(on_line & (along < 0), w, 0.0).sum(axis=1)
+        d2, alpha = _sweep_counting_min_batch(np.zeros((len(E), 2)), proj,
+                                              np.where(on_line, 0.0, w))
+        vals = np.minimum(fwd, back) + d2
+        k = int(np.argmin(vals))
+        if vals[k] < best[0]:
+            best = (vals[k], E[k], math.sin(alpha[k]) * t1[k] + math.cos(alpha[k]) * t2[k],
+                    on_line[k], 1.0 if fwd[k] <= back[k] else -1.0)
+    val, e, u0, line, side = best
+    # tilt u0 toward the lighter ray, too little to move any off-line offset
+    t = min(0.5, 0.5 * float(np.min(np.abs(U[~line] @ u0), initial=1.0)))
+    return (base + val) / total, u0 + side * t * e
 
 
 def depth_finite(points, x, weights=None) -> DepthResult:
     """Exact depth of x in a weighted finite point list (dim 1-3).
 
-    The minimum is taken over candidate directions normal to hyperplanes
-    through x and dim-1 of the points, probed to both sides; points exactly
-    on a candidate hyperplane are resolved by an inner sweep over tilt
-    directions, so the result is the true infimum of closed-halfspace weight.
+    Dimension 2 is one row of the counting kernel. Dimension 3 reduces to
+    it: the closed-halfspace weight is minimized on an open cell of the
+    great-circle arrangement {u : u.(p - x) = 0}, and every such cell borders
+    the circle of a line L through x and a data point. Tilting a direction u0
+    of that circle (u0 normal to L) off it keeps the points off L on the side
+    u0 puts them and adds exactly one of L's two open rays, so
+
+        depth = w(at x) + min over L of [min(w(L+), w(L-)) + D2_L],
+
+    divided by the total weight, where D2_L is the 2D closed depth at the
+    origin of the other points projected onto the plane normal to L. The
+    witness is the kernel's angle of the minimizing line, mapped back to u0
+    and tilted toward the lighter ray.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     xv = np.asarray(x, dtype=float).ravel()

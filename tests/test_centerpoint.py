@@ -1,5 +1,6 @@
 """Centerpoint routes: centroid witness, Monte Carlo, exact lattice and
 mixed searches, and the width-based recursion."""
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.spatial import ConvexHull
 
 from centercut import depth as depth_mod
 from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
-                                   _EVEN_DIRS, _depth_upper_bounds,
+                                   _EVEN_DIRS, _arrangement_vertices,
+                                   _depth_upper_bounds,
                                    _lex_best, _project_vertices,
                                    _prune_directions, _pruned_lex_best,
                                    centerpoint_2d_integer,
@@ -205,6 +207,40 @@ def test_mc_mixed_feasible():
     assert res.depth.exact
 
 
+def _arrangement_by_loop(pts):
+    """Reference: lines through every pair of points, then every pair of
+    lines intersected one at a time, both in combinations order."""
+    lines = []
+    for p, q in itertools.combinations(pts, 2):
+        d = q - p
+        n = np.array([-d[1], d[0]])
+        lines.append((n, float(n @ p)))
+    out = []
+    for (n1, c1), (n2, c2) in itertools.combinations(lines, 2):
+        det = n1[0] * n2[1] - n1[1] * n2[0]
+        if abs(det) <= 1e-12:
+            continue
+        out.append([(c1 * n2[1] - c2 * n1[1]) / det, (n1[0] * c2 - n2[0] * c1) / det])
+    return np.array(out).reshape(-1, 2)
+
+
+def test_arrangement_vertices_match_pairwise_loop():
+    """Bit for bit, with parallel and repeated lines from integer points."""
+    gen = np.random.default_rng(77)
+    sets = [gen.uniform(-3.0, 3.0, size=(n, 2)) for n in (0, 1, 2, 5, 9, 14)]
+    sets += [gen.integers(0, 4, size=(n, 2)).astype(float) for n in (6, 10)]
+    for pts in sets:
+        want = _arrangement_by_loop(pts)
+        got = _arrangement_vertices(pts, CANDIDATE_CAP)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    # the cap counts kept vertices, as the loop's early exit did
+    kept = len(_arrangement_by_loop(sets[3]))
+    with pytest.raises(BudgetExceeded):
+        _arrangement_vertices(sets[3], kept - 1)
+    assert len(_arrangement_vertices(sets[3], kept)) == kept
+
+
 def test_mc_candidate_cap():
     m = LatticeCounting(Polytope.from_box([0.0, 0.0], [9.0, 9.0]))
     with pytest.raises(BudgetExceeded):
@@ -357,6 +393,28 @@ def test_lenstra_two_integer_blocks():
     assert np.array_equal(wide.point[:2], np.round(wide.point[:2]))
     assert P.contains(wide.point)
     assert wide.depth.value >= 1.0 / 128.0 - 1e-9
+
+
+def test_lenstra_builds_each_slice_measure_once(monkeypatch):
+    """The recursion hands each slice's measure to the n=1 step, so no
+    polytope is built twice, and the points keep their frozen values."""
+    hexagon = Polytope.from_vertices_2d([[0, 0], [4, 1], [5, 3], [3, 5], [1, 4], [-1, 2]])
+    rows = [[-h.n[0], -h.n[1], 0.0, -h.offset] for h in hexagon.constraints]
+    rows += [[0.0, 0.0, -1.0, 0.0], [-0.1, 0.05, 1.0, 1.5]]
+    built = []
+    init = MixedInteger.__init__
+
+    def counted(self, polytope, *args, **kwargs):
+        built.append(polytope)   # holding them keeps every id distinct
+        init(self, polytope, *args, **kwargs)
+
+    monkeypatch.setattr(MixedInteger, "__init__", counted)
+    for P, want in ((Polytope.from_box([0.0, 0.0, 0.0], [3.0, 3.0, 1.0]), [1.0, 1.0, 0.5]),
+                    (Polytope.from_rows(rows), [2.0, 2.0, 0.8])):
+        built.clear()
+        assert centerpoint_lenstra_mixed(P, 2, 1).point.tolist() == want
+        assert len(built) > 2
+        assert len({id(q) for q in built}) == len(built)
 
 
 def test_lenstra_projection_is_the_convex_hull():

@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from centercut.adversary import (ContinuousMedian, IntegerFiber,
                                  game_constraint_set, game_measure)
 from centercut.centerpoint import ConstraintSet, _lex_best
 from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
                                 ConvexQuadratic, RandomFeasible, Sum,
-                                epigraph_cut, evaluate, iteration_upper_bound,
+                                _pick_centerpoint, epigraph_cut, evaluate, iteration_upper_bound,
                                 mixed_gap_bound, solve, unit_ball_volume)
 from centercut.depth import depth_finite
-from centercut.errors import InfeasibleStart, ZeroSubgradient
+from centercut.errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
 from centercut.geom import Box, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
                                 RngState, UniformPolytope)
@@ -200,6 +201,42 @@ def test_finite_centerpoint_pick_matches_brute_force():
         k = _lex_best(act, vals)
         assert np.array_equal(rep.iteration_trace[0].point, act[k])
         assert rep.iteration_trace[0].depth <= vals[k] + 1e-12
+
+
+def _random_lattice_polytope_3d(gen, lo, hi):
+    """Hull of seeded integer-ish points, holding between lo and hi lattice
+    points."""
+    while True:
+        v = gen.uniform(0.0, gen.uniform(3.0, 7.0), size=(8, 3)) @ gen.normal(size=(3, 3))
+        hull = ConvexHull(v)
+        P = Polytope.from_rows(np.column_stack([hull.equations[:, :3], -hull.equations[:, 3]]))
+        try:
+            m = LatticeCounting(P)
+        except EmptyRegion:
+            continue
+        if lo <= m.total_mass <= hi:
+            return m
+
+
+def test_3d_lattice_pick_clears_the_paper_floor():
+    """On seeded random 3D lattice polytopes the solver's pick is the deepest
+    lattice point, and its depth clears the lattice floor 2^-3."""
+    gen = np.random.default_rng(2015)
+    for _ in range(10):
+        m = _random_lattice_polytope_3d(gen, 20, 150)
+        pts = m.active_points()
+        point, value = _pick_centerpoint(m, RngState(0), 0)
+        vals = [depth_finite(pts, p).value for p in pts]
+        assert value == max(vals) == vals[_lex_best(pts, vals)]
+        assert np.array_equal(point, pts[_lex_best(pts, vals)])
+        assert value >= 1.0 / 8.0
+
+
+def test_3d_lattice_pick_on_the_box():
+    m = LatticeCounting(Polytope.from_box(np.zeros(3), np.full(3, 4.0)))
+    point, value = _pick_centerpoint(m, RngState(0), 0)
+    assert point.tolist() == [2.0, 2.0, 2.0]
+    assert value == 63.0 / 125.0
 
 
 def test_solve_mixed_gap_bound():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from centercut import depth as depth_mod
 from centercut.depth import (_mixed_arrays, _mixed_masses,
                              _sweep_counting_min_batch, depth_angle_grid,
                              depth_finite, depth_sampled, min_direction_2d)
@@ -469,3 +470,132 @@ def test_whole_fiber_rows_match_scalar_evaluator(rows, n, normal, offset, closed
     for closed, want in ((True, closed_mass), (False, open_mass)):
         h = Halfspace(Direction(np.array(normal)), offset, closed)
         assert m.halfspace_mass(h).value == _scalar_mixed_mass(m, h) == want
+
+
+# ---------------------------------------------------------------------------
+# 3D counting depth: the line reduction against the candidate-normal engine
+
+def _normals_depth_3d(points, x, weights):
+    """Reference 3D counting depth by the candidate-normal method.
+
+    Probes both sides of every plane through x and two non-collinear offsets;
+    offsets on a probed plane are resolved by the 2D kernel in that plane,
+    and an all-collinear set is a 1-D problem along its line.
+    """
+    rel = np.asarray(points, dtype=float) - np.asarray(x, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    total = float(weights.sum())
+    scale = max(1.0, float(np.max(np.abs(rel))))
+    r = np.linalg.norm(rel, axis=1)
+    at_center = r <= 1e-12 * scale
+    base = float(weights[at_center].sum())
+    v, w, rv = rel[~at_center], weights[~at_center], r[~at_center]
+    if len(v) == 0:
+        return 1.0
+    normals = []
+    for i in range(len(v) - 1):
+        cr = np.cross(v[i], v[i + 1:])
+        ns = np.linalg.norm(cr, axis=1)
+        keep = ns > 1e-12 * rv[i] * rv[i + 1:]
+        normals.extend(cr[keep] / ns[keep, None])
+    if not normals:
+        e = v[int(np.argmax(rv))] / float(np.max(rv))
+        t = v @ e
+        return (base + min(float(w[t >= -1e-9].sum()), float(w[t <= 1e-9].sum()))) / total
+    best = np.inf
+    for n in normals:
+        for u in (n, -n):
+            vals = v @ u
+            bnd = np.abs(vals) <= 1e-9
+            mass = base + float(w[vals > 1e-9].sum())
+            if mass >= best:
+                continue
+            if bnd.any():
+                t1 = np.cross(u, np.eye(3)[int(np.argmin(np.abs(u)))])
+                t1 /= np.linalg.norm(t1)
+                t2 = np.cross(u, t1)
+                proj = np.column_stack([v[bnd] @ t1, v[bnd] @ t2])
+                mass += float(_sweep_counting_min_batch(np.zeros(2), proj, w[bnd])[0][0])
+            best = min(best, mass)
+    return best / total
+
+
+def _cases_3d():
+    """Seeded clouds (half on integer coordinates, some with x on a data
+    point), every point of four small boxes, collinear and coplanar sets,
+    x outside the hull, and every point at x."""
+    gen = np.random.default_rng(3003)
+    for k in range(60):
+        n = int(gen.integers(1, 30))
+        pts = (gen.integers(-2, 3, size=(n, 3)).astype(float) if k % 2
+               else gen.normal(size=(n, 3)))
+        x = pts[gen.integers(n)].copy() if k % 3 == 0 else gen.integers(-1, 2, 3) * 0.5
+        yield pts, x
+    for shape in ((2, 2, 2), (3, 3, 3), (8, 2, 2), (4, 3, 2)):
+        box = np.array(np.meshgrid(*map(np.arange, shape), indexing="ij"),
+                       dtype=float).reshape(3, -1).T
+        for x in box:
+            yield box, x
+    line = np.outer(np.arange(-3, 5), [1.0, 2.0, -1.0])
+    plane = np.array([[i, j, i + j] for i in range(4) for j in range(3)], dtype=float)
+    yield line, np.zeros(3)
+    yield line, np.array([0.5, 1.0, -0.5])
+    yield plane, np.array([2.0, 1.0, 3.0])
+    yield plane, np.array([1.0, 1.0, 0.0])
+    yield np.c_[plane[:, :2], np.zeros(len(plane))], np.array([1.0, 1.0, 0.0])
+    yield np.array(np.meshgrid(*[np.arange(3)] * 3), dtype=float).reshape(3, -1).T, \
+        np.array([5.0, 1.0, 1.0])
+    yield np.zeros((3, 3)), np.zeros(3)
+
+
+def _closed_mass(pts, x, w, u):
+    rel = np.asarray(pts, dtype=float) - x
+    scale = max(1.0, float(np.abs(rel).max()))
+    return float(w[rel @ u >= -1e-12 * scale].sum()) / float(w.sum())
+
+
+def test_depth_finite_3d_matches_normals_engine():
+    """Unit weights: the line reduction gives the candidate-normal value bit
+    for bit, and its witness attains it."""
+    for pts, x in _cases_3d():
+        w = np.ones(len(pts))
+        res = depth_finite(pts, x)
+        assert res.exact and res.gap == 0.0
+        assert res.value == _normals_depth_3d(pts, x, w)
+        assert _closed_mass(pts, x, w, res.witness.coords) == pytest.approx(res.value, abs=1e-12)
+
+
+def test_depth_finite_3d_real_weights():
+    """Real weights differ from the reference only in summation order."""
+    gen = np.random.default_rng(4004)
+    for k in range(40):
+        n = int(gen.integers(2, 25))
+        pts = (gen.integers(-2, 3, size=(n, 3)).astype(float) if k % 2
+               else gen.normal(size=(n, 3)))
+        w = gen.uniform(0.1, 3.0, n)
+        x = pts[0].copy() if k % 3 == 0 else gen.normal(size=3) * 0.4
+        res = depth_finite(pts, x, weights=w)
+        assert res.value == pytest.approx(_normals_depth_3d(pts, x, w), abs=1e-12)
+        assert _closed_mass(pts, x, w, res.witness.coords) == pytest.approx(res.value, abs=1e-12)
+
+
+def test_depth_finite_3d_blocks_bound_the_working_set(monkeypatch):
+    """Lines go to the kernel in blocks of about _BATCH_ELEMENTS (line,
+    point) pairs, and the block size changes neither value nor witness."""
+    pts = np.array(np.meshgrid(*[np.arange(4)] * 3), dtype=float).reshape(3, -1).T
+    x = np.array([1.0, 2.0, 1.0])
+    want = depth_finite(pts, x)
+    sizes = []
+    kernel = depth_mod._sweep_counting_min_batch
+
+    def spy(centers, rel, weights):
+        sizes.append(np.shape(rel)[:2])
+        return kernel(centers, rel, weights)
+
+    monkeypatch.setattr(depth_mod, "_sweep_counting_min_batch", spy)
+    monkeypatch.setattr(depth_mod, "_BATCH_ELEMENTS", 500)
+    got = depth_finite(pts, x)
+    assert got.value == want.value
+    assert np.array_equal(got.witness.coords, want.witness.coords)
+    # x is a grid point: 63 lines, 7 to a block
+    assert sizes == [(7, 63)] * 9
