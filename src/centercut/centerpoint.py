@@ -233,23 +233,37 @@ def _depth_upper_bounds(pts, cand, w):
 
 def _deepest_depths(pts, cand, w, K, vals):
     """Fill the NaN entries of ``vals`` with exact depths of ``cand`` under
-    the weights ``w`` on ``pts``, in descending upper-bound order, and stop
-    once no remaining bound can reach the K-th largest value minus 1e-12, so
-    every entry left NaN lies more than 1e-12 below the K-th largest value.
-    Each batch holds about ``depth._BATCH_ELEMENTS`` (row, point) pairs."""
+    the weights ``w`` on ``pts``, only where the upper bounds cannot rule a
+    candidate out, so every entry left NaN lies more than 1e-12 below the
+    K-th largest value.
+
+    Candidates are taken in descending upper-bound order. The first batch is
+    the ``K - len(top)`` best-bounded ones, which fills the K largest values
+    known so far; each later batch is the next candidates whose bound reaches
+    the current K-th largest value minus 1e-12, at most
+    ``depth._BATCH_ELEMENTS`` (row, point) pairs, and the search stops when no
+    bound reaches it.
+    """
     ub = _depth_upper_bounds(pts, cand, w)
     todo = np.flatnonzero(np.isnan(vals))
     order = todo[np.argsort(-ub[todo], kind="stable")]
+    neg_ub = -ub[order]   # ascending, for searchsorted
     top = np.sort(vals[~np.isnan(vals)])[-K:]   # the K largest so far
     total = float(w.sum())
     rows = max(1, depth_mod._BATCH_ELEMENTS // len(pts))
-    for s in range(0, len(order), rows):
-        take = order[s:s + rows]
-        if len(top) == K and ub[take[0]] < top[0] - 1e-12:
-            break
+    s = 0
+    while s < len(order):
+        if len(top) < K:
+            end = s + K - len(top)
+        else:
+            end = int(np.searchsorted(neg_ub, 1e-12 - top[0], side="right"))
+            if end <= s:
+                break
+        take = order[s:min(end, s + rows)]
         got = depth_mod._sweep_counting_min_batch(cand[take], pts, w)[0] / total
         vals[take] = got
         top = np.sort(np.concatenate([top, got]))[-K:]
+        s += len(take)
     return vals
 
 

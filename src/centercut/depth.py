@@ -45,9 +45,9 @@ from .measures import (FinitePointMass, LatticeCounting, Measure, MixedInteger,
                        RngState, UniformPolytope)
 
 TWO_PI = 2.0 * math.pi
-# (row, point) pairs per call of the counting kernel, in the 3D reduction and
-# in the deepest-point search: small batches keep the working set near 1 MB
-# and let the search's upper-bound pruning stop early
+# the most (row, point) pairs per call of the counting kernel, which keeps
+# its working set near 1 MB: the 3D reduction sends blocks of this size, and
+# the deepest-point search caps each batch its upper bounds choose at it
 _BATCH_ELEMENTS = 25_000
 
 

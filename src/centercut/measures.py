@@ -144,12 +144,15 @@ class LatticeCounting(Measure):
 
     family = "lattice_counting"
 
-    def __init__(self, polytope: Polytope, region=()):
+    def __init__(self, polytope: Polytope, region=(), *, _points=None):
+        """``_points`` is private to ``restrict``: the active points of a
+        measure whose region ``region`` only adds cuts to, so a restriction
+        filters them instead of enumerating the polytope again."""
         super().__init__(region)
         self.polytope = polytope
-        pts = geom.enumerate_lattice_points(polytope).astype(float)
-        mask = _cut_mask(pts, self.region)
-        self._points = pts[mask]
+        if _points is None:
+            _points = geom.enumerate_lattice_points(polytope).astype(float)
+        self._points = _points[_cut_mask(_points, self.region)]
         self.total_mass = float(len(self._points))
         self._check_nonempty()
 
@@ -168,7 +171,8 @@ class LatticeCounting(Measure):
         return MassEstimate(float(inside.sum()) / self.total_mass)
 
     def restrict(self, cuts) -> "LatticeCounting":
-        return LatticeCounting(self.polytope, self.region + tuple(cuts))
+        return LatticeCounting(self.polytope, self.region + tuple(cuts),
+                               _points=self._points)
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         gen = rng.generator()

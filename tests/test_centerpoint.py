@@ -13,6 +13,7 @@ from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
                                    _depth_upper_bounds,
                                    _lex_best, _project_vertices,
                                    _prune_directions, _pruned_lex_best,
+                                   _topk_indices,
                                    centerpoint_2d_integer,
                                    centerpoint_lattice_measure,
                                    centerpoint_lenstra_mixed,
@@ -491,20 +492,17 @@ def test_prune_directions_adapt_only_to_elongated_clouds():
         assert np.allclose(np.hypot(U[:, 0], U[:, 1]), 1.0)
 
 
-def test_adapted_pruning_keeps_thin_triangles_cheap(monkeypatch):
+def _kernel_rows(calls):
+    return sum(len(np.atleast_2d(centers)) for centers, *_ in calls)
+
+
+def test_adapted_pruning_keeps_thin_triangles_cheap(spy):
     # with 16 fixed directions these searches evaluated 300-1500 exact rows
-    rows = []
-    real = depth_mod._sweep_counting_min_batch
-
-    def counted(centers, pts, w):
-        rows.append(len(np.atleast_2d(centers)))
-        return real(centers, pts, w)
-
-    monkeypatch.setattr(depth_mod, "_sweep_counting_min_batch", counted)
+    calls = spy(depth_mod, "_sweep_counting_min_batch")
     for k, m in enumerate(_thin_triangles(5, 4)):
-        rows.clear()
+        calls.clear()
         centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(k))
-        assert sum(rows) <= 250
+        assert _kernel_rows(calls) <= 250
 
 
 def test_result_points_own_their_memory():
@@ -520,3 +518,66 @@ def test_result_points_own_their_memory():
     ]
     for res in results:
         assert res.point.base is None
+
+
+# ---------------------------------------------------------------------------
+# bound-driven batches of the deepest-point search
+
+def _brute_lex_best(pts, cand, w):
+    vals = np.array([depth_finite(pts, c, w).value for c in cand])
+    k = _lex_best(cand, vals)
+    return k, float(vals[k])
+
+
+def _lattice_polygons(seed, sizes):
+    gen = np.random.default_rng(seed)
+    out = []
+    for target in sizes:
+        ang = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False) + gen.uniform(-0.3, 0.3, 6)
+        v = np.c_[np.cos(ang), np.sin(ang)]
+        v = v * np.sqrt(target / ConvexHull(v).volume) + gen.uniform(0.0, 1.0, 2)
+        out.append(LatticeCounting(_hull_polygon(v)).active_points())
+    return out
+
+
+@pytest.mark.parametrize("hi, max_rows", [((7.0, 7.0), 4), ((19.0, 16.0), 2)])
+def test_box_search_evaluates_only_the_tied_centers(spy, hi, max_rows):
+    # the 8x8 box has four tied centers, the 20x17 box two; whole-batch
+    # searches evaluated 64 and 73 rows
+    pts = LatticeCounting(Polytope.from_box([0.0, 0.0], hi)).active_points()
+    w = np.ones(len(pts))
+    calls = spy(depth_mod, "_sweep_counting_min_batch")
+    k, val = _pruned_lex_best(pts, pts)
+    assert _kernel_rows(calls) <= max_rows
+    assert (k, val) == _brute_lex_best(pts, pts, w)
+
+
+def test_search_matches_brute_force_on_lattice_polygons_and_weighted_duplicates():
+    cases = [(p, p, np.ones(len(p)))
+             for p in _lattice_polygons(21, [12, 25, 40, 70, 120, 200, 340, 400])]
+    gen = np.random.default_rng(22)
+    for _ in range(6):
+        pts = gen.integers(0, 6, size=(30, 2)).astype(float)
+        pts = np.vstack([pts, pts[:8]])   # duplicated support points
+        w = gen.integers(1, 5, size=len(pts)).astype(float)
+        cases.append((pts, np.vstack([pts, gen.uniform(0.0, 5.0, size=(10, 2))]), w))
+    assert min(len(c[0]) for c in cases) >= 10 and max(len(c[0]) for c in cases) >= 390
+    for pts, cand, w in cases:
+        assert _pruned_lex_best(pts, cand, w) == _brute_lex_best(pts, cand, w)
+    # a near tie: (0, 0) lies about 1e-13 below (1, 0), inside the 1e-12 tie
+    # band, and its bound equals its depth, so the search must reach it
+    pts = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 3.0]])
+    w = np.array([1.0 + 3e-13, 1.0, 1.0])
+    assert _pruned_lex_best(pts, pts, w)[0] == _brute_lex_best(pts, pts, w)[0] == 1
+
+
+def test_topk_matches_a_full_stable_argsort():
+    hexagon = _hull_polygon(np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 1.0], [4.0, 4.0],
+                                      [1.0, 4.5], [-1.0, 2.0]]))
+    pts = UniformPolytope(hexagon).sample(RngState(1061), 1061)
+    full = depth_mod._sweep_counting_min_batch(pts, pts, np.ones(len(pts)))[0] / len(pts)
+    top, vals = _topk_indices(pts, 12)
+    assert np.array_equal(top, np.argsort(-full, kind="stable")[:12])
+    known = ~np.isnan(vals)
+    assert np.array_equal(vals[known], full[known])
+    assert np.all(full[~known] < full[top[-1]] - 1e-12)

@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull
 from centercut.adversary import (ContinuousMedian, IntegerFiber,
                                  game_constraint_set, game_measure)
 from centercut.centerpoint import ConstraintSet, _lex_best
+from centercut import geom
 from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
                                 ConvexQuadratic, RandomFeasible, Sum,
                                 _pick_centerpoint, epigraph_cut, evaluate, iteration_upper_bound,
@@ -183,6 +184,16 @@ def test_solve_trace_mass_contraction():
         if row.depth is not None:
             assert row.mass_after <= (1.0 - row.depth + 1e-6) * prev
         prev = row.mass_after
+
+
+def test_box8_solve_enumerates_the_lattice_once(spy):
+    # each rebuild filters the points of the base measure
+    calls = spy(geom, "enumerate_lattice_points")
+    o = ConvexQuadratic(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([5.1, 2.2]))
+    nu = LatticeCounting(Polytope.from_box([0.0, 0.0], [8.0, 8.0]))
+    E0 = Box(np.array([0.0, 0.0]), np.array([8.0, 8.0]))
+    rep = solve(o, ConstraintSet.lattice(2), nu, E0, 0.9)
+    assert len(rep.iteration_trace) > 1 and len(calls) == 1
 
 
 def test_finite_centerpoint_pick_matches_brute_force():

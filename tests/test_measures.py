@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from centercut import geom
 from centercut.errors import EmptyRegion, RejectionStall
 from centercut.geom import Halfspace, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MassEstimate,
@@ -241,3 +242,18 @@ def test_finite_point_mass_weights():
     assert float(e) == pytest.approx(0.75, abs=0.0)
     with pytest.raises(ValueError):
         FinitePointMass([[0.0, 0.0]], weights=[0.0])
+
+
+def test_lattice_restriction_filters_its_points(spy):
+    # a restriction filters the points it was made from; chained restrictions
+    # equal one joint restriction and enumerate the polytope once
+    P = Polytope.from_vertices_2d([[0.3, 0.1], [9.2, 1.4], [7.7, 8.9], [1.1, 6.6]])
+    a = (Halfspace.from_vector([1.0, 0.4], 2.0), Halfspace.from_vector([-0.3, 1.0], -1.0))
+    b = (Halfspace.from_vector([1.0, 1.0], 5.0).as_open(),
+         Halfspace.from_vector([-1.0, 0.2], -7.5))
+    calls = spy(geom, "enumerate_lattice_points")
+    step = LatticeCounting(P).restrict(a).restrict(b)
+    assert len(calls) == 1
+    joint = LatticeCounting(P, a + b)
+    assert step.active_points().tobytes() == joint.active_points().tobytes()
+    assert step.total_mass == joint.total_mass and step.region == joint.region
