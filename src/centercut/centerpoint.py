@@ -1,8 +1,9 @@
 """Centerpoint computation: points maximizing halfspace depth over a
 constraint set.
 
-Four routes: Monte Carlo sampling with exact maximization over an enriched
-candidate set, exhaustive exact search over 2D lattice points, a width-based
+Five routes: Monte Carlo sampling with exact maximization over an enriched
+candidate set, exhaustive exact search over 2D lattice points, an exact
+per-fiber candidate-set search for n=1, d=1 mixed measures, a width-based
 recursion for mixed-integer sets, and the centroid witness for continuous
 sets. Every returned point satisfies its constraint set exactly (integer
 blocks are exact integers).
@@ -406,61 +407,84 @@ def centerpoint_2d_integer(P: Polytope, cap: int = 100_000) -> CenterpointResult
 # ---------------------------------------------------------------------------
 # exact mixed route (n=1, d=1)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _fiber_breakpoints(m: MixedInteger, z0, lo, hi):
+    """lo, hi and every crossing inside (lo, hi) of the fiber z0 with a line
+    through two endpoints on distinct other fibers, sorted: the only y where
+    a ``_mixed_cuts`` column can bend."""
+    Z = m._z[:, 0]
+    other = Z != z0
+    ez = np.concatenate([Z[other], Z[other]])
+    ev = np.concatenate([m._lo[other], m._hi[other]])
+    a, b = np.nonzero(np.triu(ez[:, None] != ez))   # pairs on distinct fibers
+    y = ev[a] + (ev[b] - ev[a]) * (z0 - ez[a]) / (ez[b] - ez[a])
+    return np.unique(np.concatenate([[lo, hi], y[(y > lo) & (y < hi)]]))
 
 
-def _golden_min(f, a, b, tol):
-    """Golden-section minimum of f on [a, b]; returns (x, f(x)).
+def _fiber_search(m: MixedInteger, z0, lo, hi):
+    """Candidate y values on the fiber (z0, [lo, hi]) and their depths: a
+    deepest point of the fiber and each breakpoint and column crossing
+    within 1e-12 of it.
 
-    Endpoints are evaluated too, so on intervals where f is monotone or has
-    a single interior maximum the returned value is still the minimum.
+    Depth is quasi-concave along the fiber, so every isqrt(n)-th of its n
+    breakpoints brackets the points within 2e-12 of the best of them. Inside
+    the bracket every column is linear between breakpoints, so the depth is
+    concave there and peaks at a breakpoint or where two columns cross, at
+    the least column interpolated from the ends. Crossings within
+    1e-12 * max(1, hi - lo) of an end are left to that end.
     """
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    xm = (a + b) / 2.0
-    cands = [(f(a), a), (f(b), b), (f1, x1), (f2, x2), (f(xm), xm)]
-    fv, xv = min(cands, key=lambda t: t[0])
-    return xv, fv
+    ys = _fiber_breakpoints(m, z0, lo, hi)
+    step = max(1, depth_mod._BATCH_ELEMENTS // (4 * len(m.fibers) ** 2))   # 4F cuts x F fibers
+
+    def cuts(y):
+        return np.concatenate([depth_mod._mixed_cuts(m, z0, y[k:k + step])[1]
+                               for k in range(0, len(y), step)])
+
+    idx = np.unique(np.r_[0:len(ys):math.isqrt(len(ys)), len(ys) - 1])
+    g = cuts(ys[idx]).min(axis=1)
+    high = np.flatnonzero(g >= g.max() - 2e-12)
+    ys = ys[idx[max(high[0] - 1, 0)]:idx[min(high[-1] + 1, len(idx) - 1)] + 1]
+    V = cuts(ys)
+    out_y, out_v = [ys], [V.min(axis=1)]
+    i, j = np.triu_indices(V.shape[1], 1)
+    tol = 1e-12 * max(1.0, hi - lo)
+    for q in np.array_split(np.arange(len(ys) - 1),
+                            max(1, (len(ys) - 1) * len(i) // depth_mod._BATCH_ELEMENTS)):
+        A, B = V[q], V[q + 1]
+        dA, dB = A[:, i] - A[:, j], B[:, i] - B[:, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = dA / (dA - dB)
+        h = (ys[q + 1] - ys[q])[:, None]
+        r, c = np.nonzero((s * h > tol) & ((1.0 - s) * h > tol))
+        s = s[r, c][:, None]
+        out_y.append(ys[q[r]] + s[:, 0] * h[r, 0])
+        out_v.append((A[r] + (B[r] - A[r]) * s).min(axis=1))
+    return np.concatenate(out_y), np.concatenate(out_v)
 
 
 def centerpoint_mixed_2d(m: MixedInteger) -> CenterpointResult:
-    """Depth maximizer over fibers for n=1, d=1 mixed measures.
-
-    Depth is quasi-concave along each fiber line, so each fiber is searched
-    by golden section over the continuous block, to 1e-9 of its length, with
-    endpoint and midpoint probes; the best fiber wins, lexicographic ties.
-    Every probe is an exact ``min_direction_2d`` depth, so the returned
-    depth is exact for the returned point, while the point itself is
-    located only to the search tolerance.
-    """
+    """Exact depth maximizer of an n=1, d=1 mixed measure: the deepest
+    ``_fiber_search`` candidate, lexicographically smallest among values
+    within 1e-12, with ``min_direction_2d`` depth. Fibers go in descending
+    order of the bound the two stratum cuts put on their depth, and the
+    search stops at one whose bound lies 2e-12 below the best value."""
     if m.n != 1 or m.d != 1:
         raise ValueError("exact mixed centerpoint supports n=1, d=1")
+    Z, LO, HI = m._z[:, 0], m._lo, m._hi
+    left = np.cumsum(m._vol) - m._vol   # fibers come in ascending z
+    right = m.total_mass - left - m._vol
+    y = np.clip((LO + HI + right - left) / 2.0, LO, HI)
+    bound = np.minimum(right + HI - y, left + y - LO) / m.total_mass
+    best = -math.inf
     cand, vals = [], []
-    for z, (lo, hi), _vol in m.fibers:
-        zf = float(z[0])
-
-        def f(y, _z=zf):
-            return -min_direction_2d(m, np.array([_z, y])).value
-
-        span = hi - lo
-        y0, fv = _golden_min(f, lo, hi, tol=max(1e-9, 1e-9 * span))
-        for y, v in ((y0, -fv), ((lo + hi) / 2.0, None), (lo, None), (hi, None)):
-            if v is None:
-                v = min_direction_2d(m, np.array([zf, y])).value
-            cand.append([zf, y])
-            vals.append(v)
-    k = _lex_best(cand, vals, tol=1e-9)
-    point = np.array(cand[k])
+    for k in np.argsort(-bound, kind="stable"):
+        if bound[k] < best - 2e-12:
+            break
+        ys, v = _fiber_search(m, Z[k], LO[k], HI[k])
+        best = max(best, float(v.max()))
+        cand.append(np.column_stack([np.full(len(ys), Z[k]), ys]))
+        vals.append(v)
+    cand = np.concatenate(cand)
+    point = cand[_lex_best(cand, np.concatenate(vals))].copy()
     return CenterpointResult(point, min_direction_2d(m, point), "exact-mixed", 0,
                              depth_guarantee(ConstraintSet.mixed(1, 1)))
 

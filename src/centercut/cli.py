@@ -440,12 +440,9 @@ def _guarantee_dict(g):
             "lenstra_floor": g.lenstra_floor}
 
 
-def _run_solve(doc, args, seed_child):
-    o = _build_objective(doc["objective"])
-    S = _build_constraint(doc["constraint"])
-    nu = _build_measure(doc["measure"])
-    e0 = doc["E0"]
-    E0 = Box(e0["lower"], e0["upper"])
+def _solve_with_flags(o, S, nu, E0, doc, args, seed_child):
+    """``cutplane.solve`` with delta, strategy, budget and seed taken from
+    the flags, else the document; returns (report, strategy name, delta)."""
     delta = float(_pick(args.delta, doc, "delta", doc["delta"]))
     strategy_name = _pick(args.strategy, doc, "strategy", "centerpoint")
     budget = int(_pick(args.budget, doc, "budget", 10_000))
@@ -458,7 +455,12 @@ def _run_solve(doc, args, seed_child):
 
 
 def cmd_solve(doc, args) -> dict:
-    report, strategy_name, delta = _run_solve(doc, args, 2)
+    o = _build_objective(doc["objective"])
+    S = _build_constraint(doc["constraint"])
+    nu = _build_measure(doc["measure"])
+    e0 = doc["E0"]
+    report, strategy_name, delta = _solve_with_flags(
+        o, S, nu, Box(e0["lower"], e0["upper"]), doc, args, 2)
     upper, lower = report.bound_comparison
     trace = report.iteration_trace
     return _pyify({
@@ -478,17 +480,9 @@ def cmd_solve(doc, args) -> dict:
 
 def cmd_adversary_run(doc, args) -> dict:
     game = _build_game(doc["game"])
-    o = cutplane.Adversarial(game)
-    S = adversary_mod.game_constraint_set(game)
-    nu = adversary_mod.game_measure(game)
-    delta = float(_pick(args.delta, doc, "delta", doc["delta"]))
-    strategy_name = _pick(args.strategy, doc, "strategy", "centerpoint")
-    budget = int(_pick(args.budget, doc, "budget", 10_000))
-    seed = int(_pick(args.seed, doc, "seed", 0))
-    strategy = _STRATEGIES[strategy_name](seed)
-    rng = RngState(seed).child(3)
-    report = cutplane.solve(o, S, nu, game.E0, delta, strategy=strategy,
-                            budget=budget, rng=rng)
+    report, strategy_name, delta = _solve_with_flags(
+        cutplane.Adversarial(game), adversary_mod.game_constraint_set(game),
+        adversary_mod.game_measure(game), game.E0, doc, args, 3)
     lower = adversary_mod.lower_bound_for(game, delta)
     return _pyify({
         "command": "adversary-run",

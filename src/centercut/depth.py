@@ -6,9 +6,10 @@ u of the mass of the closed halfspace {y : u.(y - x) >= 0}. Engines here:
 * ``depth_finite``: exact for weighted point lists in dimensions 1-3; 3D
   depth reduces to the counting kernel over lines through x.
 * ``min_direction_2d``: exact for the 2D measure families. Counting
-  measures use the counting kernel below; uniform polygons and n=1, d=1
-  mixed measures evaluate a finite candidate set of angles that provably
-  contains a minimizer (see ``_sweep_uniform_2d`` and ``_sweep_mixed_2d``).
+  measures use the counting kernel below; uniform polygons evaluate a finite
+  candidate set of angles that provably contains a minimizer, and n=1, d=1
+  mixed measures one cut family, ``_mixed_cuts``, which the exact mixed
+  centerpoint search evaluates too.
 * ``depth_sampled``: an upper bound from finitely many random directions,
   one vectorized pass for mixed measures with one continuous coordinate.
 * ``depth_angle_grid``: a dense fixed-grid oracle, used for cross-checks.
@@ -45,9 +46,9 @@ from .measures import (FinitePointMass, LatticeCounting, Measure, MixedInteger,
                        RngState, UniformPolytope)
 
 TWO_PI = 2.0 * math.pi
-# the most (row, point) pairs per call of the counting kernel, which keeps
-# its working set near 1 MB: the 3D reduction sends blocks of this size, and
-# the deepest-point search caps each batch its upper bounds choose at it
+# the most (row, point) pairs per kernel call, which keeps the working set
+# near 1 MB: the 3D reduction and the exact mixed search send blocks of about
+# this size, and the deepest-point search caps each batch at it
 _BATCH_ELEMENTS = 25_000
 
 
@@ -91,15 +92,6 @@ def _window_masses(betas, weights, alphas):
     i0 = np.searchsorted(ext, lo - 1e-12, side="left")
     i1 = np.searchsorted(ext, hi + 1e-12, side="right")
     return cum[i1] - cum[i0]
-
-
-def _events_and_midpoints(events):
-    """Sorted distinct event angles and the midpoint of each arc between
-    neighbouring events (the last arc wraps through 0)."""
-    events = np.unique(np.mod(events, TWO_PI))
-    mids = (events + np.roll(events, -1)) / 2.0
-    mids[-1] = math.fmod((events[-1] + events[0] + TWO_PI) / 2.0, TWO_PI)
-    return events, mids
 
 
 def _sweep_counting_min_batch(centers, pts, weights):
@@ -266,15 +258,6 @@ def _outside_witness(verts, x):
     return None
 
 
-def _event_angles(pts, x):
-    """Angles a whose cut line through x passes through one of ``pts``."""
-    rel = pts - x
-    r = np.hypot(rel[:, 0], rel[:, 1])
-    keep = r > 1e-12 * max(1.0, float(np.max(np.abs(pts))))
-    betas = np.arctan2(rel[keep, 0], rel[keep, 1])
-    return np.concatenate([betas - math.pi / 2.0, betas + math.pi / 2.0])
-
-
 def _sweep_uniform_2d(m: UniformPolytope, x):
     """Exact depth for a uniform polygon.
 
@@ -292,12 +275,16 @@ def _sweep_uniform_2d(m: UniformPolytope, x):
     edges = np.roll(verts, -1, axis=0) - verts
     normals = np.column_stack([edges[:, 1], -edges[:, 0]])
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    dist = np.einsum("ij,ij->i", normals, verts - x)
+    rel = verts - x
+    dist = np.einsum("ij,ij->i", normals, rel)
     i, j = np.triu_indices(len(verts), 1)
     bis = dist[j, None] * normals[i] + dist[i, None] * normals[j]
     chords = np.arctan2(bis[:, 0], bis[:, 1])
+    # vertex events: the cut line through x meets a vertex other than x
+    keep = np.hypot(rel[:, 0], rel[:, 1]) > 1e-12 * max(1.0, float(np.max(np.abs(verts))))
+    betas = np.arctan2(rel[keep, 0], rel[keep, 1])
     cand = np.unique(np.mod(np.concatenate(
-        [_event_angles(verts, x), chords, chords + math.pi]), TWO_PI))
+        [betas - math.pi / 2.0, betas + math.pi / 2.0, chords, chords + math.pi]), TWO_PI))
     best = math.inf
     best_a = 0.0
     for a in cand:
@@ -309,55 +296,44 @@ def _sweep_uniform_2d(m: UniformPolytope, x):
     return _result(best / m.total_mass, best_a, True, 0.0)
 
 
-def _mixed_arrays(m: MixedInteger):
-    """Fiber positions and interval ends of an n=1, d=1 measure."""
-    return m._z[:, 0], m._lo, m._hi
-
-
-def _mixed_masses(Z, LO, HI, total, xv, alphas):
-    """Closed-halfspace mixed mass at u(a) through xv for each angle in
-    ``alphas``; vectorized over (angles x fibers)."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
-    s = np.sin(alphas)[:, None]
-    c = np.cos(alphas)[:, None]
-    dz = Z[None, :] - xv[0]
-    span = HI - LO
-    smooth = np.abs(c) > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ystar = (s * -dz) / c + xv[1]
-    kept_pos = np.clip(HI[None, :] - np.maximum(LO[None, :], ystar), 0.0, None)
-    kept_neg = np.clip(np.minimum(HI[None, :], ystar) - LO[None, :], 0.0, None)
-    kept = np.where(c > 0, kept_pos, kept_neg)
-    # degenerate tail: the cut runs along the fiber direction, whole fibers
-    # are kept or dropped; closed semantics keeps the boundary fiber
-    whole = np.where(s * dz >= -geom.EPS, span[None, :], 0.0)
-    kept = np.where(smooth, kept, whole)
-    return kept.sum(axis=1) / total
+def _mixed_cuts(m: MixedInteger, z0, ys):
+    """Normals, shape (len(ys), 2E + 4, 2), and closed-halfplane masses,
+    shape (len(ys), 2E + 4), of the n=1, d=1 cut family at the points
+    (z0, y), from one ``halfspace_masses`` call: both sides of the line
+    through the point and each of the E endpoints of the fibers z != z0,
+    and four cuts steeper than all of those lines, with slopes
+    +-(2 max |dv/dz| + 1), which keep or drop each other fiber whole."""
+    Z = m._z[:, 0]
+    other = Z != z0
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    dz = np.concatenate([Z[other], Z[other]]) - z0
+    dv = np.concatenate([m._lo[other], m._hi[other]]) - ys[:, None]
+    slope = 2.0 * np.max(np.abs(dv / dz), axis=1, initial=0.0) + 1.0
+    lines = np.stack(np.broadcast_arrays(-dv, dz), axis=-1)
+    steep = np.stack([np.outer(slope, [1.0, 1.0, -1.0, -1.0]),
+                      np.broadcast_to([1.0, -1.0, 1.0, -1.0], (len(ys), 4))], axis=-1)
+    N = np.concatenate([lines, -lines, steep], axis=1)
+    N /= np.hypot(N[..., 0], N[..., 1])[..., None]
+    pts = np.column_stack([np.full(len(ys), float(z0)), ys])
+    masses = m.halfspace_masses(N.reshape(-1, 2), geom.row_dots(N, pts[:, None, :]).ravel())
+    return N, masses.reshape(len(ys), -1)
 
 
 def _sweep_mixed_2d(m: MixedInteger, x):
-    """Exact depth for n=1, d=1 mixed measures.
-
-    Between fiber-endpoint events each fiber's kept length is affine in
-    tan(a), so the mass is monotone on every arc, continuous at the events,
-    and constant on the arcs that end at the lattice stratum u = (+-1, 0),
-    where whole fibers flip. Its minimum is therefore attained at an event,
-    on the stratum, or at the midpoint of an arc; all of them are evaluated
-    in one vectorized pass. Midpoints, rather than angles nudged 1e-12 off
-    the stratum, keep the witness away from near-vertical cuts, whose offset
-    u.x ``halfspace_mass`` cannot resolve to 1e-12.
+    """Exact depth for n=1, d=1 mixed measures: the least ``_mixed_cuts``
+    mass at x, with its normal as the witness. Between the events where the
+    cut line meets a fiber endpoint each kept length is affine in tan(a), so
+    the mass is monotone on each arc and continuous at the events, and on
+    the arcs next to the stratum u = (+-1, 0) it is constant; on the stratum
+    whole fibers flip, which keeps at least as much. The steep cuts stay far
+    from the stratum, where ``halfspace_mass`` could not resolve u.x.
     """
     if m.n != 1 or m.d != 1:
         raise DimensionTooLarge("exact mixed sweep supports n=1, d=1 only")
     xv = np.asarray(x, dtype=float).ravel()
-    Z, LO, HI = _mixed_arrays(m)
-    endpoints = np.concatenate([np.column_stack([Z, LO]), np.column_stack([Z, HI])])
-    events, mids = _events_and_midpoints(np.concatenate(
-        [_event_angles(endpoints, xv), [math.pi / 2.0, 3.0 * math.pi / 2.0]]))
-    cand = np.sort(np.concatenate([events, mids]))
-    vals = _mixed_masses(Z, LO, HI, m.total_mass, xv, cand)
-    k = int(np.argmin(vals))
-    return _result(vals[k], cand[k], True, 0.0)
+    N, vals = _mixed_cuts(m, xv[0], xv[1:])
+    k = int(np.argmin(vals[0]))
+    return DepthResult(float(vals[0, k]), Direction.from_vector(N[0, k]), True, 0.0)
 
 
 def min_direction_2d(m: Measure, x) -> DepthResult:

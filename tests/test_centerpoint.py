@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from centercut import centerpoint as cp_mod
 from centercut import depth as depth_mod
 from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
                                    _EVEN_DIRS, _arrangement_vertices,
-                                   _depth_upper_bounds,
+                                   _depth_upper_bounds, _fiber_breakpoints,
                                    _lex_best, _project_vertices,
                                    _prune_directions, _pruned_lex_best,
                                    _topk_indices,
@@ -322,10 +323,91 @@ def test_translation_equivariance():
 
 def test_exact_mixed_strip():
     res = centerpoint_mixed_2d(MixedInteger(STRIP, 1, 1))
-    assert res.point[0] == 1.0
-    assert res.point[1] == pytest.approx(0.5, abs=1e-6)
-    assert res.depth.value == pytest.approx(0.5, abs=1e-6)
+    assert np.array_equal(res.point, [1.0, 0.5])
+    # 0.5 up to the rounding of the cut offset in halfspace_masses
+    assert res.depth.value == pytest.approx(0.5, abs=1e-15)
     assert res.method == "exact-mixed"
+
+
+def _mixed_trapezoids(seed, fibers):
+    """Seeded trapezoids with the given fiber counts: fibers z = 0..K with
+    a block between two affine bounds, so the fibers have unequal ends."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for F in fibers:
+        K = F - 1
+        b0, b1 = gen.uniform(-1.0, 1.0, 2)
+        t0, t1 = b0 + gen.uniform(0.2, 2.5), b1 + gen.uniform(0.2, 2.5)
+        rows = [[-1, 0, 0], [1, 0, K], [(b1 - b0) / max(K, 1), -1, -b0],
+                [(t0 - t1) / max(K, 1), 1, t0]]
+        out.append(MixedInteger(Polytope.from_rows(rows), 1, 1))
+    return out
+
+
+def _unpruned_mixed_pick(m):
+    """The exact fiber search without its bracket and pruning: every
+    breakpoint of every fiber and every column crossing inside every
+    interval, evaluated from the cut family."""
+    cand, vals = [], []
+    for z0, lo, hi in zip(m._z[:, 0], m._lo, m._hi):
+        ys = _fiber_breakpoints(m, z0, lo, hi)
+        V = depth_mod._mixed_cuts(m, z0, ys)[1]
+        for q in range(len(ys) - 1):
+            a, b = V[q], V[q + 1]
+            for i, j in itertools.combinations(range(len(a)), 2):
+                den = (a[i] - a[j]) - (b[i] - b[j])
+                if den == 0.0:
+                    continue
+                t = (a[i] - a[j]) / den
+                h = ys[q + 1] - ys[q]
+                if t * h > 1e-12 * max(1.0, hi - lo) and (1 - t) * h > 1e-12 * max(1.0, hi - lo):
+                    cand.append([z0, ys[q] + t * h])
+                    vals.append(float(np.min(a + (b - a) * t)))
+        cand += [[z0, y] for y in ys]
+        vals += list(V.min(axis=1))
+    return np.array(cand[_lex_best(cand, vals)])
+
+
+def test_exact_mixed_beats_a_dense_grid():
+    """On trapezoids with 1-7 fibers the pick is at least as deep as the best
+    point of a 300-point grid on every fiber, and the reported depth is the
+    engine's depth at the pick."""
+    for m in _mixed_trapezoids(2727, [1, 1, 2, 3, 4, 5, 6, 7]):
+        res = centerpoint_mixed_2d(m)
+        grid = max(min_direction_2d(m, np.array([z[0], y])).value
+                   for z, (lo, hi), _v in m.fibers for y in np.linspace(lo, hi, 300))
+        assert res.depth.value >= grid - 1e-12
+        assert res.depth.value == min_direction_2d(m, res.point).value
+        assert res.depth.exact and res.depth.gap == 0.0
+
+
+def test_exact_mixed_pruning_keeps_the_pick(spy):
+    """The quasi-concave bracket and the fiber bound leave the pick of the
+    unpruned search unchanged, ties included, and a wide region searches
+    only the fibers near its middle."""
+    boxes = [MixedInteger(Polytope.from_box([0.0, 0.0], [float(K), 1.0]), 1, 1)
+             for K in (1, 2, 4, 6)]
+    for m in _mixed_trapezoids(3131, [1, 2, 3, 5, 7, 9]) + boxes:
+        assert np.array_equal(centerpoint_mixed_2d(m).point, _unpruned_mixed_pick(m))
+    calls = spy(cp_mod, "_fiber_search")
+    wide = _mixed_trapezoids(4141, [41])[0]
+    res = centerpoint_mixed_2d(wide)
+    assert len(calls) < 8
+    assert res.depth.value >= max(min_direction_2d(wide, np.array([z[0], y])).value
+                                  for z, (lo, hi), _v in wide.fibers[15:26]
+                                  for y in np.linspace(lo, hi, 50)) - 1e-12
+
+
+def test_mixed_cut_columns_are_linear_between_breakpoints():
+    """Exactness rests on this: between consecutive breakpoints every column
+    of the cut family is linear in y, so its value at the midpoint is the
+    mean of its end values."""
+    for m in _mixed_trapezoids(5353, [2, 3, 4, 6, 7]):
+        for z0, lo, hi in zip(m._z[:, 0], m._lo, m._hi):
+            ys = _fiber_breakpoints(m, z0, lo, hi)
+            ends = depth_mod._mixed_cuts(m, z0, ys)[1]
+            mids = depth_mod._mixed_cuts(m, z0, (ys[:-1] + ys[1:]) / 2.0)[1]
+            assert np.abs(mids - (ends[:-1] + ends[1:]) / 2.0).max() <= 1e-12
 
 
 def test_exact_mixed_at_least_recursion():
@@ -335,7 +417,7 @@ def test_exact_mixed_at_least_recursion():
         P, _K = _random_trapezoid(rng)
         exact = centerpoint_mixed_2d(MixedInteger(P, 1, 1))
         rec = centerpoint_lenstra_mixed(P, 1, 1)
-        assert exact.depth.value >= rec.depth.value - 1e-6
+        assert exact.depth.value >= rec.depth.value - 1e-12
 
 
 # ---------------------------------------------------------------------------

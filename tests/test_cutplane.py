@@ -256,7 +256,10 @@ def test_solve_mixed_gap_bound():
     nu = MixedInteger(Polytope.from_box([0.0, 0.0], [3.0, 1.0]), 1, 1)
     E0 = Box(np.array([0.0, 0.0]), np.array([4.0, 1.0]))
     rep = solve(o, ConstraintSet.mixed(1, 1), nu, E0, 0.05)
-    assert rep.stop_reason == "mass_below_delta"
+    # the exact fiber search picks (1, 0.5), (1, 0.25) and then the optimum
+    # (1, 0.37), whose cut empties the region
+    assert rep.stop_reason == "empty_region"
+    assert rep.best_value == 0.0
     assert rep.best_value <= mixed_gap_bound(1.0, 0.05, 1) + 1e-9
     assert rep.best_point[0] == round(rep.best_point[0])
 

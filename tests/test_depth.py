@@ -3,8 +3,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from centercut import depth as depth_mod
-from centercut.depth import (_mixed_arrays, _mixed_masses,
-                             _sweep_counting_min_batch, depth_angle_grid,
+from centercut.depth import (_sweep_counting_min_batch, depth_angle_grid,
                              depth_finite, depth_sampled, min_direction_2d)
 from centercut.errors import DimensionTooLarge
 from centercut.geom import Direction, Halfspace, Polytope
@@ -368,6 +367,25 @@ def test_uniform_engine_is_exact_on_random_polygons():
             assert res.value <= _dense_min(lambda a: _fan_area_masses(verts, x, a)) + 1e-12
 
 
+def _angle_mixed_masses(m, x, alphas):
+    """n=1, d=1 mixed mass of the closed halfplane u(a).(y - x) >= 0 for each
+    angle a, vectorized over (angles x fibers): a reference independent of
+    ``halfspace_masses``, relative to x, with whole fibers kept or dropped
+    when the cut runs along the fiber direction."""
+    Z, LO, HI = m._z[:, 0], m._lo, m._hi
+    s = np.sin(alphas)[:, None]
+    c = np.cos(alphas)[:, None]
+    dz = Z[None, :] - x[0]
+    smooth = np.abs(c) > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ystar = (s * -dz) / c + x[1]
+    kept_pos = np.clip(HI[None, :] - np.maximum(LO[None, :], ystar), 0.0, None)
+    kept_neg = np.clip(np.minimum(HI[None, :], ystar) - LO[None, :], 0.0, None)
+    kept = np.where(c > 0, kept_pos, kept_neg)
+    whole = np.where(s * dz >= -1e-9, (HI - LO)[None, :], 0.0)
+    return np.where(smooth, kept, whole).sum(axis=1) / m.total_mass
+
+
 def test_mixed_engine_is_exact_on_random_trapezoids():
     gen = np.random.default_rng(5151)
     for _ in range(12):
@@ -377,7 +395,7 @@ def test_mixed_engine_is_exact_on_random_trapezoids():
         rows = [[-1, 0, 0], [1, 0, K], [(b1 - b0) / K, -1, -b0],
                 [(t0 - t1) / K, 1, t0]]
         m = MixedInteger(Polytope.from_rows(rows), n=1, d=1)
-        Z, LO, HI = _mixed_arrays(m)
+        Z, LO, HI = m._z[:, 0], m._lo, m._hi
         k = int(gen.integers(len(Z)))
         xs = [[Z[k], gen.uniform(LO[k], HI[k])],              # on a fiber
               [Z[k], LO[k]], [Z[k], HI[k]],                   # fiber ends
@@ -385,7 +403,7 @@ def test_mixed_engine_is_exact_on_random_trapezoids():
         for x in map(np.array, xs):
             res = min_direction_2d(m, x)
             _assert_exact_and_attained(m, x, res)
-            dense = _dense_min(lambda a: _mixed_masses(Z, LO, HI, m.total_mass, x, a))
+            dense = _dense_min(lambda a: _angle_mixed_masses(m, x, a))
             assert res.value <= dense + 1e-12
 
 
