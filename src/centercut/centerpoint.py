@@ -160,19 +160,21 @@ def _arrangement_vertices(pts, cap):
 def _continuous_candidates_2d(pts, cap):
     """Line-arrangement vertices to add to the sample points: the full
     arrangement when it fits, otherwise lines through the deepest samples.
-    Returns (extra points, sample depths where they were computed)."""
+    Returns (extra points, None or the sample depths where they were
+    computed with the samples' upper bounds)."""
     n = len(pts)
     n_lines = n * (n - 1) // 2
     exhaustive = n_lines * (n_lines - 1) // 2 + n <= min(cap, ARRANGEMENT_LIMIT)
-    vals = None
+    known = None
     if exhaustive:
         extra = _arrangement_vertices(pts, cap)
     else:
-        top, vals = _topk_indices(pts, TOP_K)
+        top, vals, ub = _topk_indices(pts, TOP_K)
         extra = _arrangement_vertices(pts[np.sort(top)], cap)
+        known = (vals, ub)
     if n + len(extra) > cap:
         raise BudgetExceeded(f"{n + len(extra)} candidates exceed cap {cap}")
-    return extra, vals
+    return extra, known
 
 
 _PRUNE_DIRS = 16
@@ -213,30 +215,54 @@ def _depth_upper_bounds(pts, cand, w):
     ``pts``: closed-halfplane mass along the unit directions of
     ``_prune_directions``, adapted to the shape of ``pts``, with a membership
     pad wider than the exact engine's. Any direction gives an upper bound,
-    since depth is the infimum over all of them."""
+    since depth is the infimum over all of them.
+
+    One pass serves every direction: projections onto direction k are
+    shifted into the block around k * span, and one search of the sorted
+    point projections into the sorted candidate ends counts the points on
+    each side of every candidate. Rounding is monotone, so the shift can only
+    move a point onto a candidate's end, which widens a halfplane and never
+    narrows it.
+    """
     U = _prune_directions(pts, w)
-    pad = 1e-9 * max(1.0, float(np.abs(pts).max()), float(np.abs(cand).max()))
+    D, n, m = len(U), len(pts), len(cand)
+    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(cand).max(initial=0.0)))
+    pad = 1e-9 * scale
+    span = 4.0 * scale + 1.0   # over twice any |projection| + pad: |U| = 1
+    rr = np.arange(D)[:, None]
     pu = U @ pts.T
-    cu = U @ cand.T
     order = np.argsort(pu, axis=1)
-    pu = np.take_along_axis(pu, order, axis=1)
-    cum = np.zeros((_PRUNE_DIRS, len(pts) + 1))
+    cum = np.zeros((D, n + 1))
     np.cumsum(w[order], axis=1, out=cum[:, 1:])
-    lo, hi = cu - pad, cu + pad
+    ps = pu[rr, order]
+    if cand is pts:   # a self-search sorts once
+        corder, cs = order, ps
+    else:
+        cu = U @ cand.T
+        corder = np.argsort(cu, axis=1)
+        cs = cu[rr, corder]
+    keys = (ps + span * rr).ravel()
+
+    def points_before(ends, side):
+        # a point placed after q of its direction's m ends is before end j
+        # exactly when q <= j; bin (k, q) is k * (m + 1) + q
+        q = np.searchsorted((ends + span * rr).ravel(), keys, side=side).reshape(D, n)
+        bins = np.bincount((q + rr).ravel(), minlength=D * (m + 1))
+        return bins.reshape(D, m + 1).cumsum(axis=1)[:, :m]
+
     total = float(w.sum())
-    ub = np.full(len(cand), np.inf)
-    for k in range(_PRUNE_DIRS):
-        above = total - cum[k, np.searchsorted(pu[k], lo[k], side="left")]
-        below = cum[k, np.searchsorted(pu[k], hi[k], side="right")]
-        np.minimum(ub, np.minimum(above, below), out=ub)
-    return ub / total
+    above = total - cum[rr, points_before(cs - pad, "right")]
+    below = cum[rr, points_before(cs + pad, "left")]
+    ub = np.empty((D, m))
+    ub[rr, corder] = np.minimum(above, below)
+    return ub.min(axis=0, initial=np.inf) / total
 
 
-def _deepest_depths(pts, cand, w, K, vals):
+def _deepest_depths(pts, cand, w, K, vals, ub):
     """Fill the NaN entries of ``vals`` with exact depths of ``cand`` under
-    the weights ``w`` on ``pts``, only where the upper bounds cannot rule a
-    candidate out, so every entry left NaN lies more than 1e-12 below the
-    K-th largest value.
+    the weights ``w`` on ``pts``, only where the upper bounds ``ub`` (from
+    ``_depth_upper_bounds``) cannot rule a candidate out, so every entry
+    left NaN lies more than 1e-12 below the K-th largest value.
 
     Candidates are taken in descending upper-bound order. The first batch is
     the ``K - len(top)`` best-bounded ones, which fills the K largest values
@@ -245,7 +271,6 @@ def _deepest_depths(pts, cand, w, K, vals):
     ``depth._BATCH_ELEMENTS`` (row, point) pairs, and the search stops when no
     bound reaches it.
     """
-    ub = _depth_upper_bounds(pts, cand, w)
     todo = np.flatnonzero(np.isnan(vals))
     order = todo[np.argsort(-ub[todo], kind="stable")]
     neg_ub = -ub[order]   # ascending, for searchsorted
@@ -271,12 +296,16 @@ def _deepest_depths(pts, cand, w, K, vals):
 def _topk_indices(pts, K):
     """Indices of the K deepest sample points, value descending then index
     ascending, exactly as a full stable argsort would pick them. Returns
-    (indices, values with NaN where the depth was never needed)."""
+    (indices, values with NaN where the depth was never needed, the upper
+    bounds of every point), the last two ready to pass on as
+    ``_pruned_lex_best``'s ``known``."""
     pts = np.asarray(pts, dtype=float)
-    vals = _deepest_depths(pts, pts, np.ones(len(pts)), K, np.full(len(pts), np.nan))
+    w = np.ones(len(pts))
+    ub = _depth_upper_bounds(pts, pts, w)
+    vals = _deepest_depths(pts, pts, w, K, np.full(len(pts), np.nan), ub)
     filled = np.flatnonzero(~np.isnan(vals))
     top = filled[np.lexsort((filled, -vals[filled]))][:K]
-    return top, vals
+    return top, vals, ub
 
 
 def _pruned_lex_best(pts, cand, weights=None, known=None):
@@ -285,8 +314,9 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
     among values within 1e-12 of the best, as _lex_best over every exact
     depth would pick it. The one deepest-point search over a finite set:
     2D points run the pruned batch search, where ``known`` optionally carries
-    already-exact values (NaN where unknown) for a prefix of cand; other
-    dimensions evaluate ``depth_finite`` at every candidate.
+    (exact values, NaN where unknown; upper bounds) for a prefix of cand, so
+    only the rest is bounded; other dimensions evaluate ``depth_finite`` at
+    every candidate.
     """
     pts = np.asarray(pts, dtype=float)
     cand = np.asarray(cand, dtype=float)
@@ -296,9 +326,13 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
         k = _lex_best(cand, vals)
         return k, float(vals[k])
     vals = np.full(len(cand), np.nan)
-    if known is not None:
-        vals[:len(known)] = known
-    vals = _deepest_depths(pts, cand, w, 1, vals)
+    if known is None:
+        ub = _depth_upper_bounds(pts, cand, w)
+    else:
+        known_vals, known_ub = known
+        vals[:len(known_vals)] = known_vals
+        ub = np.concatenate([known_ub, _depth_upper_bounds(pts, cand[len(known_ub):], w)])
+    vals = _deepest_depths(pts, cand, w, 1, vals, ub)
     filled = np.flatnonzero(~np.isnan(vals))
     k = int(filled[_lex_best(cand[filled], vals[filled])])
     return k, float(vals[k])

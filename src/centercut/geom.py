@@ -219,9 +219,10 @@ class Polytope:
 
         ``validate`` raises Infeasible or Unbounded for a system that is not
         a nonempty bounded polytope. In dimensions <= 3 without given
-        ``vertices`` it does so by enumerating the vertices, whose 2*dim+1
-        LP check then runs once and whose result is cached for
-        ``vertices()``; otherwise it runs the LP check alone.
+        ``vertices`` it does so by enumerating the vertices, which are
+        cached for ``vertices()`` and run the 2*dim+1 LP check only when
+        they do not prove the polytope themselves (``enumerate_vertices``);
+        otherwise it runs the LP check alone.
         """
         cs = tuple(h.as_closed() for h in constraints)
         if not cs:
@@ -233,7 +234,7 @@ class Polytope:
         poly = cls(dim, cs, verts)
         if validate:
             if dim <= 3 and verts is None:
-                poly.vertices()   # runs the LP check once and caches the vertices
+                poly.vertices()   # validates and caches the vertices
             else:
                 _lp_feasible_bounded(cs, dim)
         return poly
@@ -465,6 +466,28 @@ def polygon_area(poly: Polytope) -> float:
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _has_recession_ray(A: np.ndarray) -> bool:
+    """Whether the cone ``{d : A d >= 0}`` of unit rows ``A`` of rank
+    ``dim`` (2 or 3) has a ray, within 1e-12.
+
+    Rank ``dim`` makes the cone pointed, so it has a ray exactly when one of
+    its extreme-ray candidates lies in it: the null directions of dim - 1
+    independent rows, +-perp(n_i) in 2D and +-(n_i x n_j) in 3D. The 3D
+    products stay unnormalized, so the tolerance scales with |n_i x n_j|,
+    plus 1e-15 for rounding; rows parallel within 1e-12 are skipped.
+    """
+    if A.shape[1] == 2:
+        R = np.column_stack([-A[:, 1], A[:, 0]])
+        tol = 1e-12
+    else:
+        i, j = np.triu_indices(len(A), 1)
+        R = np.cross(A[i], A[j])
+        c = np.linalg.norm(R, axis=1)
+        R, tol = R[c > 1e-12], 1e-12 * c[c > 1e-12] + 1e-15
+    P = A @ R.T
+    return bool(np.any((P.min(axis=0) >= -tol) | (P.max(axis=0) <= tol)))
+
+
 def enumerate_vertices(poly: Polytope) -> np.ndarray:
     """All vertices of a bounded polytope in dimension <= 3.
 
@@ -472,31 +495,41 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     system, keep feasible solutions, and dedupe within 1e-9.
 
     Raises Infeasible when the constraint set is empty and Unbounded when a
-    recession direction exists.
+    recession direction exists. No LP runs when a basic solution satisfies
+    every row within 1e-12 * scale, tighter than the LP's tolerance, and no
+    recession ray exists (``_has_recession_ray``; in 1D, a lower and an
+    upper bound); otherwise ``_lp_feasible_bounded`` decides.
     """
     dim = poly.dim
     if dim > 3:
         raise ValueError("vertex enumeration is limited to dimension <= 3")
     cs = poly.constraints
-    _lp_feasible_bounded(cs, dim)
     if dim == 1:
         los = [h.offset / h.n[0] for h in cs if h.n[0] > 0]
         his = [h.offset / h.n[0] for h in cs if h.n[0] < 0]
+        if not (los and his and
+                max(los) <= min(his) + 1e-12 * (max(map(abs, los + his)) + 1.0)):
+            _lp_feasible_bounded(cs, dim)
         lo, hi = max(los), min(his)
         pts = np.array([[lo]]) if abs(hi - lo) <= EPS else np.array([[lo], [hi]])
         return _lex_sorted(pts)
     A = np.array([h.n for h in cs])
     b = np.array([h.offset for h in cs])
     found = []
-    scale = float(np.max(np.abs(b))) + 1.0
+    proved = False
+    scale = float(np.max(np.abs(b), initial=0.0)) + 1.0
     for idx in itertools.combinations(range(len(cs)), dim):
         M = A[list(idx)]
         rhs = b[list(idx)]
         if abs(np.linalg.det(M)) <= 1e-12:
             continue
         x = np.linalg.solve(M, rhs)
-        if np.all(A @ x >= b - EPS * scale):
+        Ax = A @ x
+        if np.all(Ax >= b - EPS * scale):
             found.append(x)
+            proved = proved or bool(np.all(Ax >= b - 1e-12 * scale))
+    if not proved or _has_recession_ray(A):
+        _lp_feasible_bounded(cs, dim)
     if not found:
         # feasible but no basic solution in dim <= 3 only happens for
         # degenerate data; fall back to the LP witness
@@ -535,29 +568,17 @@ def enumerate_lattice_points(poly: Polytope, cap: int = LATTICE_CAP) -> np.ndarr
     return _lex_sorted(pts)
 
 
-def _chebyshev_radius(poly: Polytope) -> float:
-    dim = poly.dim
-    A = np.array([h.n for h in poly.constraints])
-    b = np.array([h.offset for h in poly.constraints])
-    # maximize t  s.t.  n_i . x - t >= c_i  (n_i unit)
-    A_ub = np.hstack([-A, np.ones((len(b), 1))])
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    r = linprog(c, A_ub=A_ub, b_ub=-b,
-                bounds=[(None, None)] * dim + [(0, None)], method="highs")
-    if r.status != 0:
-        return 0.0
-    return float(r.x[-1])
-
-
 def lattice_width_2d(poly: Polytope) -> tuple[float, np.ndarray]:
     """Lattice width of a 2D polytope and a minimizing integer direction.
 
     Minimizes ``max u.x - min u.x`` over nonzero integer directions with
-    entries bounded by ``4 * ceil(diameter / w)`` where ``w`` is twice the
-    Chebyshev radius (a lower estimate of the width), hard-capped at 1000
-    per coordinate. Ties are broken toward the lexicographically largest
-    canonical direction (first nonzero entry positive).
+    entries bounded by ``4 * ceil(diameter / w)``, hard-capped at 1000 per
+    coordinate, where ``w`` is the Euclidean width of the vertices: the least
+    over hull edges of the largest vertex distance to the edge's line. Since
+    ``width_u >= |u| * w`` and the lattice width is at most the diameter, no
+    minimizer lies outside that bound. Ties are broken toward the
+    lexicographically largest canonical direction (first nonzero entry
+    positive).
     """
     if poly.dim != 2:
         raise ValueError("lattice_width_2d requires a 2D polytope")
@@ -568,11 +589,17 @@ def lattice_width_2d(poly: Polytope) -> tuple[float, np.ndarray]:
         return 0.0, np.array([1, 0])
     diffs = verts[:, None, :] - verts[None, :, :]
     diam = float(np.sqrt((diffs ** 2).sum(axis=-1)).max())
-    w_lo = 2.0 * _chebyshev_radius(poly)
-    if w_lo <= EPS:
+    hull = convex_hull_2d(verts)
+    w_e = 0.0
+    if len(hull) >= 3:
+        edge = np.roll(hull, -1, axis=0) - hull
+        rel = hull[None, :, :] - hull[:, None, :]
+        dist = np.abs(edge[:, None, 0] * rel[..., 1] - edge[:, None, 1] * rel[..., 0])
+        w_e = float((dist.max(axis=1) / np.hypot(edge[:, 0], edge[:, 1])).min())
+    if w_e <= EPS:
         radius = WIDTH_RADIUS_CAP
     else:
-        radius = min(WIDTH_RADIUS_CAP, max(1, 4 * math.ceil(diam / w_lo)))
+        radius = min(WIDTH_RADIUS_CAP, max(1, 4 * math.ceil(diam / w_e)))
     u1 = np.arange(0, radius + 1)
     u2 = np.arange(-radius, radius + 1)
     U = np.stack(np.meshgrid(u1, u2, indexing="ij"), axis=-1).reshape(-1, 2)

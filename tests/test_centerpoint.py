@@ -24,8 +24,8 @@ from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
 from centercut.depth import depth_finite, depth_sampled, min_direction_2d
 from centercut.errors import BudgetExceeded, DimensionTooLarge, EmptyLattice
 from centercut.geom import Polytope, lattice_width_2d
-from centercut.measures import (LatticeCounting, MixedInteger, RngState,
-                                UniformPolytope)
+from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
+                                RngState, UniformPolytope)
 
 TRIANGLE = Polytope.from_vertices_2d([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
@@ -550,6 +550,16 @@ def _bound_and_search_cases():
         pts = m.sample(RngState(k), 300)
         extra = m.sample(RngState(100 + k), 60) * 1.01
         cases.append((pts, np.vstack([pts, extra]), np.ones(len(pts))))
+        # near 1e6, with candidates far outside the hull
+        far = pts + 1e6
+        outside = 1e6 + 50.0 * np.random.default_rng(k).normal(size=(20, 2))
+        cases.append((far, np.vstack([far, extra + 1e6, outside]), np.ones(len(pts))))
+    gen = np.random.default_rng(9)
+    for _ in range(3):   # duplicated points with weights, near 1e6
+        pts = 1e6 + gen.integers(0, 5, size=(30, 2)).astype(float)
+        pts = np.vstack([pts, pts[:10], pts[:5]])
+        w = gen.integers(1, 4, size=len(pts)).astype(float)
+        cases.append((pts, np.vstack([pts, pts[:6] + 0.5, [[0.0, 0.0], [3e6, -1e6]]]), w))
     return cases + _weighted_collinear_sets(8, 5)
 
 
@@ -560,6 +570,48 @@ def test_adapted_upper_bounds_are_sound_and_search_matches_brute_force():
         assert np.all(_depth_upper_bounds(pts, cand, w) >= exact - 1e-12)
         k, val = _pruned_lex_best(pts, cand, w)
         assert k == _lex_best(cand, exact) and val == exact[k]
+
+
+def test_monte_carlo_bounds_each_sample_once(spy, monkeypatch):
+    # the samples' bounds from the top-k search are reused, so the second
+    # search bounds only the arrangement vertices; the pick is the one a
+    # fresh pass over every candidate makes
+    bounds = spy(cp_mod, "_depth_upper_bounds")
+    searches = spy(cp_mod, "_pruned_lex_best")
+    deepest = spy(cp_mod, "_deepest_depths")
+    hexagon = _hull_polygon(np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 1.0], [4.0, 4.0],
+                                      [1.0, 4.5], [-1.0, 2.0]]))
+    runs = []
+    for k, m in enumerate(_thin_triangles(11, 2) + [UniformPolytope(hexagon)]):
+        bounds.clear()
+        searches.clear()
+        deepest.clear()
+        res = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(k))
+        (pts, cand), = [call[:2] for call in searches]
+        assert len(cand) > len(pts)
+        assert [len(call[1]) for call in bounds] == [len(pts), len(cand) - len(pts)]
+        assert np.array_equal(bounds[1][1], cand[len(pts):])
+        top_ub, cand_ub = deepest[0][5], deepest[1][5]
+        assert np.array_equal(cand_ub[:len(pts)], top_ub)
+        runs.append((m, k, res))
+    real = cp_mod._continuous_candidates_2d
+    monkeypatch.setattr(cp_mod, "_continuous_candidates_2d",
+                        lambda pts, cap: (real(pts, cap)[0], None))
+    for m, k, res in runs:
+        bounds.clear()
+        fresh = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(k))
+        assert len(bounds[-1][1]) == len(searches[-1][1])   # every candidate bounded
+        assert np.array_equal(fresh.point, res.point)
+        assert (fresh.depth.value, fresh.depth.exact, fresh.depth.gap) == \
+            (res.depth.value, res.depth.exact, res.depth.gap)
+        assert np.array_equal(fresh.depth.witness.coords, res.depth.witness.coords)
+
+
+def test_monte_carlo_on_collinear_samples():
+    # the sample lines all coincide, so no arrangement vertex is left to bound
+    m = FinitePointMass([[i, 2 * i + 1] for i in range(30)])
+    res = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(3))
+    assert res.point.tolist() == [14.0, 29.0]
 
 
 def test_prune_directions_adapt_only_to_elongated_clouds():
@@ -658,8 +710,9 @@ def test_topk_matches_a_full_stable_argsort():
                                       [1.0, 4.5], [-1.0, 2.0]]))
     pts = UniformPolytope(hexagon).sample(RngState(1061), 1061)
     full = depth_mod._sweep_counting_min_batch(pts, pts, np.ones(len(pts)))[0] / len(pts)
-    top, vals = _topk_indices(pts, 12)
+    top, vals, ub = _topk_indices(pts, 12)
     assert np.array_equal(top, np.argsort(-full, kind="stable")[:12])
+    assert np.array_equal(ub, _depth_upper_bounds(pts, pts, np.ones(len(pts))))
     known = ~np.isnan(vals)
     assert np.array_equal(vals[known], full[known])
     assert np.all(full[~known] < full[top[-1]] - 1e-12)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import centercut.geom as geom_mod
+
 from centercut.errors import (BudgetExceeded, Infeasible, MalformedPolygon,
                               Unbounded)
 from centercut.geom import (Box, Direction, Halfspace, Polytope, clip_polygon,
@@ -184,6 +186,49 @@ def test_lattice_width_frozen():
     assert w == pytest.approx(3.0, abs=1e-9)
 
 
+def _width_test_polygons(seed, count):
+    # random hulls, slivers, rotated slivers and integer hexagons
+    gen = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            v = gen.uniform(-5, 5, size=(gen.integers(3, 9), 2))
+        elif kind in (1, 2):
+            a = gen.uniform(0.0, np.pi) if kind == 2 else 0.0
+            rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            L, h = gen.uniform(2.0, 12.0), gen.uniform(0.3, 1.0)
+            v = np.array([[0, 0], [L, 0], [L, h], [0, h]]) @ rot.T + gen.uniform(-3, 3, 2)
+        else:
+            ang = np.linspace(0, 2 * np.pi, 6, endpoint=False) + gen.uniform(-0.3, 0.3, 6)
+            v = np.round(np.c_[np.cos(ang), np.sin(ang)] * gen.uniform(2, 6))
+        out.append(Polytope.from_vertices_2d(convex_hull_2d(v)))
+    return out
+
+
+def test_lattice_width_matches_a_fixed_radius_search():
+    # a minimizing u has |u| <= diameter / Euclidean width, at most 40 here,
+    # so every direction with entries in [-40, 40] holds all of them
+    R = 40
+    U = np.array([(a, b) for a in range(R + 1) for b in range(-R, R + 1)
+                  if a > 0 or b > 0])
+    for P in _width_test_polygons(31, 60):
+        v = P.vertices()
+        assert len(v) >= 3
+        edges = np.roll(v, -1, axis=0) - v
+        euclid = min(np.abs(e[0] * (v - p)[:, 1] - e[1] * (v - p)[:, 0]).max()
+                     / np.linalg.norm(e) for e, p in zip(edges, v))
+        diam = max(np.linalg.norm(p - q) for p in v for q in v)
+        assert diam / euclid <= R
+        proj = v @ U.T
+        widths = proj.max(axis=0) - proj.min(axis=0)
+        best = widths.min()
+        tied = U[widths <= best + 1e-12 * (1.0 + best)]
+        w, u = lattice_width_2d(P)
+        assert w == pytest.approx(best, abs=1e-12 * (1.0 + best))
+        assert tuple(u) == max(map(tuple, tied))
+
+
 def test_lattice_width_unimodular_invariance():
     gen = np.random.default_rng(4242)
     base = Polytope.from_vertices_2d([[0, 0], [4, 1], [3, 5], [-1, 3]])
@@ -233,21 +278,57 @@ def test_from_rows_matches_from_box():
     [[1, 0, 2], [-1, 0, 0], [0, 1, 1], [0, -1, 0], [1, 1, 2.5]],
     [[1, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 0, 2], [0, -1, 0, 0], [0, 0, 1, 1],
      [0, 0, -1, 0], [1, 1, 1, 4]],
+    [[1, 3], [-1, 1], [2, 4]],
 ])
-def test_validated_polytope_runs_the_lp_check_once(monkeypatch, rows):
-    import centercut.geom as geom_mod
-    calls = []
-    real = geom_mod.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(geom_mod, "linprog", counted)
+def test_validated_polytope_runs_no_lp(spy, rows):
+    # the enumeration proves a nonempty bounded polytope by itself
+    calls = spy(geom_mod, "linprog")
     P = Polytope.from_rows(rows)
     P.vertices()
     P.bounding_box()
-    assert len(calls) == 2 * P.dim + 1
+    assert calls == []
+
+
+_DEGENERATE = {
+    # each system's vertices or exception, as the LP check decides them
+    "point": ([[-1, 0, 0], [0, -1, 0], [1, 1, 0]], [[0, 0]]),
+    "segment": ([[1, 0, 1], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], [[0, 0], [1, 0]]),
+    "rotated-segment": ([[1, 1, 1], [-1, -1, -1], [1, -1, 1], [-1, 1, 1]], [[0, 1], [1, 0]]),
+    # a 1e-10-wide sliver: its vertices lie within the 1e-9 dedupe distance
+    "sliver": ([[1, 0, 1], [-1, 0, 0], [0, 1, 1e-10], [0, -1, 0]], [[0, 1e-10], [1, 1e-10]]),
+    "wedge": ([[-1, 0, 0], [0, -1, 0], [1, -1, 1]], Unbounded),
+    "strip": ([[0, 1, 1], [0, -1, 0], [-1, 0, 0]], Unbounded),
+    "infeasible-1e-10": ([[1, 0, 0], [-1, 0, -1e-10], [0, 1, 1], [0, -1, 0]],
+                         [[0, 0], [0, 1]]),
+    "infeasible-1e-6": ([[1, 0, 0], [-1, 0, -1e-6], [0, 1, 1], [0, -1, 0]], Infeasible),
+    "infeasible-1e-10-at-1e4": ([[1, 0, 1e4], [-1, 0, -1e4 - 1e-10], [0, 1, 1e4 + 1],
+                                 [0, -1, -1e4]], [[1e4, 1e4], [1e4, 1e4 + 1]]),
+    # EPS * scale is 1e-5 here, so the brute force alone would accept it
+    "infeasible-1e-6-at-1e4": ([[1, 0, 1e4], [-1, 0, -1e4 - 1e-6], [0, 1, 1e4 + 1],
+                                [0, -1, -1e4]], Infeasible),
+    "1d-point": ([[1, 2], [-1, -2]], [[2]]),
+    "1d-infeasible-1e-10": ([[1, 0], [-1, -1e-10]], [[1e-10]]),
+    "1d-infeasible-1e-6-at-1e4": ([[1, 1e4], [-1, -1e4 - 1e-6]], Infeasible),
+    "1d-ray": ([[1, 3]], Unbounded),
+    "3d-point": ([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [1, 1, 1, 0]], [[0, 0, 0]]),
+    "3d-sliver": ([[1, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 1], [0, -1, 0, 0], [0, 0, 1, 1e-10],
+                   [0, 0, -1, 0]], [[0, 0, 1e-10], [0, 1, 1e-10], [1, 0, 1e-10], [1, 1, 1e-10]]),
+    "3d-strip": ([[1, 0, 0, 1], [-1, 0, 0, 0], [0, 1, 0, 1], [0, -1, 0, 0]], Unbounded),
+    "3d-wedge-in-a-slab": ([[1, 0, 0, 1], [-1, 0, 0, 0], [0, 0, 1, 1], [0, 0, -1, 0],
+                            [1, 1, 0, 5]], Unbounded),
+    "3d-infeasible-1e-6-at-1e4": ([[1, 0, 0, 1e4], [-1, 0, 0, -1e4 - 1e-6], [0, 1, 0, 1],
+                                   [0, -1, 0, 0], [0, 0, 1, 1], [0, 0, -1, 0]], Infeasible),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEGENERATE))
+def test_validation_of_degenerate_and_nearly_infeasible_systems(name):
+    rows, want = _DEGENERATE[name]
+    if isinstance(want, type):
+        with pytest.raises(want):
+            Polytope.from_rows(rows)
+    else:
+        assert np.array_equal(Polytope.from_rows(rows).vertices(), want)
 
 
 @pytest.mark.parametrize("rows, error", [
