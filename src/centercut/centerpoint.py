@@ -530,23 +530,6 @@ def _lenstra_floor(n: int, d: int) -> float:
     return 1.0 / (2 ** (n * n) * (d + 1) ** (n + 1))
 
 
-def _nearest_fiber_point(m: MixedInteger, target) -> np.ndarray:
-    """Nearest point of the fiber union to ``target`` (n=1 only)."""
-    best = None
-    for z, payload, _vol in m.fibers:
-        zf = float(z[0])
-        if m.d == 1:
-            lo, hi = payload
-            y = min(max(target[1], lo), hi)
-            p = np.array([zf, y])
-        else:
-            p = np.array([zf] + list(target[1:]))
-        key = (abs(zf - target[0]), np.linalg.norm(p - target))
-        if best is None or key < best[0]:
-            best = (key, p)
-    return best[1]
-
-
 def _project_vertices(P: Polytope, coords) -> np.ndarray:
     """Projection of P onto ``coords`` as a canonical convex polygon.
 
@@ -601,13 +584,17 @@ def _lenstra_point_1d(m: MixedInteger, omega_bar) -> np.ndarray:
     otherwise the deepest fiber midpoint weighted by fiber lengths."""
     lo, hi = m.polytope.bounding_box()
     if float(hi[0] - lo[0]) > omega_bar:
-        return _nearest_fiber_point(m, centroid(UniformPolytope(m.polytope)))
+        c = centroid(UniformPolytope(m.polytope))
+        return _slice_point(m, c[:1], c)
     aux_pts = np.array([[float(z[0]), (p[0] + p[1]) / 2.0] for z, p, _v in m.fibers])
     aux_w = np.array([v for _z, _p, v in m.fibers])
     return aux_pts[_pruned_lex_best(aux_pts, aux_pts, aux_w)[0]].copy()
 
 
 def _slice_point(m: MixedInteger, z, target) -> np.ndarray:
+    """Point of the d = 1 fiber whose integer block is nearest ``z``, ties
+    broken by distance to ``target``: that block with ``target``'s
+    continuous coordinate clamped into the fiber."""
     best = None
     for fz, payload, _vol in m.fibers:
         za = np.asarray(fz, dtype=float)

@@ -366,9 +366,11 @@ def _pyify(x):
 
 
 def _depth_at(m, x, rng):
+    """Exact depth for 2D measures and for counting measures (finite and
+    lattice) in 1D and 3D; a 2000-direction sampled bound otherwise."""
     if m.dim == 2:
         return depth_mod.min_direction_2d(m, x)
-    if isinstance(m, FinitePointMass):
+    if isinstance(m, (FinitePointMass, LatticeCounting)):
         return depth_mod.depth_finite(m.active_points(), x, m.active_weights())
     return depth_mod.depth_sampled(m, x, 2000, rng)
 

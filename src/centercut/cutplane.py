@@ -4,14 +4,14 @@ Each iteration picks a strategy point inside the open region, queries the
 first-order oracle, and keeps only the epigraph halfspace
 ``h_j . (x - x_j) <= best_value - value_j``. All cuts are re-tightened to the
 current best value every iteration (the tightest region the recorded queries
-support), the region measure is rebuilt, and the run stops once the open
-region's mass drops to ``delta``, the region empties, a zero subgradient
-certifies optimality, or the call budget runs out.
+support), the measure restricted to the start box is restricted by them anew,
+and the run stops once the open region's mass drops to ``delta``, the region
+empties, a zero subgradient certifies optimality, or the call budget runs out.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def _mixed_mean(m: MixedInteger) -> np.ndarray:
 
 def _pick_centroid(m: Measure):
     if isinstance(m, UniformPolytope):
-        return centroid(m) if m.dim != 1 else np.array([sum(m._interval) / 2.0])
+        return centroid(m)
     if isinstance(m, MixedInteger):
         return _mixed_mean(m)
     pts = m.active_points().astype(float)
@@ -243,23 +243,6 @@ class SolveReport:
     bound_comparison: tuple
 
 
-@dataclass
-class RegionState:
-    E0: Box
-    cuts: list
-    measure: Measure
-    best_point: np.ndarray | None = None
-    best_value: float = math.inf
-    records: list = field(default_factory=list)   # (x_j, value_j, h_j)
-
-    def rebuild(self, base: Measure):
-        """Re-tighten every cut to the current best value and re-restrict."""
-        self.cuts = [epigraph_cut(xj, vj, hj, self.best_value).as_open()
-                     for xj, vj, hj in self.records]
-        self.measure = base.restrict(tuple(self.E0.half_open_cuts()) + tuple(self.cuts))
-        return self.measure
-
-
 def _mass_stopped(m: Measure, delta: float) -> bool:
     # Monte Carlo masses stop conservatively: estimate + 3*SE must clear delta
     if getattr(m, "mass_exact", True):
@@ -277,12 +260,13 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
     the lower boundary stay queryable.
     """
     rng = rng if rng is not None else RngState(0)
-    base_cuts = tuple(E0.half_open_cuts())
     try:
-        m = nu.restrict(base_cuts)
+        boxed = nu.restrict(tuple(E0.half_open_cuts()))
     except EmptyRegion:
         raise InfeasibleStart("no feasible point inside the starting box") from None
-    state = RegionState(E0, [], m)
+    m = boxed
+    best_point, best_value = None, math.inf
+    records = []   # (x_j, value_j, h_j)
     V = m.total_mass
     trace = []
     stop = None
@@ -302,12 +286,11 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
             break
         x = _nudge_interior(x, m)
         value, h = evaluate(o, x)
-        if value < state.best_value:
-            state.best_value = value
-            state.best_point = x
-        state.records.append((x, value, h))
+        if value < best_value:
+            best_value, best_point = value, x
+        records.append((x, value, h))
         try:
-            cut = epigraph_cut(x, value, h, state.best_value)
+            cut = epigraph_cut(x, value, h, best_value)
         except ZeroSubgradient:
             trace.append(TraceRow(x, value, h, m.total_mass, est))
             stop = "zero_subgradient"
@@ -316,7 +299,8 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
         removed = float(m.halfspace_mass(Halfspace.from_vector(-u, float(-u @ x))))
         depth_rec = removed if est is None else min(est, removed)
         try:
-            m = state.rebuild(nu)
+            m = boxed.restrict(tuple(epigraph_cut(xj, vj, hj, best_value).as_open()
+                                     for xj, vj, hj in records))
             mass = m.total_mass
         except EmptyRegion:
             mass = 0.0
@@ -331,7 +315,7 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
     lower = None
     if isinstance(o, Adversarial):
         lower = adversary_mod.lower_bound_for(o.state, delta)
-    return SolveReport(state.best_point, state.best_value,
+    return SolveReport(best_point, best_value,
                        o.call_count - calls_start, trace, stop, (upper, lower))
 
 

@@ -2,8 +2,8 @@
 
 Directions, halfspaces and H-representation polytopes, plus the handful of
 exact primitives everything else is built on: polygon clipping, planar convex
-hulls, signed areas, brute-force vertex enumeration (dimension <= 3), bounded
-lattice point enumeration, and 2D lattice width.
+hulls, signed areas, batched brute-force vertex enumeration (dimension <= 3),
+bounded lattice point enumeration, and 2D lattice width.
 
 Halfspaces are written ``{y : normal . y >= offset}`` with a unit normal.
 Serialized constraint rows use the opposite convention ``a . x <= b`` (one
@@ -19,7 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import BudgetExceeded, Infeasible, MalformedPolygon, Unbounded
+from .errors import (BudgetExceeded, DimensionTooLarge, Infeasible, MalformedPolygon,
+                     Unbounded)
 
 EPS = 1e-9          # vertex dedup / membership tolerance
 UNIT_TOL = 1e-12    # unit-norm tolerance for directions
@@ -68,11 +69,21 @@ class Direction:
 
     @classmethod
     def from_vector(cls, v) -> "Direction":
-        a = _vector(v)
+        return cls._normalized(_vector(v))[0]
+
+    @classmethod
+    def _normalized(cls, a: np.ndarray) -> tuple["Direction", float]:
+        """``(a / |a|, |a|)`` for a finite vector ``a``, with one norm. A
+        finite norm makes the quotient unit length to a few ulp, so only an
+        overflowing one runs the unit check, which rejects it."""
         n = float(np.linalg.norm(a))
         if n <= 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(a / n)
+        if n == math.inf:
+            return cls(a / n), n
+        d = object.__new__(cls)
+        object.__setattr__(d, "coords", a / n)
+        return d, n
 
     @property
     def dim(self) -> int:
@@ -89,8 +100,7 @@ class Halfspace:
 
     @classmethod
     def from_vector(cls, normal, offset: float, closed: bool = True) -> "Halfspace":
-        d = Direction.from_vector(normal)
-        scale = float(np.linalg.norm(_vector(normal)))
+        d, scale = Direction._normalized(_vector(normal))
         return cls(d, float(offset) / scale, closed)
 
     @property
@@ -185,16 +195,6 @@ def _lp_feasible_bounded(constraints: Sequence[Halfspace], dim: int) -> None:
                 raise Unbounded(f"coordinate {j} is unbounded")
             if r.status == 2:
                 raise Infeasible("constraint system has no feasible point")
-
-
-def _dedupe_rows(rows: np.ndarray, tol: float = EPS) -> np.ndarray:
-    if len(rows) == 0:
-        return rows
-    kept: list[np.ndarray] = []
-    for r in rows:
-        if not any(np.linalg.norm(r - k) <= tol for k in kept):
-            kept.append(r)
-    return np.array(kept)
 
 
 def _lex_sorted(rows: np.ndarray) -> np.ndarray:
@@ -488,11 +488,34 @@ def _has_recession_ray(A: np.ndarray) -> bool:
     return bool(np.any((P.min(axis=0) >= -tol) | (P.max(axis=0) <= tol)))
 
 
+def _basic_solutions(A: np.ndarray, b: np.ndarray, tol: float):
+    """Basic solutions of ``A y >= b`` that satisfy every row within ``tol``.
+
+    Stacks the ``dim``-row subsystems of ``A`` in ``itertools.combinations``
+    order, drops those with ``|det| <= 1e-12`` and solves the rest in one
+    batched call. Returns the kept solutions, in that order, and their
+    products ``A y``, one row each. Every solve, determinant and product
+    rounds as the per-subsystem call would.
+    """
+    dim = A.shape[1]
+    idx = np.array(list(itertools.combinations(range(len(A)), dim)),
+                   dtype=int).reshape(-1, dim)
+    M = A[idx]
+    ok = np.abs(np.linalg.det(M)) > 1e-12
+    X = np.linalg.solve(M[ok], b[idx[ok]][:, :, None])[:, :, 0]
+    P = np.matmul(A, X[:, :, None])[:, :, 0]
+    feasible = np.all(P >= b - tol, axis=1)
+    return X[feasible], P[feasible]
+
+
 def enumerate_vertices(poly: Polytope) -> np.ndarray:
     """All vertices of a bounded polytope in dimension <= 3.
 
-    Brute force over constraint subsets of size ``dim``: solve each linear
-    system, keep feasible solutions, and dedupe within 1e-9.
+    Brute force over constraint subsets of size ``dim`` in one batched solve
+    (``_basic_solutions``): keep the solutions feasible within
+    1e-9 * scale, where scale is 1 + max |offset|, and dedupe them within
+    1e-9, keeping the first point of each cluster. Raises DimensionTooLarge
+    above dimension 3.
 
     Raises Infeasible when the constraint set is empty and Unbounded when a
     recession direction exists. No LP runs when a basic solution satisfies
@@ -502,7 +525,7 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     """
     dim = poly.dim
     if dim > 3:
-        raise ValueError("vertex enumeration is limited to dimension <= 3")
+        raise DimensionTooLarge("vertex enumeration is limited to dimension <= 3")
     cs = poly.constraints
     if dim == 1:
         los = [h.offset / h.n[0] for h in cs if h.n[0] > 0]
@@ -515,28 +538,23 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
         return _lex_sorted(pts)
     A = np.array([h.n for h in cs])
     b = np.array([h.offset for h in cs])
-    found = []
-    proved = False
     scale = float(np.max(np.abs(b), initial=0.0)) + 1.0
-    for idx in itertools.combinations(range(len(cs)), dim):
-        M = A[list(idx)]
-        rhs = b[list(idx)]
-        if abs(np.linalg.det(M)) <= 1e-12:
-            continue
-        x = np.linalg.solve(M, rhs)
-        Ax = A @ x
-        if np.all(Ax >= b - EPS * scale):
-            found.append(x)
-            proved = proved or bool(np.all(Ax >= b - 1e-12 * scale))
+    found, products = _basic_solutions(A, b, EPS * scale)
+    proved = bool(np.any(np.all(products >= b - 1e-12 * scale, axis=1)))
     if not proved or _has_recession_ray(A):
         _lp_feasible_bounded(cs, dim)
-    if not found:
+    if len(found) == 0:
         # feasible but no basic solution in dim <= 3 only happens for
         # degenerate data; fall back to the LP witness
         r = linprog(np.zeros(dim), A_ub=-A, b_ub=-b,
                     bounds=[(None, None)] * dim, method="highs")
-        found.append(np.asarray(r.x, dtype=float))
-    return _lex_sorted(_dedupe_rows(np.array(found)))
+        found = np.asarray(r.x, dtype=float)[None, :]
+    # a point is dropped when it lies within EPS of an earlier kept point
+    near = np.tril(np.linalg.norm(found[:, None] - found[None], axis=-1) <= EPS, -1)
+    keep = np.ones(len(found), dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)):
+        keep[i] = not np.any(near[i] & keep)
+    return _lex_sorted(found[keep])
 
 
 def enumerate_lattice_points(poly: Polytope, cap: int = LATTICE_CAP) -> np.ndarray:
@@ -549,7 +567,7 @@ def enumerate_lattice_points(poly: Polytope, cap: int = LATTICE_CAP) -> np.ndarr
     """
     dim = poly.dim
     if dim > 3:
-        raise ValueError("lattice enumeration is limited to dimension <= 3")
+        raise DimensionTooLarge("lattice enumeration is limited to dimension <= 3")
     verts = poly.vertices()
     if len(verts) == 0:
         raise Infeasible("empty polytope")

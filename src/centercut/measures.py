@@ -6,7 +6,11 @@ open region is what gets tracked), and deterministic seeded sampling.
 
 Masses handed back are :class:`MassEstimate` values; the ``exact`` flag is
 False exactly when a Monte Carlo path was used, in which case ``stderr``
-carries the reported standard error.
+carries the reported standard error. The only such path is the uniform
+measure in dimension 3: every other family and dimension is exact, since
+the low-dimensional geometry (vertex enumeration, interval clips, polygon
+clipping) comes from :mod:`centercut.geom`. Rejection sampling runs through
+one loop, ``_rejection_sample``.
 """
 from __future__ import annotations
 
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .errors import EmptyRegion, RejectionStall
-from .geom import Box, Halfspace, Polytope
+from .errors import DimensionTooLarge, EmptyRegion, RejectionStall
+from .geom import Halfspace, Polytope
 
 MASS_TOL = 1e-12          # zero-mass threshold for volume-backed families
 MC_DEFAULT_SAMPLES = 20_000
@@ -197,7 +201,8 @@ class UniformPolytope(Measure):
     """Uniform (Lebesgue) measure on a bounded polytope.
 
     Dimensions 1 and 2 are exact (interval arithmetic / polygon clipping);
-    dimension >= 3 falls back to Monte Carlo with reported standard error.
+    dimension 3 falls back to Monte Carlo with reported standard error, and
+    higher dimensions raise DimensionTooLarge from the vertex enumeration.
     """
 
     family = "uniform_polytope"
@@ -211,14 +216,9 @@ class UniformPolytope(Measure):
         d = polytope.dim
         if d == 1:
             v = polytope.vertices().ravel()
-            lo, hi = float(v.min()), float(v.max())
-            for c in self.region:
-                a = float(c.n[0])
-                t = c.offset / a
-                if a > 0:
-                    lo = max(lo, t)
-                else:
-                    hi = min(hi, t)
+            lo, hi = _interval_from_halfspaces(
+                [(1.0, float(v.min())), (-1.0, -float(v.max()))]
+                + [(float(c.n[0]), c.offset) for c in self.region])
             self._interval = (lo, hi)
             self.total_mass = max(hi - lo, 0.0)
         elif d == 2:
@@ -255,13 +255,9 @@ class UniformPolytope(Measure):
         d = self.polytope.dim
         if d == 1:
             lo, hi = self._interval
-            a, c = float(h.n[0]), h.offset
-            t = c / a
-            if a > 0:
-                kept = max(hi - max(lo, t), 0.0)
-            else:
-                kept = max(min(hi, t) - lo, 0.0)
-            return MassEstimate(min(max(kept / self.total_mass, 0.0), 1.0))
+            lo, hi = _interval_from_halfspaces([(1.0, lo), (-1.0, -hi),
+                                                (float(h.n[0]), h.offset)])
+            return MassEstimate(min(max(max(hi - lo, 0.0) / self.total_mass, 0.0), 1.0))
         if d == 2:
             kept = geom.clip_polygon_vertices(self._verts, h.n, h.offset)
             v = abs(geom.shoelace_area(kept)) / self.total_mass
@@ -289,43 +285,35 @@ class UniformPolytope(Measure):
             hi = self._verts.max(axis=0)
         else:
             lo, hi = self._bbox
-        out = []
-        got, proposed = 0, 0
-        while got < count:
-            batch = max(count - got, 1024)
-            pts = gen.uniform(lo, hi, size=(batch, d))
-            ok = self.polytope.contains(pts) & _cut_mask(pts, self.region)
-            acc = pts[ok]
-            out.append(acc[:count - got])
-            got += min(len(acc), count - got)
-            proposed += batch
-            if proposed >= _STALL_PROPOSALS and got / proposed < _STALL_RATE:
-                raise RejectionStall("acceptance rate below 1e-6")
-        return np.vstack(out)
+        return _rejection_sample(
+            gen, lo, hi, count, 1024,
+            lambda pts: self.polytope.contains(pts) & _cut_mask(pts, self.region))
 
 
 class MixedInteger(Measure):
     """Fiber measure: integer first block, uniform volume on each slice.
 
-    The mass of a set is the summed d-volume of its fiber slices. Slices are
-    exact for d <= 2; d >= 3 uses per-fiber bounding-box Monte Carlo and
-    flags results as estimates.
+    The mass of a set is the summed d-volume of its fiber slices. Every
+    slice is a polytope of dimension d <= 2, an interval or a polygon from
+    ``geom``'s vertex enumeration, so every mass is exact; there are no
+    Monte Carlo slices. Raises DimensionTooLarge when n + d > 3, where
+    vertex enumeration, and with it the fiber build, stops.
     """
 
     family = "mixed_integer"
 
-    def __init__(self, polytope: Polytope, n: int, d: int, region=(),
-                 rng: RngState | None = None, mc_samples: int = MC_DEFAULT_SAMPLES):
+    def __init__(self, polytope: Polytope, n: int, d: int, region=()):
         super().__init__(region)
         if n < 1 or d < 1:
             raise ValueError("mixed measure needs n >= 1 integer and d >= 1 continuous coords")
         if polytope.dim != n + d:
             raise ValueError("polytope dimension must equal n + d")
+        if n + d > 3:
+            raise DimensionTooLarge(f"mixed measures support n + d <= 3, got {n + d}")
         self.polytope = polytope
         self.n = n
         self.d = d
-        self.mass_exact = d <= 2
-        self._build_fibers(rng, mc_samples)
+        self._build_fibers()
         self.total_mass = float(sum(f[2] for f in self.fibers))
         self._check_nonempty()
         if d == 1:   # fiber arrays for halfspace_masses and the exact 2D depth engine
@@ -362,46 +350,32 @@ class MixedInteger(Measure):
                 out.append((tail, rhs))
         return out, True
 
-    def _build_fibers(self, rng, mc_samples):
+    def _build_fibers(self):
         lo, hi = self.polytope.bounding_box()
         zlo = np.ceil(lo[:self.n] - geom.EPS).astype(int)
         zhi = np.floor(hi[:self.n] + geom.EPS).astype(int)
         cons = self._constraints()
         self.fibers = []  # (z tuple, payload, volume)
-        self._mc = (rng if rng is not None else RngState(0), mc_samples)
-        var = 0.0
         for z in itertools.product(*[range(zlo[i], zhi[i] + 1) for i in range(self.n)]):
-            za = np.asarray(z, dtype=float)
-            sliced, feas = self._slice_constraints(za, cons)
+            sliced, feas = self._slice_constraints(np.asarray(z, dtype=float), cons)
             if not feas:
                 continue
-            payload, vol, se = self._slice_geometry(sliced)
-            var += se * se
+            payload, vol = self._slice_geometry(sliced)
             if vol > MASS_TOL:
                 self.fibers.append((z, payload, vol))
-        self.mass_stderr = math.sqrt(var)
 
     def _slice_geometry(self, sliced):
+        """(payload, volume) of one slice: an interval for d = 1, the
+        canonical polygon of ``geom``'s basic solutions for d = 2."""
         if self.d == 1:
             lo, hi = _interval_from_halfspaces([(float(t[0]), r) for t, r in sliced])
-            return (lo, hi), max(hi - lo, 0.0), 0.0
-        if self.d == 2:
-            verts = _verts_from_halfspaces_2d([(t, r) for t, r in sliced])
-            return verts, abs(geom.shoelace_area(verts)), 0.0
-        # d >= 3: bounding box Monte Carlo on the slice
-        lo, hi = self.polytope.bounding_box()
-        blo, bhi = lo[self.n:], hi[self.n:]
-        rng, samples = self._mc
-        gen = rng.generator()
-        pts = gen.uniform(blo, bhi, size=(samples, self.d))
-        ok = np.ones(samples, dtype=bool)
-        for t, r in sliced:
-            ok &= pts @ t >= r - geom.EPS
-        frac = float(ok.mean())
-        boxvol = float(np.prod(bhi - blo))
-        se = math.sqrt(frac * (1.0 - frac) / samples) * boxvol
-        return (tuple(blo), tuple(bhi), tuple((tuple(t), r) for t, r in sliced)), \
-            frac * boxvol, se
+            return (lo, hi), max(hi - lo, 0.0)
+        tails = np.array([t for t, _r in sliced], dtype=float).reshape(-1, 2)
+        rhs = np.array([r for _t, r in sliced], dtype=float)
+        pts, _ = geom._basic_solutions(
+            tails, rhs, geom.EPS * max(1.0, float(np.max(np.abs(rhs), initial=0.0))))
+        verts = geom.convex_hull_2d(pts) if len(pts) else np.zeros((0, 2))
+        return verts, abs(geom.shoelace_area(verts))
 
     def fiber_slices(self):
         """List of (integer block tuple, payload, volume)."""
@@ -439,38 +413,18 @@ class MixedInteger(Measure):
     def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
         if self.d == 1:
             return MassEstimate(float(self.halfspace_masses(h.n, [h.offset], h.closed)[0]))
-        head, tail = h.n[:self.n], h.n[self.n:]
         kept = 0.0
-        exact = self.d <= 2
-        for z, payload, vol in self.fibers:
-            za = np.asarray(z, dtype=float)
-            rhs = h.offset - float(head @ za)
-            if np.linalg.norm(tail) <= 1e-12:
-                slack = -rhs
-                inside = slack >= -geom.EPS if h.closed else slack > geom.EPS
-                if inside:
-                    kept += vol
+        for z, verts, vol in self.fibers:
+            sliced, inside = self._slice_constraints(np.asarray(z, dtype=float),
+                                                     [(h.n, h.offset, h.closed)])
+            if not inside:
                 continue
-            if self.d == 2:
-                cut = geom.clip_polygon_vertices(payload, tail, rhs)
-                kept += abs(geom.shoelace_area(cut))
-            else:
-                exact = False
-                blo, bhi, sliced = payload
-                r = rng if rng is not None else RngState(0)
-                gen = r.generator()
-                pts = gen.uniform(blo, bhi, size=(mc_samples, self.d))
-                ok = np.ones(mc_samples, dtype=bool)
-                for t, rr in sliced:
-                    ok &= pts @ np.asarray(t) >= rr - geom.EPS
-                hit = ok & (pts @ tail >= rhs - geom.EPS)
-                denom = max(float(ok.sum()), 1.0)
-                kept += vol * float(hit.sum()) / denom
-        v = min(max(kept / self.total_mass, 0.0), 1.0)
-        if exact:
-            return MassEstimate(v)
-        se = math.sqrt(max(v * (1 - v), 1e-12) / mc_samples)
-        return MassEstimate(v, exact=False, stderr=se)
+            if not sliced:   # a zero-tail cut keeps the whole fiber
+                kept += vol
+                continue
+            tail, rhs = sliced[0]
+            kept += abs(geom.shoelace_area(geom.clip_polygon_vertices(verts, tail, rhs)))
+        return MassEstimate(min(max(kept / self.total_mass, 0.0), 1.0))
 
     def restrict(self, cuts) -> "MixedInteger":
         return MixedInteger(self.polytope, self.n, self.d, self.region + tuple(cuts))
@@ -489,44 +443,26 @@ class MixedInteger(Measure):
             if self.d == 1:
                 lo, hi = payload
                 out[rows, self.n] = lo + gen.random(len(rows)) * (hi - lo)
-            elif self.d == 2:
-                out[rows, self.n:] = _sample_polygon(gen, payload, len(rows))
             else:
-                blo, bhi, sliced = payload
-                out[rows, self.n:] = _sample_slice_mc(gen, blo, bhi, sliced, len(rows))
+                out[rows, self.n:] = _rejection_sample(
+                    gen, payload.min(axis=0), payload.max(axis=0), len(rows), 256,
+                    lambda pts: _points_in_polygon(pts, payload))
         return out
 
 
-def _verts_from_halfspaces_2d(items) -> np.ndarray:
-    """Vertices of ``{y : t_i . y >= r_i}`` in the plane (bounded input)."""
-    normals = [np.asarray(t, dtype=float) for t, _ in items]
-    offsets = [float(r) for _, r in items]
-    pts = []
-    k = len(items)
-    scale = max([abs(o) for o in offsets] + [1.0])
-    for i in range(k):
-        for j in range(i + 1, k):
-            M = np.array([normals[i], normals[j]])
-            if abs(np.linalg.det(M)) <= 1e-12:
-                continue
-            x = np.linalg.solve(M, np.array([offsets[i], offsets[j]]))
-            ok = all(normals[t] @ x >= offsets[t] - geom.EPS * scale for t in range(k))
-            if ok:
-                pts.append(x)
-    if not pts:
-        return np.zeros((0, 2))
-    return geom.convex_hull_2d(np.array(pts))
+def _rejection_sample(gen, lo, hi, count, min_batch, accept) -> np.ndarray:
+    """``count`` points of the box ``[lo, hi]`` that pass ``accept``.
 
-
-def _sample_polygon(gen, verts, count) -> np.ndarray:
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    Draws batches of ``max(count - got, min_batch)`` uniform points and keeps
+    the accepted ones in draw order; raises RejectionStall once a million
+    proposals keep fewer than one in 1e6.
+    """
     out = []
     got, proposed = 0, 0
     while got < count:
-        batch = max(count - got, 256)
-        pts = gen.uniform(lo, hi, size=(batch, 2))
-        ok = _points_in_polygon(pts, verts)
-        acc = pts[ok][:count - got]
+        batch = max(count - got, min_batch)
+        pts = gen.uniform(lo, hi, size=(batch, len(lo)))
+        acc = pts[accept(pts)][:count - got]
         out.append(acc)
         got += len(acc)
         proposed += batch
@@ -544,26 +480,6 @@ def _points_in_polygon(pts, verts) -> np.ndarray:
         n = np.array([-d[1], d[0]])
         ok &= (pts - p) @ n >= -geom.EPS
     return ok
-
-
-def _sample_slice_mc(gen, blo, bhi, sliced, count) -> np.ndarray:
-    blo = np.asarray(blo)
-    bhi = np.asarray(bhi)
-    out = []
-    got, proposed = 0, 0
-    while got < count:
-        batch = max(count - got, 256)
-        pts = gen.uniform(blo, bhi, size=(batch, len(blo)))
-        ok = np.ones(batch, dtype=bool)
-        for t, r in sliced:
-            ok &= pts @ np.asarray(t) >= r - geom.EPS
-        acc = pts[ok][:count - got]
-        out.append(acc)
-        got += len(acc)
-        proposed += batch
-        if proposed >= _STALL_PROPOSALS and got / proposed < _STALL_RATE:
-            raise RejectionStall("acceptance rate below 1e-6")
-    return np.vstack(out)
 
 
 # ---------------------------------------------------------------------------

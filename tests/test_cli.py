@@ -2,10 +2,13 @@
 codes and output formats."""
 import json
 
+import numpy as np
 import pytest
 
 from centercut.cli import main, parse_problem, serialize
+from centercut.depth import depth_finite
 from centercut.errors import ParseError, SchemaError
+from centercut.geom import Polytope, enumerate_lattice_points
 
 SQUARE_ROWS = [[1, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]]
 GRID4_ROWS = [[1, 0, 4], [-1, 0, 0], [0, 1, 4], [0, -1, 0]]
@@ -270,6 +273,43 @@ def test_exit_code_budget(tmp_path):
            "point": [1.0, 1.0]}
     inp = _write(tmp_path, doc)
     assert main(["depth", "--input", inp]) == 3
+
+
+BOX4_ROWS = np.vstack([np.hstack([np.eye(4), np.full((4, 1), 2.0)]),
+                       np.hstack([-np.eye(4), np.zeros((4, 1))])]).tolist()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("depth", {"measure": {"family": "uniform", "polytope": BOX4_ROWS}, "point": [1, 1, 1, 1]}),
+    ("depth", {"measure": {"family": "lattice", "polytope": BOX4_ROWS}, "point": [1, 1, 1, 1]}),
+    ("depth", {"measure": {"family": "mixed", "polytope": BOX4_ROWS, "n": 1, "d": 3},
+               "point": [1, 1, 1, 1]}),
+    ("centerpoint", {"measure": {"family": "uniform", "polytope": BOX4_ROWS}}),
+    ("centerpoint", {"measure": {"family": "lattice", "polytope": BOX4_ROWS}}),
+    ("centerpoint", {"measure": {"family": "mixed", "polytope": BOX4_ROWS, "n": 2, "d": 2}}),
+    ("adversary-run", {"game": {"kind": "mixed_fiber", "n": 2, "d": 2, "B": 4}, "delta": 1.0}),
+])
+def test_exit_code_dimension_above_three(tmp_path, capsys, command, doc):
+    inp = _write(tmp_path, {"schema_version": 1, "command": command, **doc})
+    assert main([command, "--input", inp]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_cli_depth_of_a_3d_lattice_is_exact(tmp_path):
+    rows = [[1, 0, 0, 2], [-1, 0, 0, 0], [0, 1, 0, 2], [0, -1, 0, 0], [1, 1, 1, 3.5],
+            [0, 0, -1, 0]]
+    point = [0.5, 1.0, 0.5]
+    doc = {"schema_version": 1, "command": "depth",
+           "measure": {"family": "lattice", "polytope": rows}, "point": point}
+    code, out = _run(tmp_path, doc, "depth")
+    assert code == 0
+    got = json.loads(out.read_text())
+    pts = enumerate_lattice_points(Polytope.from_rows(rows)).astype(float)
+    assert got["exact"] is True
+    assert got["gap"] == 0.0
+    assert got["value"] == depth_finite(pts, point).value
 
 
 def test_exit_code_empty_region(tmp_path):

@@ -196,6 +196,15 @@ def test_box8_solve_enumerates_the_lattice_once(spy):
     assert len(rep.iteration_trace) > 1 and len(calls) == 1
 
 
+def test_solve_builds_the_box_cuts_once(spy):
+    # every iteration restricts the box-restricted measure by the epigraph cuts
+    calls = spy(Box, "half_open_cuts")
+    o = ConvexQuadratic(np.eye(2), np.array([3.3, 4.7]))
+    nu = LatticeCounting(Polytope.from_box([0.0, 0.0], [8.0, 8.0]))
+    rep = solve(o, ConstraintSet.lattice(2), nu, Box(np.zeros(2), np.full(2, 8.0)), 0.9)
+    assert len(rep.iteration_trace) > 1 and len(calls) == 1
+
+
 def test_finite_centerpoint_pick_matches_brute_force():
     # weighted points on a small grid (duplicates and collinear triples): the
     # Centerpoint strategy picks what a per-point depth_finite loop picks

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 import centercut.geom as geom_mod
 
-from centercut.errors import (BudgetExceeded, Infeasible, MalformedPolygon,
-                              Unbounded)
+from centercut.errors import (BudgetExceeded, DimensionTooLarge, Infeasible,
+                              MalformedPolygon, Unbounded)
 from centercut.geom import (Box, Direction, Halfspace, Polytope, clip_polygon,
                             convex_hull_2d, enumerate_lattice_points,
                             enumerate_vertices, lattice_width_2d, polygon_area)
@@ -28,6 +31,22 @@ def test_direction_normalized():
 def test_direction_rejects_zero():
     with pytest.raises(ValueError):
         Direction.from_vector([0.0, 0.0])
+
+
+def test_halfspace_from_vector_normalizes_once(spy):
+    gen = np.random.default_rng(4)
+    for v, c in zip(gen.normal(size=(50, 3)) * 10.0 ** gen.integers(-5, 6, (50, 1)),
+                    gen.normal(size=50)):
+        h = Halfspace.from_vector(v, c)
+        assert np.array_equal(h.n, Direction.from_vector(v).coords)
+        assert h.offset == c / float(np.linalg.norm(v))
+    norms = spy(np.linalg, "norm")
+    Halfspace.from_vector([3.0, -4.0], 1.0)
+    assert len(norms) == 1
+    with pytest.raises(ValueError):
+        Halfspace.from_vector([0.0, 0.0], 1.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):   # the norm overflows
+        Halfspace.from_vector([1e308, 1e308], 1.0)
 
 
 def test_halfspace_membership_openness():
@@ -352,3 +371,100 @@ def test_four_dimensional_box_validates_without_vertices():
     P = Polytope.from_rows(np.vstack([np.hstack([np.eye(4), np.ones((4, 1))]),
                                       np.hstack([-np.eye(4), np.zeros((4, 1))])]))
     assert P.dim == 4 and P.cached_vertices is None
+
+
+def test_four_dimensional_enumeration_raises_dimension_too_large():
+    P = Polytope.from_box(np.zeros(4), np.ones(4))
+    with pytest.raises(DimensionTooLarge):
+        enumerate_vertices(P)
+    with pytest.raises(DimensionTooLarge):
+        enumerate_lattice_points(P)
+
+
+def _per_subset_vertices(poly):
+    """Reference: the enumeration as one det/solve per constraint subset,
+    with a Python-loop dedupe keeping the first point of each 1e-9 cluster."""
+    cs, dim = poly.constraints, poly.dim
+    A = np.array([h.n for h in cs])
+    b = np.array([h.offset for h in cs])
+    scale = float(np.max(np.abs(b), initial=0.0)) + 1.0
+    found, proved = [], False
+    for idx in itertools.combinations(range(len(cs)), dim):
+        M, rhs = A[list(idx)], b[list(idx)]
+        if abs(np.linalg.det(M)) <= 1e-12:
+            continue
+        x = np.linalg.solve(M, rhs)
+        Ax = A @ x
+        if np.all(Ax >= b - geom_mod.EPS * scale):
+            found.append(x)
+            proved = proved or bool(np.all(Ax >= b - 1e-12 * scale))
+    if not proved or geom_mod._has_recession_ray(A):
+        geom_mod._lp_feasible_bounded(cs, dim)
+    if not found:
+        r = linprog(np.zeros(dim), A_ub=-A, b_ub=-b, bounds=[(None, None)] * dim,
+                    method="highs")
+        found.append(np.asarray(r.x, dtype=float))
+    kept = []
+    for r in found:
+        if not any(np.linalg.norm(r - k) <= geom_mod.EPS for k in kept):
+            kept.append(r)
+    return geom_mod._lex_sorted(np.array(kept))
+
+
+def _seeded_systems():
+    gen = np.random.default_rng(20)
+    for k in range(240):
+        dim = 2 + k % 2
+        m = int(gen.integers(dim + 1, 13))
+        c = gen.normal(size=dim)
+        if k % 4 == 0:    # integer rows: parallel rows and many rows through one vertex
+            A = gen.integers(-2, 3, size=(m, dim)).astype(float)
+            A[np.all(A == 0, axis=1), 0] = 1.0
+            b = np.floor(A @ c) - gen.integers(0, 2, size=m)
+        else:
+            A = gen.normal(size=(m, dim))
+            b = A @ c - gen.exponential(size=m)
+        if k % 6 == 1:    # infeasible: a row opposite another, pushed past it
+            A = np.vstack([A, -A[0]])
+            b = np.append(b, -b[0] + 0.5)
+        if k % 6 == 3:    # often unbounded: only dim rows
+            A, b = A[:dim], b[:dim]
+        if k % 5 == 2:    # a repeated row and a scaled parallel copy
+            A = np.vstack([A, A[:1], 2.0 * A[1:2]])
+            b = np.concatenate([b, b[:1], 2.0 * b[1:2]])
+        yield Polytope(dim, tuple(Halfspace.from_vector(a, o) for a, o in zip(A, b)))
+    # three and four facets through one vertex
+    yield Polytope.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [-1, -1, 0, 0],
+                              [1, 1, 1, 1]], validate=False)
+    yield Polytope.from_rows([[-1, 0, 0], [0, -1, 0], [-1, -1, 0], [-2, -1, 0], [1, 1, 1]],
+                             validate=False)
+
+
+def _vertices_or_error(fn, poly):
+    try:
+        return fn(poly)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def test_batched_enumeration_matches_the_per_subset_loop():
+    kinds = set()
+    for poly in _seeded_systems():
+        want = _vertices_or_error(_per_subset_vertices, poly)
+        got = _vertices_or_error(enumerate_vertices, poly)
+        if isinstance(want, type):
+            assert got is want
+            kinds.add(want)
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            kinds.add(poly.dim)
+    assert kinds == {2, 3, Infeasible, Unbounded}
+
+
+def test_one_enumeration_makes_one_batched_solve(spy):
+    solves = spy(np.linalg, "solve")
+    dets = spy(np.linalg, "det")
+    cube = Polytope.from_box(np.zeros(3), np.ones(3))
+    assert len(enumerate_vertices(cube)) == 8
+    assert len(solves) == 1 and len(dets) == 1
+    assert solves[0][0].shape == (8, 3, 3)   # the nonsingular triples of six facets

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from centercut import geom
-from centercut.errors import EmptyRegion, RejectionStall
+from centercut.errors import DimensionTooLarge, EmptyRegion, RejectionStall
 from centercut.geom import Halfspace, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MassEstimate,
                                 MixedInteger, RngState, UniformPolytope,
-                                halfspace_mass, restrict, sample)
+                                _cut_mask, _points_in_polygon, halfspace_mass,
+                                restrict, sample)
 
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
 SQUARE_2 = Polytope.from_box([0.0, 0.0], [2.0, 2.0])
@@ -257,3 +258,114 @@ def test_lattice_restriction_filters_its_points(spy):
     joint = LatticeCounting(P, a + b)
     assert step.active_points().tobytes() == joint.active_points().tobytes()
     assert step.total_mass == joint.total_mass and step.region == joint.region
+
+
+# ---------------------------------------------------------------------------
+# slices and samplers against the per-subset and per-family loops they replace
+
+def _pairwise_polygon(items):
+    """Reference: the d = 2 slice polygon from one det/solve per row pair."""
+    normals = [np.asarray(t, dtype=float) for t, _ in items]
+    offsets = [float(r) for _, r in items]
+    scale = max([abs(o) for o in offsets] + [1.0])
+    pts = []
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            M = np.array([normals[i], normals[j]])
+            if abs(np.linalg.det(M)) <= 1e-12:
+                continue
+            x = np.linalg.solve(M, np.array([offsets[i], offsets[j]]))
+            if all(normals[t] @ x >= offsets[t] - geom.EPS * scale for t in range(len(items))):
+                pts.append(x)
+    return geom.convex_hull_2d(np.array(pts)) if pts else np.zeros((0, 2))
+
+
+def _rejection_loop(gen, lo, hi, count, min_batch, accept):
+    """Reference: the rejection loop each sampler used to carry."""
+    out, got = [], 0
+    while got < count:
+        batch = max(count - got, min_batch)
+        pts = gen.uniform(lo, hi, size=(batch, len(lo)))
+        acc = pts[accept(pts)][:count - got]
+        out.append(acc)
+        got += len(acc)
+    return np.vstack(out)
+
+
+def _seeded_mixed_1_2(k):
+    gen = np.random.default_rng([30, k])
+    c = gen.normal(size=3)
+    A = gen.normal(size=(int(gen.integers(2, 7)), 3))
+    b = A @ c - gen.exponential(size=len(A)) * 2.0
+    rows = [Halfspace.from_vector(a, o) for a, o in zip(A, b)]
+    box = Polytope.from_box(c - gen.uniform(1.0, 3.0, 3), c + gen.uniform(1.0, 3.0, 3))
+    return Polytope.from_halfspaces(rows + list(box.constraints))
+
+
+def test_mixed_slices_match_the_pairwise_polygon():
+    empty = 0
+    for k in range(30):
+        m = MixedInteger(_seeded_mixed_1_2(k), 1, 2)
+        lo, hi = m.polytope.bounding_box()
+        cons = m._constraints()
+        # one fiber beyond each end, so empty slices are compared too
+        for z in range(int(np.floor(lo[0])) - 1, int(np.ceil(hi[0])) + 2):
+            sliced, feasible = m._slice_constraints(np.array([float(z)]), cons)
+            if not feasible:
+                continue
+            verts, vol = m._slice_geometry(sliced)
+            want = _pairwise_polygon(sliced)
+            assert verts.shape == want.shape and np.array_equal(verts, want)
+            assert vol == abs(geom.shoelace_area(want))
+            empty += len(want) == 0
+    assert empty > 0
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_zero_tail_cut_keeps_or_drops_whole_fibers(closed):
+    # box [0, 2] x [0, 1]^2: three unit fibers; a cut on the integer axis at
+    # 1 keeps fiber 1 exactly when it is closed
+    m = MixedInteger(Polytope.from_box([0.0, 0.0, 0.0], [2.0, 1.0, 1.0]), 1, 2)
+    up = Halfspace.from_vector([1.0, 0.0, 0.0], 1.0, closed=closed)
+    down = Halfspace.from_vector([-1.0, 0.0, 0.0], -1.0, closed=closed)
+    kept = 2.0 / 3.0 if closed else 1.0 / 3.0
+    assert float(m.halfspace_mass(up)) == kept
+    assert float(m.halfspace_mass(down)) == kept
+    assert [z for z, _p, _v in m.restrict([up]).fibers] == ([(1,), (2,)] if closed else [(2,)])
+    assert [z for z, _p, _v in m.restrict([down]).fibers] == ([(0,), (1,)] if closed else [(0,)])
+
+
+def test_samples_match_the_old_rejection_loops():
+    tri = Polytope.from_vertices_2d([[0.0, 0.0], [3.0, 0.5], [1.0, 2.0]])
+    cut = Halfspace.from_vector([1.0, 1.0], 1.0).as_open()
+    pyramid = Polytope.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [1, 1, 1, 2]])
+    for m in (UniformPolytope(tri), UniformPolytope(tri, (cut,)), UniformPolytope(pyramid)):
+        if m.dim == 2:
+            lo, hi = m.region_vertices().min(axis=0), m.region_vertices().max(axis=0)
+        else:
+            lo, hi = m._bbox
+        want = _rejection_loop(RngState(4).generator(), lo, hi, 3000, 1024,
+                               lambda p: m.polytope.contains(p) & _cut_mask(p, m.region))
+        assert np.array_equal(m.sample(RngState(4), 3000), want)
+
+    m = MixedInteger(_seeded_mixed_1_2(3), 1, 2)
+    gen = RngState(9).generator()
+    vols = np.array([v for _z, _p, v in m.fibers])
+    picks = np.minimum(np.searchsorted(np.cumsum(vols / vols.sum()), gen.random(700),
+                                       side="right"), len(m.fibers) - 1)
+    want = np.zeros((700, 3))
+    for fi in np.unique(picks):
+        rows = np.where(picks == fi)[0]
+        z, verts, _v = m.fibers[fi]
+        want[rows, 0] = z[0]
+        want[rows, 1:] = _rejection_loop(gen, verts.min(axis=0), verts.max(axis=0),
+                                         len(rows), 256,
+                                         lambda p: _points_in_polygon(p, verts))
+    assert len(np.unique(picks)) > 1
+    assert np.array_equal(m.sample(RngState(9), 700), want)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2)])
+def test_mixed_measure_above_dimension_three_raises(n, d):
+    with pytest.raises(DimensionTooLarge):
+        MixedInteger(Polytope.from_box(np.zeros(4), np.ones(4)), n, d)
