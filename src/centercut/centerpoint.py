@@ -210,12 +210,12 @@ def _prune_directions(pts, w):
     return U / np.hypot(U[:, 0], U[:, 1])[:, None]
 
 
-def _depth_upper_bounds(pts, cand, w):
+def _halfplane_bounds(pts, cand, w, U):
     """Sound upper bounds on the depth of ``cand`` under the weights ``w`` on
-    ``pts``: closed-halfplane mass along the unit directions of
-    ``_prune_directions``, adapted to the shape of ``pts``, with a membership
-    pad wider than the exact engine's. Any direction gives an upper bound,
-    since depth is the infimum over all of them.
+    ``pts``: the least closed-halfplane mass along the unit directions, the
+    rows of ``U``, with a membership pad wider than the exact engine's. Any
+    direction gives an upper bound, since depth is the infimum over all of
+    them.
 
     One pass serves every direction: projections onto direction k are
     shifted into the block around k * span, and one search of the sorted
@@ -224,7 +224,6 @@ def _depth_upper_bounds(pts, cand, w):
     move a point onto a candidate's end, which widens a halfplane and never
     narrows it.
     """
-    U = _prune_directions(pts, w)
     D, n, m = len(U), len(pts), len(cand)
     scale = max(1.0, float(np.abs(pts).max()), float(np.abs(cand).max(initial=0.0)))
     pad = 1e-9 * scale
@@ -258,38 +257,63 @@ def _depth_upper_bounds(pts, cand, w):
     return ub.min(axis=0, initial=np.inf) / total
 
 
+def _depth_upper_bounds(pts, cand, w):
+    """``_halfplane_bounds`` along the directions of ``_prune_directions``,
+    adapted to the shape of ``pts``."""
+    return _halfplane_bounds(pts, cand, w, _prune_directions(pts, w))
+
+
 def _deepest_depths(pts, cand, w, K, vals, ub):
     """Fill the NaN entries of ``vals`` with exact depths of ``cand`` under
     the weights ``w`` on ``pts``, only where the upper bounds ``ub`` (from
-    ``_depth_upper_bounds``) cannot rule a candidate out, so every entry
-    left NaN lies more than 1e-12 below the K-th largest value.
+    ``_depth_upper_bounds``) and the bounds tightened below cannot rule a
+    candidate out, so every entry left NaN lies more than 1e-12 below the
+    K-th largest value. ``ub`` itself is left unchanged.
 
-    Candidates are taken in descending upper-bound order. The first batch is
-    the ``K - len(top)`` best-bounded ones, which fills the K largest values
-    known so far; each later batch is the next candidates whose bound reaches
-    the current K-th largest value minus 1e-12, at most
-    ``depth._BATCH_ELEMENTS`` (row, point) pairs, and the search stops when no
-    bound reaches it.
+    Candidates are taken in descending bound order. The first batch is the
+    ``K - len(top)`` best-bounded ones, which fills the K largest values
+    known so far. A candidate qualifies while its bound reaches the current
+    K-th largest value minus 1e-12; the search stops when none does. When
+    the qualifiers fit in one batch of ``depth._BATCH_ELEMENTS`` (row, point)
+    pairs, the batch takes them all. Otherwise it is a probe of the
+    best-bounded ones, 1 row at first and twice as many each time up to a
+    full batch, and the kernel's minimizing angle a of each probe row gives
+    a unit direction (sin a, cos a) along which ``_halfplane_bounds``
+    tightens the bounds of the remaining qualifiers. The ones that fall
+    below the threshold are dropped, since it only rises, and the survivors
+    are re-sorted. Every bound stays sound, so each candidate within 1e-12
+    of the K-th largest value is still evaluated.
     """
     todo = np.flatnonzero(np.isnan(vals))
-    order = todo[np.argsort(-ub[todo], kind="stable")]
-    neg_ub = -ub[order]   # ascending, for searchsorted
+    order = todo[np.argsort(-ub[todo], kind="stable")]   # left, best bound first
+    neg_ub = -ub[order]   # ascending, for searchsorted; a copy, so ub stays
     top = np.sort(vals[~np.isnan(vals)])[-K:]   # the K largest so far
     total = float(w.sum())
     rows = max(1, depth_mod._BATCH_ELEMENTS // len(pts))
-    s = 0
-    while s < len(order):
+    probe = 1
+    while len(order):
+        tighten = False
         if len(top) < K:
-            end = s + K - len(top)
+            n_take = min(K - len(top), rows)
         else:
-            end = int(np.searchsorted(neg_ub, 1e-12 - top[0], side="right"))
-            if end <= s:
+            n_take = int(np.searchsorted(neg_ub, 1e-12 - top[0], side="right"))
+            if n_take == 0:
                 break
-        take = order[s:min(end, s + rows)]
-        got = depth_mod._sweep_counting_min_batch(cand[take], pts, w)[0] / total
+            if n_take > rows:
+                n_take, probe, tighten = probe, min(2 * probe, rows), True
+        take = order[:n_take]
+        got, angles = depth_mod._sweep_counting_min_batch(cand[take], pts, w)
+        got /= total
         vals[take] = got
         top = np.sort(np.concatenate([top, got]))[-K:]
-        s += len(take)
+        order, neg_ub = order[n_take:], neg_ub[n_take:]
+        if tighten:
+            end = int(np.searchsorted(neg_ub, 1e-12 - top[0], side="right"))
+            U = np.column_stack([np.sin(angles), np.cos(angles)])
+            neg = np.maximum(neg_ub[:end], -_halfplane_bounds(pts, cand[order[:end]], w, U))
+            keep = np.flatnonzero(neg <= 1e-12 - top[0])
+            keep = keep[np.argsort(neg[keep], kind="stable")]
+            order, neg_ub = order[keep], neg[keep]
     return vals
 
 
@@ -367,6 +391,12 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
     arrangement when it fits, otherwise lines through the deepest sample
     points); lattice candidates are the integer grid of the bounding box;
     mixed candidates optimize the continuous block per fiber.
+
+    ``_pruned_lex_best`` picks the maximizer with exact depths only where
+    upper bounds cannot rule a candidate out: halfplane masses along
+    directions adapted to the sample's shape, tightened along the witness
+    directions of the candidates already evaluated when many remain. The
+    pick is the one exact depths at every candidate would give.
     """
     N = mc_sample_size(eps, delta, S.dim + 1, C)
     pts = m.sample(rng, N)

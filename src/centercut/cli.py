@@ -26,7 +26,7 @@ from .errors import (BudgetExceeded, DimensionTooLarge, EmptyLattice,
                      EmptyRegion, Infeasible, InfeasibleStart,
                      MalformedPolygon, OutsideRegion, ParseError,
                      RejectionStall, SchemaError, Unbounded)
-from .geom import Box, Polytope
+from .geom import Box, Direction, Polytope
 from .measures import (FinitePointMass, LatticeCounting, MixedInteger,
                        RngState, UniformPolytope)
 
@@ -282,10 +282,19 @@ def serialize(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # builders
 
+def _check_dimension(what, dim):
+    """Uniform, lattice and mixed measures stop above dimension 3. Saying
+    so before the polytope is built spares its LP checks, which run from
+    dimension 4 on."""
+    if dim > 3:
+        raise DimensionTooLarge(f"{what} support dimension <= 3, got {dim}")
+
+
 def _build_measure(spec):
     fam = spec["family"]
     if fam == "finite":
         return FinitePointMass(spec["points"], spec.get("weights"))
+    _check_dimension(f"{fam} measures", len(spec["polytope"][0]) - 1)
     poly = Polytope.from_rows(spec["polytope"])
     if fam == "lattice":
         return LatticeCounting(poly)
@@ -327,8 +336,11 @@ def _build_game(spec):
         e0 = spec["E0"]
         return adversary_mod.ContinuousMedian(Box(e0["lower"], e0["upper"]))
     if kind == "integer_fiber":
-        return adversary_mod.IntegerFiber(spec["n"], spec["B"])
-    return adversary_mod.MixedFiber(spec["n"], spec["d"], spec["B"])
+        game = adversary_mod.IntegerFiber(spec["n"], spec["B"])
+    else:
+        game = adversary_mod.MixedFiber(spec["n"], spec["d"], spec["B"])
+    _check_dimension(f"{kind} games", game.E0.dim)
+    return game
 
 
 _STRATEGIES = {
@@ -366,12 +378,25 @@ def _pyify(x):
 
 
 def _depth_at(m, x, rng):
-    """Exact depth for 2D measures and for counting measures (finite and
-    lattice) in 1D and 3D; a 2000-direction sampled bound otherwise."""
+    """Exact depth for 2D measures, for counting measures (finite and
+    lattice) in 1D and 3D and for 1D uniform measures; a 2000-direction
+    sampled bound otherwise.
+
+    The depth of x in the interval [lo, hi] is the lighter of the lengths
+    on either side of x over hi - lo, 0 outside; the witness is the unit
+    direction toward the lighter side, +1 on a tie as in ``depth_finite``.
+    """
     if m.dim == 2:
         return depth_mod.min_direction_2d(m, x)
     if isinstance(m, (FinitePointMass, LatticeCounting)):
         return depth_mod.depth_finite(m.active_points(), x, m.active_weights())
+    if isinstance(m, UniformPolytope) and m.dim == 1:
+        lo, hi = m._interval
+        above = min(max(hi - x[0], 0.0), hi - lo)
+        below = min(max(x[0] - lo, 0.0), hi - lo)
+        u = 1.0 if above <= below else -1.0
+        return depth_mod.DepthResult(float(min(above, below) / (hi - lo)),
+                                     Direction.from_vector([u]), True, 0.0)
     return depth_mod.depth_sampled(m, x, 2000, rng)
 
 

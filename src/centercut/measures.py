@@ -326,22 +326,30 @@ class MixedInteger(Measure):
         return self.n + self.d
 
     def _constraints(self):
-        cons = [(h.n, h.offset, True) for h in self.polytope.constraints]
-        cons += [(c.n, c.offset, c.closed) for c in self.region]
-        return cons
+        """The polytope's facets and the region's cuts, split for slicing:
+        see ``_split_rows``."""
+        return self._split_rows([(h.n, h.offset, True) for h in self.polytope.constraints]
+                                + [(c.n, c.offset, c.closed) for c in self.region])
+
+    def _split_rows(self, rows):
+        """(head, tail, offset, closed, flat) for each (normal, offset,
+        closed) row: the normal's integer and continuous blocks, and whether
+        the tail is numerically zero, decided once for every fiber."""
+        return [(nvec[:self.n], nvec[self.n:], off, closed,
+                 np.linalg.norm(nvec[self.n:]) <= 1e-12) for nvec, off, closed in rows]
 
     def _slice_constraints(self, z: np.ndarray, cons):
-        """Constraints restricted to the fiber at integer block ``z``.
+        """Constraints ``cons`` (from ``_split_rows``) restricted to the
+        fiber at integer block ``z``.
 
         Returns (list of (tail, rhs), feasible). A constraint whose tail is
         numerically zero acts on the whole fiber: its openness decides
         whether an exactly-boundary fiber stays in.
         """
         out = []
-        for nvec, off, closed in cons:
-            head, tail = nvec[:self.n], nvec[self.n:]
+        for head, tail, off, closed, flat in cons:
             rhs = off - float(head @ z)
-            if np.linalg.norm(tail) <= 1e-12:
+            if flat:
                 slack = -rhs
                 ok = slack >= -geom.EPS if closed else slack > geom.EPS
                 if not ok:
@@ -413,10 +421,10 @@ class MixedInteger(Measure):
     def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
         if self.d == 1:
             return MassEstimate(float(self.halfspace_masses(h.n, [h.offset], h.closed)[0]))
+        cut = self._split_rows([(h.n, h.offset, h.closed)])
         kept = 0.0
         for z, verts, vol in self.fibers:
-            sliced, inside = self._slice_constraints(np.asarray(z, dtype=float),
-                                                     [(h.n, h.offset, h.closed)])
+            sliced, inside = self._slice_constraints(np.asarray(z, dtype=float), cut)
             if not inside:
                 continue
             if not sliced:   # a zero-tail cut keeps the whole fiber

@@ -12,7 +12,8 @@ from centercut import depth as depth_mod
 from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
                                    _EVEN_DIRS, _arrangement_vertices,
                                    _depth_upper_bounds, _fiber_breakpoints,
-                                   _lex_best, _project_vertices,
+                                   _halfplane_bounds, _lex_best,
+                                   _project_vertices,
                                    _prune_directions, _pruned_lex_best,
                                    _topk_indices,
                                    centerpoint_2d_integer,
@@ -631,12 +632,14 @@ def _kernel_rows(calls):
 
 
 def test_adapted_pruning_keeps_thin_triangles_cheap(spy):
-    # with 16 fixed directions these searches evaluated 300-1500 exact rows
+    # with 16 fixed directions these searches evaluated 300-1500 exact rows,
+    # with adapted ones 99-163, and with bounds tightened along the witness
+    # directions 22-30
     calls = spy(depth_mod, "_sweep_counting_min_batch")
     for k, m in enumerate(_thin_triangles(5, 4)):
         calls.clear()
         centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(k))
-        assert _kernel_rows(calls) <= 250
+        assert _kernel_rows(calls) <= 40
 
 
 def test_result_points_own_their_memory():
@@ -686,7 +689,7 @@ def test_box_search_evaluates_only_the_tied_centers(spy, hi, max_rows):
     assert (k, val) == _brute_lex_best(pts, pts, w)
 
 
-def test_search_matches_brute_force_on_lattice_polygons_and_weighted_duplicates():
+def _lattice_and_duplicate_cases():
     cases = [(p, p, np.ones(len(p)))
              for p in _lattice_polygons(21, [12, 25, 40, 70, 120, 200, 340, 400])]
     gen = np.random.default_rng(22)
@@ -695,6 +698,11 @@ def test_search_matches_brute_force_on_lattice_polygons_and_weighted_duplicates(
         pts = np.vstack([pts, pts[:8]])   # duplicated support points
         w = gen.integers(1, 5, size=len(pts)).astype(float)
         cases.append((pts, np.vstack([pts, gen.uniform(0.0, 5.0, size=(10, 2))]), w))
+    return cases
+
+
+def test_search_matches_brute_force_on_lattice_polygons_and_weighted_duplicates():
+    cases = _lattice_and_duplicate_cases()
     assert min(len(c[0]) for c in cases) >= 10 and max(len(c[0]) for c in cases) >= 390
     for pts, cand, w in cases:
         assert _pruned_lex_best(pts, cand, w) == _brute_lex_best(pts, cand, w)
@@ -705,10 +713,13 @@ def test_search_matches_brute_force_on_lattice_polygons_and_weighted_duplicates(
     assert _pruned_lex_best(pts, pts, w)[0] == _brute_lex_best(pts, pts, w)[0] == 1
 
 
-def test_topk_matches_a_full_stable_argsort():
+def _hexagon_samples(seed, count):
     hexagon = _hull_polygon(np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 1.0], [4.0, 4.0],
                                       [1.0, 4.5], [-1.0, 2.0]]))
-    pts = UniformPolytope(hexagon).sample(RngState(1061), 1061)
+    return UniformPolytope(hexagon).sample(RngState(seed), count)
+
+
+def _assert_topk_matches_a_full_stable_argsort(pts):
     full = depth_mod._sweep_counting_min_batch(pts, pts, np.ones(len(pts)))[0] / len(pts)
     top, vals, ub = _topk_indices(pts, 12)
     assert np.array_equal(top, np.argsort(-full, kind="stable")[:12])
@@ -716,3 +727,51 @@ def test_topk_matches_a_full_stable_argsort():
     known = ~np.isnan(vals)
     assert np.array_equal(vals[known], full[known])
     assert np.all(full[~known] < full[top[-1]] - 1e-12)
+
+
+def test_topk_matches_a_full_stable_argsort():
+    _assert_topk_matches_a_full_stable_argsort(_hexagon_samples(1061, 1061))
+
+
+# ---------------------------------------------------------------------------
+# bounds tightened along witness directions
+
+def test_bounds_along_witness_and_random_directions_are_sound():
+    gen = np.random.default_rng(25)
+    for pts, cand, w in _bound_and_search_cases() + _lattice_and_duplicate_cases():
+        exact, angles = depth_mod._sweep_counting_min_batch(cand, pts, w)
+        exact = exact / w.sum()
+        rand = gen.normal(size=(40, 2))
+        for U in (np.column_stack([np.sin(angles), np.cos(angles)]),
+                  rand / np.hypot(rand[:, 0], rand[:, 1])[:, None]):
+            assert np.all(_halfplane_bounds(pts, cand, w, U) >= exact - 1e-12)
+
+
+@pytest.mark.parametrize("batch", [1, 200])
+def test_tightened_search_matches_brute_force(spy, monkeypatch, batch):
+    # small batches make the qualifiers overflow one, so the search probes
+    # and tightens its bounds along the probe rows' witness directions
+    monkeypatch.setattr(depth_mod, "_BATCH_ELEMENTS", batch)
+    bounds = spy(cp_mod, "_halfplane_bounds")
+    prune = spy(cp_mod, "_depth_upper_bounds")
+    cases = _bound_and_search_cases() + _lattice_and_duplicate_cases()
+    for pts, cand, w in cases:
+        assert _pruned_lex_best(pts, cand, w) == _brute_lex_best(pts, cand, w)
+        ub = _depth_upper_bounds(pts, cand, w)
+        kept = ub.copy()   # the search tightens its own copy
+        cp_mod._deepest_depths(pts, cand, w, 1, np.full(len(cand), np.nan), ub)
+        assert np.array_equal(ub, kept)
+    assert len(bounds) > len(prune)
+    _assert_topk_matches_a_full_stable_argsort(_hexagon_samples(1062, 300))
+
+
+def test_lattice_searches_fit_one_batch_and_never_tighten(spy):
+    # the qualifiers of a lattice pick fit in one batch, so only the
+    # shape-adapted bound pass runs
+    bounds = spy(cp_mod, "_halfplane_bounds")
+    prune = spy(cp_mod, "_depth_upper_bounds")
+    boxes = [LatticeCounting(Polytope.from_box([0.0, 0.0], hi)).active_points()
+             for hi in ((7.0, 7.0), (19.0, 16.0))]
+    for pts in boxes + _lattice_polygons(21, [12, 25, 40, 70, 120, 200, 340, 400]):
+        _pruned_lex_best(pts, pts)
+    assert len(bounds) == len(prune) == 10

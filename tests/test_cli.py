@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from centercut import geom
 from centercut.cli import main, parse_problem, serialize
 from centercut.depth import depth_finite
 from centercut.errors import ParseError, SchemaError
@@ -279,7 +280,7 @@ BOX4_ROWS = np.vstack([np.hstack([np.eye(4), np.full((4, 1), 2.0)]),
                        np.hstack([-np.eye(4), np.zeros((4, 1))])]).tolist()
 
 
-@pytest.mark.parametrize("command, doc", [
+DIM4_DOCS = [
     ("depth", {"measure": {"family": "uniform", "polytope": BOX4_ROWS}, "point": [1, 1, 1, 1]}),
     ("depth", {"measure": {"family": "lattice", "polytope": BOX4_ROWS}, "point": [1, 1, 1, 1]}),
     ("depth", {"measure": {"family": "mixed", "polytope": BOX4_ROWS, "n": 1, "d": 3},
@@ -288,13 +289,56 @@ BOX4_ROWS = np.vstack([np.hstack([np.eye(4), np.full((4, 1), 2.0)]),
     ("centerpoint", {"measure": {"family": "lattice", "polytope": BOX4_ROWS}}),
     ("centerpoint", {"measure": {"family": "mixed", "polytope": BOX4_ROWS, "n": 2, "d": 2}}),
     ("adversary-run", {"game": {"kind": "mixed_fiber", "n": 2, "d": 2, "B": 4}, "delta": 1.0}),
-])
+    # n + d does not match the rows: a ValueError traceback before the
+    # row width was checked
+    ("depth", {"measure": {"family": "mixed", "polytope": BOX4_ROWS, "n": 1, "d": 1},
+               "point": [1, 1, 1, 1]}),
+]
+
+
+@pytest.mark.parametrize("command, doc", DIM4_DOCS)
 def test_exit_code_dimension_above_three(tmp_path, capsys, command, doc):
     inp = _write(tmp_path, {"schema_version": 1, "command": command, **doc})
     assert main([command, "--input", inp]) == 3
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc", DIM4_DOCS)
+def test_dimension_above_three_exits_before_any_lp(tmp_path, spy, command, doc):
+    lps = spy(geom, "_lp_feasible_bounded")
+    inp = _write(tmp_path, {"schema_version": 1, "command": command, **doc})
+    assert main([command, "--input", inp]) == 3
+    assert lps == []
+
+
+# [-0.25, 3.5]: each side of x = 1 against the length 3.75
+INTERVAL_ROWS = [[1, 3.5], [-1, 0.25]]
+
+
+@pytest.mark.parametrize("x, value, witness", [
+    (1.0, 1.25 / 3.75, -1.0), (2.0, 1.5 / 3.75, 1.0), (1.625, 0.5, 1.0),
+    (-0.25, 0.0, -1.0), (3.5, 0.0, 1.0), (-1.0, 0.0, -1.0), (4.0, 0.0, 1.0),
+])
+def test_cli_depth_in_an_interval_is_exact(tmp_path, x, value, witness):
+    doc = {"schema_version": 1, "command": "depth",
+           "measure": {"family": "uniform", "polytope": INTERVAL_ROWS}, "point": [x]}
+    code, out = _run(tmp_path, doc, "depth")
+    assert code == 0
+    got = json.loads(out.read_text())
+    assert (got["value"], got["witness"], got["exact"], got["gap"]) == \
+        (value, [witness], True, 0.0)
+
+
+def test_cli_centroid_depth_in_an_interval_is_exact(tmp_path):
+    doc = {"schema_version": 1, "command": "centerpoint", "method": "centroid",
+           "measure": {"family": "uniform", "polytope": INTERVAL_ROWS}}
+    code, out = _run(tmp_path, doc, "centerpoint")
+    assert code == 0
+    got = json.loads(out.read_text())
+    assert (got["point"], got["depth"], got["depth_exact"], got["depth_gap"]) == \
+        ([1.625], 0.5, True, 0.0)
 
 
 def test_cli_depth_of_a_3d_lattice_is_exact(tmp_path):

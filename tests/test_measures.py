@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,27 @@ def test_mixed_slices_match_the_pairwise_polygon():
             assert vol == abs(geom.shoelace_area(want))
             empty += len(want) == 0
     assert empty > 0
+
+
+def test_mixed_tail_norms_are_taken_once_per_constraint(monkeypatch):
+    # a constraint's continuous tail is the same on every fiber, so the
+    # zero-tail test costs one norm per facet and per cut, however many fibers
+    real = np.linalg.norm
+    calls = []
+
+    def norm(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "centercut.measures":
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    cut = Halfspace.from_vector([0.3, 1.0, -0.5], 0.2)
+    for K in (2, 20):
+        m = MixedInteger(Polytope.from_box([0.0, 0.0, 0.0], [K, 1.0, 1.0]), 1, 2)
+        assert len(m.fibers) == K + 1 and len(calls) == 6
+        m.halfspace_mass(cut)
+        assert len(calls) == 7
+        calls.clear()
 
 
 @pytest.mark.parametrize("closed", [True, False])
