@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,9 +170,8 @@ def _continuous_candidates_2d(pts, cap):
     if exhaustive:
         extra = _arrangement_vertices(pts, cap)
     else:
-        top, vals, ub = _topk_indices(pts, TOP_K)
+        top, *known = _topk_indices(pts, TOP_K)
         extra = _arrangement_vertices(pts[np.sort(top)], cap)
-        known = (vals, ub)
     if n + len(extra) > cap:
         raise BudgetExceeded(f"{n + len(extra)} candidates exceed cap {cap}")
     return extra, known
@@ -210,67 +210,121 @@ def _prune_directions(pts, w):
     return U / np.hypot(U[:, 0], U[:, 1])[:, None]
 
 
-def _halfplane_bounds(pts, cand, w, U):
-    """Sound upper bounds on the depth of ``cand`` under the weights ``w`` on
-    ``pts``: the least closed-halfplane mass along the unit directions, the
-    rows of ``U``, with a membership pad wider than the exact engine's. Any
-    direction gives an upper bound, since depth is the infimum over all of
-    them.
+class _Projections(NamedTuple):
+    """A weighted sample sorted along unit directions, the rows of ``U``:
+    each row's sorting permutation ``order`` and sorted projections ``ps``
+    (D, n), and the cumulative weights in that order ``cum`` (D, n + 1),
+    from 0 up to about ``total``."""
 
-    One pass serves every direction: projections onto direction k are
-    shifted into the block around k * span, and one search of the sorted
-    point projections into the sorted candidate ends counts the points on
-    each side of every candidate. Rounding is monotone, so the shift can only
-    move a point onto a candidate's end, which widens a halfplane and never
-    narrows it.
+    pts: np.ndarray
+    U: np.ndarray
+    order: np.ndarray
+    ps: np.ndarray
+    cum: np.ndarray
+    total: float
+
+
+def _project(pts, w, U):
+    """The ``_Projections`` table of the weights ``w`` on ``pts`` along the
+    rows of ``U``: one projection and one sort per direction."""
+    pu = U @ pts.T
+    order = np.argsort(pu, axis=1)
+    cum = np.zeros((len(U), len(pts) + 1))
+    np.cumsum(w[order], axis=1, out=cum[:, 1:])
+    return _Projections(pts, U, order, np.take_along_axis(pu, order, axis=1), cum,
+                        float(w.sum()))
+
+
+def _slab_screen(tab, cu, pad, floor):
+    """Which candidates, by their projections ``cu`` (one row per direction
+    of ``tab``), may reach the depth ``floor`` (a share of the total
+    weight), and a sound bound below ``floor`` for the others.
+
+    Along a direction, a candidate's padded closed halfplane below it holds
+    less than ``floor`` exactly when its projection lies under
+    lo = ps[j - 1] - pad, with j the number of cumulative weights below
+    ``floor``; the halfplane above holds less exactly when it lies over
+    hi = ps[i - 1] + pad, with i the number of cumulative weights whose
+    complement reaches ``floor``. A candidate outside [lo, hi] along some
+    direction has depth below ``floor``, and the largest halfplane share
+    below ``floor`` bounds it. With floor <= 0 every slab is the whole line;
+    with floor above every share, every slab is empty.
+    Returns (inside every slab, that bound).
     """
-    D, n, m = len(U), len(pts), len(cand)
-    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(cand).max(initial=0.0)))
+    rr = np.arange(len(tab.U))
+    below = tab.cum / tab.total
+    above = (tab.total - tab.cum) / tab.total
+    edges = np.pad(tab.ps, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    lo = edges[rr, np.count_nonzero(below < floor, axis=1)] - pad
+    hi = edges[rr, np.count_nonzero(above >= floor, axis=1)] + pad
+    live = np.all((cu >= lo[:, None]) & (cu <= hi[:, None]), axis=0)
+    shares = np.concatenate([below, above])
+    return live, float(shares[shares < floor].max(initial=0.0))
+
+
+def _halfplane_bounds(tab, cand, floor=0.0):
+    """Sound upper bounds on the depth of ``cand`` under the weighted sample
+    of the ``_Projections`` table ``tab``: the least closed-halfplane mass
+    along its directions, with a membership pad wider than the exact
+    engine's. Any direction gives an upper bound, since depth is the infimum
+    over all of them.
+
+    ``_slab_screen`` first gives every candidate outside the slabs of
+    ``floor`` a bound below it, so those are never sorted or searched. One
+    pass serves every direction for the rest: projections onto direction k
+    are shifted into the block around k * span, and one search of the
+    sorted candidate ends into the sorted point projections counts the
+    points on each side of every candidate. Rounding is monotone, so the
+    shift can only move a point onto a candidate's end, which widens a
+    halfplane and never narrows it.
+    """
+    D, n = tab.ps.shape
+    scale = max(1.0, float(np.abs(tab.pts).max()), float(np.abs(cand).max(initial=0.0)))
     pad = 1e-9 * scale
     span = 4.0 * scale + 1.0   # over twice any |projection| + pad: |U| = 1
     rr = np.arange(D)[:, None]
-    pu = U @ pts.T
-    order = np.argsort(pu, axis=1)
-    cum = np.zeros((D, n + 1))
-    np.cumsum(w[order], axis=1, out=cum[:, 1:])
-    ps = pu[rr, order]
-    if cand is pts:   # a self-search sorts once
-        corder, cs = order, ps
+    ub = np.empty(len(cand))
+    live = slice(None)
+    if cand is tab.pts:   # a self-search sorts once
+        corder, cs = tab.order, tab.ps
     else:
-        cu = U @ cand.T
+        cu = tab.U @ cand.T
+        if floor > 0.0:
+            live, low = _slab_screen(tab, cu, pad, floor)
+            ub[:] = low
+            cu = cu[:, live]
         corder = np.argsort(cu, axis=1)
         cs = cu[rr, corder]
-    keys = (ps + span * rr).ravel()
+    shift = span * rr
+    keys = (tab.ps + shift).ravel()
+    first = n * rr   # the keys of the blocks before block k
 
     def points_before(ends, side):
-        # a point placed after q of its direction's m ends is before end j
-        # exactly when q <= j; bin (k, q) is k * (m + 1) + q
-        q = np.searchsorted((ends + span * rr).ravel(), keys, side=side).reshape(D, n)
-        bins = np.bincount((q + rr).ravel(), minlength=D * (m + 1))
-        return bins.reshape(D, m + 1).cumsum(axis=1)[:, :m]
+        return np.searchsorted(keys, (ends + shift).ravel(), side=side).reshape(cs.shape) - first
 
-    total = float(w.sum())
-    above = total - cum[rr, points_before(cs - pad, "right")]
-    below = cum[rr, points_before(cs + pad, "left")]
-    ub = np.empty((D, m))
-    ub[rr, corder] = np.minimum(above, below)
-    return ub.min(axis=0, initial=np.inf) / total
+    bound = np.empty(cs.shape)
+    bound[rr, corder] = np.minimum(tab.total - tab.cum[rr, points_before(cs - pad, "left")],
+                                   tab.cum[rr, points_before(cs + pad, "right")])
+    ub[live] = bound.min(axis=0, initial=np.inf) / tab.total
+    return ub
 
 
 def _depth_upper_bounds(pts, cand, w):
     """``_halfplane_bounds`` along the directions of ``_prune_directions``,
     adapted to the shape of ``pts``."""
-    return _halfplane_bounds(pts, cand, w, _prune_directions(pts, w))
+    return _halfplane_bounds(_project(pts, w, _prune_directions(pts, w)), cand)
 
 
 def _deepest_depths(pts, cand, w, K, vals, ub):
     """Fill the NaN entries of ``vals`` with exact depths of ``cand`` under
     the weights ``w`` on ``pts``, only where the upper bounds ``ub`` (from
-    ``_depth_upper_bounds``) and the bounds tightened below cannot rule a
+    ``_halfplane_bounds``) and the bounds tightened below cannot rule a
     candidate out, so every entry left NaN lies more than 1e-12 below the
     K-th largest value. ``ub`` itself is left unchanged.
 
-    Candidates are taken in descending bound order. The first batch is the
+    Candidates are taken in descending bound order; when ``vals`` already
+    holds K values, only those whose bound reaches the K-th largest minus
+    1e-12 are sorted, since no other can ever qualify. The first batch is the
     ``K - len(top)`` best-bounded ones, which fills the K largest values
     known so far. A candidate qualifies while its bound reaches the current
     K-th largest value minus 1e-12; the search stops when none does. When
@@ -285,9 +339,11 @@ def _deepest_depths(pts, cand, w, K, vals, ub):
     of the K-th largest value is still evaluated.
     """
     todo = np.flatnonzero(np.isnan(vals))
+    top = np.sort(vals[~np.isnan(vals)])[-K:]   # the K largest so far
+    if len(top) == K:   # only the qualifiers are ever taken
+        todo = todo[-ub[todo] <= 1e-12 - top[0]]
     order = todo[np.argsort(-ub[todo], kind="stable")]   # left, best bound first
     neg_ub = -ub[order]   # ascending, for searchsorted; a copy, so ub stays
-    top = np.sort(vals[~np.isnan(vals)])[-K:]   # the K largest so far
     total = float(w.sum())
     rows = max(1, depth_mod._BATCH_ELEMENTS // len(pts))
     probe = 1
@@ -310,7 +366,8 @@ def _deepest_depths(pts, cand, w, K, vals, ub):
         if tighten:
             end = int(np.searchsorted(neg_ub, 1e-12 - top[0], side="right"))
             U = np.column_stack([np.sin(angles), np.cos(angles)])
-            neg = np.maximum(neg_ub[:end], -_halfplane_bounds(pts, cand[order[:end]], w, U))
+            neg = np.maximum(neg_ub[:end], -_halfplane_bounds(_project(pts, w, U),
+                                                              cand[order[:end]]))
             keep = np.flatnonzero(neg <= 1e-12 - top[0])
             keep = keep[np.argsort(neg[keep], kind="stable")]
             order, neg_ub = order[keep], neg[keep]
@@ -319,17 +376,20 @@ def _deepest_depths(pts, cand, w, K, vals, ub):
 
 def _topk_indices(pts, K):
     """Indices of the K deepest sample points, value descending then index
-    ascending, exactly as a full stable argsort would pick them. Returns
-    (indices, values with NaN where the depth was never needed, the upper
-    bounds of every point), the last two ready to pass on as
+    ascending, exactly as a full stable argsort would pick them. The sample
+    is projected and sorted once, along ``_prune_directions``, into a
+    ``_Projections`` table that bounds every point. Returns (indices, values
+    with NaN where the depth was never needed, the upper bounds of every
+    point, the table), the last three ready to pass on as
     ``_pruned_lex_best``'s ``known``."""
     pts = np.asarray(pts, dtype=float)
     w = np.ones(len(pts))
-    ub = _depth_upper_bounds(pts, pts, w)
+    tab = _project(pts, w, _prune_directions(pts, w))
+    ub = _halfplane_bounds(tab, pts)
     vals = _deepest_depths(pts, pts, w, K, np.full(len(pts), np.nan), ub)
     filled = np.flatnonzero(~np.isnan(vals))
     top = filled[np.lexsort((filled, -vals[filled]))][:K]
-    return top, vals, ub
+    return top, vals, ub, tab
 
 
 def _pruned_lex_best(pts, cand, weights=None, known=None):
@@ -337,10 +397,15 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
     weights on ``pts`` (unit weights when None), lexicographically smallest
     among values within 1e-12 of the best, as _lex_best over every exact
     depth would pick it. The one deepest-point search over a finite set:
-    2D points run the pruned batch search, where ``known`` optionally carries
-    (exact values, NaN where unknown; upper bounds) for a prefix of cand, so
-    only the rest is bounded; other dimensions evaluate ``depth_finite`` at
-    every candidate.
+    2D points run the pruned batch search; other dimensions evaluate
+    ``depth_finite`` at every candidate.
+
+    ``known`` optionally carries (exact values, NaN where unknown; upper
+    bounds) for a prefix of cand, and a ``_Projections`` table of the same
+    weighted ``pts``, as ``_topk_indices`` returns them. The search can only
+    end at or above the best known value, so the rest of cand is screened
+    against that value minus 1e-12 from the table, without sorting the
+    sample again: only the candidates inside every slab get full bounds.
     """
     pts = np.asarray(pts, dtype=float)
     cand = np.asarray(cand, dtype=float)
@@ -353,9 +418,11 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
     if known is None:
         ub = _depth_upper_bounds(pts, cand, w)
     else:
-        known_vals, known_ub = known
+        known_vals, known_ub, tab = known
         vals[:len(known_vals)] = known_vals
-        ub = np.concatenate([known_ub, _depth_upper_bounds(pts, cand[len(known_ub):], w)])
+        # the search below starts its threshold at the best known value
+        floor = float(np.nanmax(known_vals)) - 1e-12
+        ub = np.concatenate([known_ub, _halfplane_bounds(tab, cand[len(known_ub):], floor)])
     vals = _deepest_depths(pts, cand, w, 1, vals, ub)
     filled = np.flatnonzero(~np.isnan(vals))
     k = int(filled[_lex_best(cand[filled], vals[filled])])
@@ -395,8 +462,12 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
     ``_pruned_lex_best`` picks the maximizer with exact depths only where
     upper bounds cannot rule a candidate out: halfplane masses along
     directions adapted to the sample's shape, tightened along the witness
-    directions of the candidates already evaluated when many remain. The
-    pick is the one exact depths at every candidate would give.
+    directions of the candidates already evaluated when many remain. In the
+    arrangement case the sample is projected and sorted along those
+    directions once: the same table bounds the sample points in the top-K
+    search and screens the arrangement vertices against the best depth it
+    found, so only the vertices that may reach it are bounded and sorted.
+    The pick is the one exact depths at every candidate would give.
     """
     N = mc_sample_size(eps, delta, S.dim + 1, C)
     pts = m.sample(rng, N)

@@ -163,7 +163,10 @@ class Box:
         return cuts
 
     def as_polytope(self) -> "Polytope":
-        return Polytope.from_halfspaces([c.as_closed() for c in self.half_open_cuts()])
+        """The closed box. It needs no validation: lower <= upper makes it a
+        nonempty bounded polytope, so no LP runs in any dimension."""
+        return Polytope.from_halfspaces([c.as_closed() for c in self.half_open_cuts()],
+                                        validate=False)
 
     def contains_half_open(self, pts, tol: float = EPS) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))

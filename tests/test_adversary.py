@@ -11,8 +11,9 @@ from centercut.adversary import (ContinuousMedian, IntegerFiber, MixedFiber,
                                  is_consistent, lower_bound_for,
                                  lower_bound_value)
 from centercut.centerpoint import centroid
-from centercut.errors import OutsideRegion
-from centercut.geom import Box
+from centercut import geom
+from centercut.errors import DimensionTooLarge, OutsideRegion
+from centercut.geom import Box, Polytope
 from centercut.measures import LatticeCounting, MixedInteger, UniformPolytope
 
 UNIT_BOX = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -198,3 +199,32 @@ def test_continuous_game_needs_two_dims():
         IntegerFiber(0, 4)
     with pytest.raises(ValueError):
         MixedFiber(1, 0, 4)
+
+
+# ---------------------------------------------------------------------------
+# game regions
+
+def test_game_measure_in_four_dimensions_raises_before_any_lp(spy):
+    lps = spy(geom, "_lp_feasible_bounded")
+    with pytest.raises(DimensionTooLarge):
+        game_measure(MixedFiber(2, 2, 4))
+    assert lps == []
+
+
+@pytest.mark.parametrize("game", [ContinuousMedian(Box(np.array([7.0, 8.0]),
+                                                       np.array([39.0, 40.0]))),
+                                  IntegerFiber(2, 8), IntegerFiber(3, 8),
+                                  MixedFiber(1, 1, 8), MixedFiber(1, 2, 4),
+                                  MixedFiber(2, 1, 4)])
+def test_game_measures_match_a_validated_region(spy, game):
+    # the box region skips validation; its measure keeps the vertices and
+    # masses a validated polytope of the same box gives
+    lps = spy(geom, "_lp_feasible_bounded")
+    m = game_measure(game)
+    assert lps == []
+    checked = Polytope.from_halfspaces([c.as_closed() for c in game.E0.half_open_cuts()])
+    ref = type(m)(checked, *([game.n, game.d] if isinstance(game, MixedFiber) else []))
+    assert np.array_equal(m.polytope.vertices(), checked.vertices())
+    assert m.total_mass == ref.total_mass
+    if isinstance(m, LatticeCounting):
+        assert np.array_equal(m.active_points(), ref.active_points())

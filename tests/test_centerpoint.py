@@ -12,7 +12,7 @@ from centercut import depth as depth_mod
 from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
                                    _EVEN_DIRS, _arrangement_vertices,
                                    _depth_upper_bounds, _fiber_breakpoints,
-                                   _halfplane_bounds, _lex_best,
+                                   _halfplane_bounds, _lex_best, _project,
                                    _project_vertices,
                                    _prune_directions, _pruned_lex_best,
                                    _topk_indices,
@@ -573,27 +573,57 @@ def test_adapted_upper_bounds_are_sound_and_search_matches_brute_force():
         assert k == _lex_best(cand, exact) and val == exact[k]
 
 
+def _returns(monkeypatch, name):
+    """Wrap ``centerpoint.<name>`` for one test; the list gets each call's
+    return value."""
+    out = []
+    real = getattr(cp_mod, name)
+
+    def wrapped(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(cp_mod, name, wrapped)
+    return out
+
+
 def test_monte_carlo_bounds_each_sample_once(spy, monkeypatch):
-    # the samples' bounds from the top-k search are reused, so the second
-    # search bounds only the arrangement vertices; the pick is the one a
-    # fresh pass over every candidate makes
+    # the sample is projected and sorted along the prune directions once per
+    # query; that table bounds the samples in the top-k search and screens
+    # the arrangement vertices against the best depth it found, whose
+    # survivors alone get full bounds; the pick is the one a fresh pass over
+    # every candidate makes
     bounds = spy(cp_mod, "_depth_upper_bounds")
     searches = spy(cp_mod, "_pruned_lex_best")
     deepest = spy(cp_mod, "_deepest_depths")
+    tables = _returns(monkeypatch, "_project")
+    halfplane = spy(cp_mod, "_halfplane_bounds")
+    dirs = _returns(monkeypatch, "_prune_directions")
+    screens = _returns(monkeypatch, "_slab_screen")
     hexagon = _hull_polygon(np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 1.0], [4.0, 4.0],
                                       [1.0, 4.5], [-1.0, 2.0]]))
     runs = []
     for k, m in enumerate(_thin_triangles(11, 2) + [UniformPolytope(hexagon)]):
-        bounds.clear()
-        searches.clear()
-        deepest.clear()
+        for calls in (bounds, searches, deepest, tables, halfplane, dirs, screens):
+            calls.clear()
         res = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(k))
         (pts, cand), = [call[:2] for call in searches]
         assert len(cand) > len(pts)
-        assert [len(call[1]) for call in bounds] == [len(pts), len(cand) - len(pts)]
-        assert np.array_equal(bounds[1][1], cand[len(pts):])
-        top_ub, cand_ub = deepest[0][5], deepest[1][5]
+        assert bounds == [] and len(dirs) == 1
+        tab, = [t for t in tables if t.U is dirs[0]]
+        assert tab.pts is pts
+        (top_call, cand_call), = [[call for call in halfplane if call[0] is tab]]
+        assert top_call[1] is pts and len(top_call) == 2
+        top_vals, top_ub = deepest[0][4], deepest[0][5]
+        floor = cand_call[2]
+        assert floor == np.nanmax(top_vals) - 1e-12 > 0.0
+        assert np.array_equal(cand_call[1], cand[len(pts):])
+        # one screen, of the arrangement vertices, and most of them fall out
+        (live, low), = screens
+        assert len(live) == len(cand) - len(pts) and 0 < live.sum() < len(live) / 2
+        cand_ub = deepest[1][5]
         assert np.array_equal(cand_ub[:len(pts)], top_ub)
+        assert np.all(cand_ub[len(pts):][~live] == low) and low < floor
         runs.append((m, k, res))
     real = cp_mod._continuous_candidates_2d
     monkeypatch.setattr(cp_mod, "_continuous_candidates_2d",
@@ -721,9 +751,13 @@ def _hexagon_samples(seed, count):
 
 def _assert_topk_matches_a_full_stable_argsort(pts):
     full = depth_mod._sweep_counting_min_batch(pts, pts, np.ones(len(pts)))[0] / len(pts)
-    top, vals, ub = _topk_indices(pts, 12)
+    top, vals, ub, tab = _topk_indices(pts, 12)
     assert np.array_equal(top, np.argsort(-full, kind="stable")[:12])
     assert np.array_equal(ub, _depth_upper_bounds(pts, pts, np.ones(len(pts))))
+    U = _prune_directions(pts, np.ones(len(pts)))
+    assert tab.pts is pts and np.array_equal(tab.U, U)
+    assert np.array_equal(tab.ps, np.sort(U @ pts.T, axis=1))
+    assert np.array_equal(tab.cum, np.tile(np.arange(len(pts) + 1.0), (len(U), 1)))
     known = ~np.isnan(vals)
     assert np.array_equal(vals[known], full[known])
     assert np.all(full[~known] < full[top[-1]] - 1e-12)
@@ -744,7 +778,7 @@ def test_bounds_along_witness_and_random_directions_are_sound():
         rand = gen.normal(size=(40, 2))
         for U in (np.column_stack([np.sin(angles), np.cos(angles)]),
                   rand / np.hypot(rand[:, 0], rand[:, 1])[:, None]):
-            assert np.all(_halfplane_bounds(pts, cand, w, U) >= exact - 1e-12)
+            assert np.all(_halfplane_bounds(_project(pts, w, U), cand) >= exact - 1e-12)
 
 
 @pytest.mark.parametrize("batch", [1, 200])
@@ -775,3 +809,79 @@ def test_lattice_searches_fit_one_batch_and_never_tighten(spy):
     for pts in boxes + _lattice_polygons(21, [12, 25, 40, 70, 120, 200, 340, 400]):
         _pruned_lex_best(pts, pts)
     assert len(bounds) == len(prune) == 10
+
+
+# ---------------------------------------------------------------------------
+# screening candidates against the best known depth
+
+def _known(pts, w, K):
+    # what _topk_indices passes on, for any weights
+    tab = _project(pts, w, _prune_directions(pts, w))
+    ub = _halfplane_bounds(tab, pts)
+    return cp_mod._deepest_depths(pts, pts, w, K, np.full(len(pts), np.nan), ub), ub, tab
+
+
+@pytest.mark.parametrize("K", [1, 3, 12])
+def test_screened_candidates_lie_below_the_floor_and_search_matches_brute_force(monkeypatch, K):
+    screens = _returns(monkeypatch, "_slab_screen")
+    screened = 0
+    for pts, cand, w in _bound_and_search_cases() + _lattice_and_duplicate_cases():
+        if len(cand) == len(pts):   # lattice polygons: add the midpoints of neighbours
+            cand = np.vstack([pts, (pts[:-1] + pts[1:]) / 2.0])
+        known = _known(pts, w, K)
+        tab = known[2]
+        floor = np.nanmax(known[0]) - 1e-12
+        extra = cand[len(pts):]
+        exact = depth_mod._sweep_counting_min_batch(extra, pts, w)[0] / w.sum()
+        full = _halfplane_bounds(tab, extra)
+        screens.clear()
+        ub = _halfplane_bounds(tab, extra, floor)
+        (live, low), = screens
+        # a screened candidate is one whose bound falls below the floor, and
+        # its recorded bound is sound; the others keep their full bounds
+        assert np.array_equal(live, full >= floor)
+        assert np.all(exact[~live] < floor) and np.all(ub[~live] >= exact[~live])
+        assert np.all(ub[~live] == low) and low < floor
+        assert np.array_equal(ub[live], full[live])
+        screened += np.count_nonzero(~live)
+        assert _pruned_lex_best(pts, cand, w, known) == _brute_lex_best(pts, cand, w)
+    assert screened > 0
+
+
+def test_screen_edge_floors():
+    # a floor <= 0 screens nothing; a floor above every bound screens all
+    pts, cand, w = _bound_and_search_cases()[0]
+    tab = _project(pts, w, _prune_directions(pts, w))
+    full = _halfplane_bounds(tab, cand[len(pts):])
+    cu = tab.U @ cand[len(pts):].T
+    for floor in (0.0, -0.25):
+        assert np.array_equal(_halfplane_bounds(tab, cand[len(pts):], floor), full)
+        assert cp_mod._slab_screen(tab, cu, 1e-9, floor)[0].all()
+    floor = full.max() + 1e-9
+    live, low = cp_mod._slab_screen(tab, cu, 1e-9, floor)
+    assert not live.any() and full.max() <= low < floor
+    assert np.all(_halfplane_bounds(tab, cand[len(pts):], floor) == low)
+
+
+@pytest.mark.parametrize("w, floor, lo_stat, hi_stat, low", [
+    (np.ones(25), 0.19, 4.0, 20.0, 4.0 / 25.0),
+    (np.ones(25), 5.0 / 25.0, 4.0, 20.0, 4.0 / 25.0),   # a floor equal to a share
+    (np.r_[np.full(5, 2.0), np.ones(20)], 0.25, 3.0, 17.0, 7.0 / 30.0)])
+def test_screen_keeps_candidates_exactly_at_the_padded_slab_ends(monkeypatch, w, floor,
+                                                                 lo_stat, hi_stat, low):
+    # one direction, (0, 1), so a projection is the y coordinate exactly; the
+    # sample's y values are 0..24, so the order statistics are integers
+    screens = _returns(monkeypatch, "_slab_screen")
+    pts = np.array([[i % 5, i] for i in range(25)], dtype=float)
+    tab = _project(pts, w, np.array([[0.0, 1.0]]))
+    pad = 1e-9 * 24.0   # the membership pad: 1e-9 times the largest |coordinate|
+    lo, hi = lo_stat - pad, hi_stat + pad
+    assert lo + pad == lo_stat and hi - pad == hi_stat
+    ys = [lo, np.nextafter(lo, -np.inf), lo_stat, lo_stat - 2.0 * pad,
+          hi, np.nextafter(hi, np.inf), hi_stat, hi_stat + 2.0 * pad]
+    cand = np.column_stack([np.full(len(ys), 2.0), ys])
+    ub = _halfplane_bounds(tab, cand, floor)
+    (live, got_low), = screens
+    assert live.tolist() == [True, False, True, False, True, False, True, False]
+    assert got_low == low and np.all(ub[~live] == low)
+    assert np.all(ub[live] >= floor)
