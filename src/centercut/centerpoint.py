@@ -4,9 +4,9 @@ constraint set.
 Five routes: Monte Carlo sampling with exact maximization over an enriched
 candidate set, exhaustive exact search over 2D lattice points, an exact
 per-fiber candidate-set search for n=1, d=1 mixed measures, a width-based
-recursion for mixed-integer sets, and the centroid witness for continuous
-sets. Every returned point satisfies its constraint set exactly (integer
-blocks are exact integers).
+recursion for mixed-integer sets, and the exact centroid witness for
+continuous sets. Every returned point satisfies its constraint set exactly
+(integer blocks are exact integers).
 """
 from __future__ import annotations
 
@@ -108,26 +108,15 @@ def _lex_best(candidates, values, tol=1e-12):
 # centroid witness
 
 def centroid(m: UniformPolytope) -> np.ndarray:
-    """Centroid of support . region: exact in dimensions 1 and 2 (fan
-    triangulation); higher dimensions use a seeded 200k-sample mean and the
-    result is an estimate."""
+    """Exact centroid of support . region: the interval midpoint in 1D, the
+    fanned polygon centroid in 2D, and in 3D the one the measure computed
+    with its volume (``geom.volume_centroid_3d``)."""
     if m.dim == 1:
         lo, hi = m._interval
         return np.array([(lo + hi) / 2.0])
     if m.dim == 2:
-        verts = m.region_vertices()
-        if len(verts) < 3:
-            raise EmptyRegion("degenerate region has no 2D centroid")
-        p0 = verts[0]
-        acc = np.zeros(2)
-        area = 0.0
-        for i in range(1, len(verts) - 1):
-            a = geom.shoelace_area(np.array([p0, verts[i], verts[i + 1]]))
-            acc += a * (p0 + verts[i] + verts[i + 1]) / 3.0
-            area += a
-        return acc / area
-    pts = m.sample(RngState(0), 200_000)
-    return pts.mean(axis=0)
+        return geom.polygon_centroid(m.region_vertices())
+    return m._centroid.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +304,10 @@ def _depth_upper_bounds(pts, cand, w):
     return _halfplane_bounds(_project(pts, w, _prune_directions(pts, w)), cand)
 
 
-def _deepest_depths(pts, cand, w, K, vals, ub):
+def _deepest_depths(pts, cand, w, K, vals, ub, angles):
     """Fill the NaN entries of ``vals`` with exact depths of ``cand`` under
-    the weights ``w`` on ``pts``, only where the upper bounds ``ub`` (from
+    the weights ``w`` on ``pts``, and the same entries of ``angles`` with the
+    kernel's minimizing angles, only where the upper bounds ``ub`` (from
     ``_halfplane_bounds``) and the bounds tightened below cannot rule a
     candidate out, so every entry left NaN lies more than 1e-12 below the
     K-th largest value. ``ub`` itself is left unchanged.
@@ -358,14 +348,14 @@ def _deepest_depths(pts, cand, w, K, vals, ub):
             if n_take > rows:
                 n_take, probe, tighten = probe, min(2 * probe, rows), True
         take = order[:n_take]
-        got, angles = depth_mod._sweep_counting_min_batch(cand[take], pts, w)
+        got, angles[take] = depth_mod._sweep_counting_min_batch(cand[take], pts, w)
         got /= total
         vals[take] = got
         top = np.sort(np.concatenate([top, got]))[-K:]
         order, neg_ub = order[n_take:], neg_ub[n_take:]
         if tighten:
             end = int(np.searchsorted(neg_ub, 1e-12 - top[0], side="right"))
-            U = np.column_stack([np.sin(angles), np.cos(angles)])
+            U = np.column_stack([np.sin(angles[take]), np.cos(angles[take])])
             neg = np.maximum(neg_ub[:end], -_halfplane_bounds(_project(pts, w, U),
                                                               cand[order[:end]]))
             keep = np.flatnonzero(neg <= 1e-12 - top[0])
@@ -379,54 +369,59 @@ def _topk_indices(pts, K):
     ascending, exactly as a full stable argsort would pick them. The sample
     is projected and sorted once, along ``_prune_directions``, into a
     ``_Projections`` table that bounds every point. Returns (indices, values
-    with NaN where the depth was never needed, the upper bounds of every
-    point, the table), the last three ready to pass on as
-    ``_pruned_lex_best``'s ``known``."""
+    and the kernel's minimizing angles, both NaN where the depth was never
+    needed, the upper bounds of every point, the table), the last four
+    ready to pass on as ``_pruned_lex_best``'s ``known``."""
     pts = np.asarray(pts, dtype=float)
     w = np.ones(len(pts))
     tab = _project(pts, w, _prune_directions(pts, w))
     ub = _halfplane_bounds(tab, pts)
-    vals = _deepest_depths(pts, pts, w, K, np.full(len(pts), np.nan), ub)
+    angles = np.full(len(pts), np.nan)
+    vals = _deepest_depths(pts, pts, w, K, np.full(len(pts), np.nan), ub, angles)
     filled = np.flatnonzero(~np.isnan(vals))
     top = filled[np.lexsort((filled, -vals[filled]))][:K]
-    return top, vals, ub, tab
+    return top, vals, angles, ub, tab
 
 
 def _pruned_lex_best(pts, cand, weights=None, known=None):
-    """Index and exact depth of the deepest point of ``cand`` under the
-    weights on ``pts`` (unit weights when None), lexicographically smallest
-    among values within 1e-12 of the best, as _lex_best over every exact
-    depth would pick it. The one deepest-point search over a finite set:
-    2D points run the pruned batch search; other dimensions evaluate
-    ``depth_finite`` at every candidate.
+    """Index and exact ``DepthResult`` of the deepest point of ``cand``
+    under the weights on ``pts`` (unit weights when None), lexicographically
+    smallest among values within 1e-12 of the best, as _lex_best over every
+    exact depth would pick it. The one deepest-point search over a finite
+    set: 2D points run the pruned batch search, and the winner's own kernel
+    row gives its value and witness, as ``depth_finite`` would; other
+    dimensions evaluate ``depth_finite`` at every candidate.
 
-    ``known`` optionally carries (exact values, NaN where unknown; upper
-    bounds) for a prefix of cand, and a ``_Projections`` table of the same
-    weighted ``pts``, as ``_topk_indices`` returns them. The search can only
-    end at or above the best known value, so the rest of cand is screened
-    against that value minus 1e-12 from the table, without sorting the
-    sample again: only the candidates inside every slab get full bounds.
+    ``known`` optionally carries (exact values and minimizing angles, NaN
+    where unknown; upper bounds) for a prefix of cand, and a
+    ``_Projections`` table of the same weighted ``pts``, as
+    ``_topk_indices`` returns them. The search can only end at or above the
+    best known value, so the rest of cand is screened against that value
+    minus 1e-12 from the table, without sorting the sample again: only the
+    candidates inside every slab get full bounds.
     """
     pts = np.asarray(pts, dtype=float)
     cand = np.asarray(cand, dtype=float)
     w = np.ones(len(pts)) if weights is None else np.asarray(weights, dtype=float)
     if pts.shape[1] != 2:
-        vals = np.array([depth_finite(pts, c, w).value for c in cand])
-        k = _lex_best(cand, vals)
-        return k, float(vals[k])
+        res = [depth_finite(pts, c, w) for c in cand]
+        k = _lex_best(cand, [r.value for r in res])
+        return k, res[k]
     vals = np.full(len(cand), np.nan)
+    angles = np.full(len(cand), np.nan)
     if known is None:
         ub = _depth_upper_bounds(pts, cand, w)
     else:
-        known_vals, known_ub, tab = known
+        known_vals, known_angles, known_ub, tab = known
         vals[:len(known_vals)] = known_vals
+        angles[:len(known_angles)] = known_angles
         # the search below starts its threshold at the best known value
         floor = float(np.nanmax(known_vals)) - 1e-12
         ub = np.concatenate([known_ub, _halfplane_bounds(tab, cand[len(known_ub):], floor)])
-    vals = _deepest_depths(pts, cand, w, 1, vals, ub)
+    vals = _deepest_depths(pts, cand, w, 1, vals, ub, angles)
     filled = np.flatnonzero(~np.isnan(vals))
     k = int(filled[_lex_best(cand[filled], vals[filled])])
-    return k, float(vals[k])
+    return k, depth_mod._result(vals[k], angles[k], True, 0.0)
 
 
 def _lattice_candidates(m: Measure, cap):
@@ -483,10 +478,9 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
         cand = _lattice_candidates(m, candidate_cap)
     else:
         cand = _mixed_candidates(m, pts, candidate_cap)
-    k, _val = _pruned_lex_best(pts, cand, known=known)
-    best = cand[k].copy()   # a view would keep the whole candidate array alive
-    res = depth_finite(pts, best)
-    return CenterpointResult(best, res, "mc", N, guarantee)
+    k, res = _pruned_lex_best(pts, cand, known=known)
+    # a view would keep the whole candidate array alive
+    return CenterpointResult(cand[k].copy(), res, "mc", N, guarantee)
 
 
 def _mixed_candidates(m: MixedInteger, pts, cap):
@@ -519,7 +513,7 @@ def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
     if m.dim != 2:
         raise DimensionTooLarge(f"exact lattice centerpoint is 2D only, got {m.dim}")
     pts = m.active_points()
-    k, _val = _pruned_lex_best(pts, pts)
+    k, _res = _pruned_lex_best(pts, pts)
     point = pts[k].copy()
     return CenterpointResult(point, min_direction_2d(m, point), "exact2d-int", 0,
                              depth_guarantee(ConstraintSet.lattice(2)))
@@ -645,10 +639,10 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
     """Width-based recursion for mixed sets (n <= 2, d = 1).
 
     Wide integer projection (lattice width > omega_bar): take the continuous
-    relaxation's centroid and round to the nearest fiber point. Narrow: slice
-    along the flatness direction, recurse per fiber (base case n=0 returns
-    the slice midpoint), then return the best point of the finite auxiliary
-    measure weighted by fiber masses.
+    relaxation's exact centroid (``centroid``, in 2D or 3D) and round to the
+    nearest fiber point. Narrow: slice along the flatness direction, recurse
+    per fiber (base case n=0 returns the slice midpoint), then return the
+    best point of the finite auxiliary measure weighted by fiber masses.
 
     The returned depth is exact for n=1 (``min_direction_2d``). For n=2 it
     is ``depth_sampled`` over 2000 directions: an upper bound on the true
@@ -669,10 +663,8 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
     proj = _project_vertices(P, [0, 1])
     width, u = geom.lattice_width_2d(Polytope.from_vertices_2d(proj))
     if width > omega_bar:
-        pts = UniformPolytope(P).sample(RngState(0), 100_000)
-        c = pts.mean(axis=0)
-        z = np.round(c[:2])
-        point = _slice_point(m, z, c)
+        c = centroid(UniformPolytope(P))
+        point = _slice_point(m, np.round(c[:2]), c)
     else:
         point = _narrow_recursion(P, m, u, omega_bar)
     res = depth_mod.depth_sampled(m, point, 2000, RngState(0))

@@ -379,8 +379,8 @@ def _pyify(x):
 
 def _depth_at(m, x, rng):
     """Exact depth for 2D measures, for counting measures (finite and
-    lattice) in 1D and 3D and for 1D uniform measures; a 2000-direction
-    sampled bound otherwise.
+    lattice) in 1D and 3D and for 1D uniform measures; otherwise the least
+    exact mass over 2000 sampled directions, an upper bound.
 
     The depth of x in the interval [lo, hi] is the lighter of the lengths
     on either side of x over hi - lo, 0 outside; the witness is the unit

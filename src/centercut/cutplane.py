@@ -17,6 +17,7 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from . import depth as depth_mod
+from . import geom
 from .centerpoint import (ConstraintSet, _pruned_lex_best,
                           centerpoint_lattice_measure, centerpoint_mixed_2d,
                           centroid, depth_guarantee)
@@ -155,10 +156,9 @@ def _pick_centerpoint(m: Measure, rng: RngState, i: int):
         r = centerpoint_lattice_measure(m)
         return r.point, r.depth.value
     if isinstance(m, UniformPolytope):
-        if m.dim == 1:
-            lo, hi = m._interval
-            return np.array([(lo + hi) / 2.0]), 0.5
         c = centroid(m)
+        if m.dim == 1:
+            return c, 0.5
         if m.dim == 2:
             return c, min_direction_2d(m, c).value
         return c, depth_mod.depth_sampled(m, c, 500, rng.child(i)).value
@@ -170,14 +170,22 @@ def _pick_centerpoint(m: Measure, rng: RngState, i: int):
         return c, depth_mod.depth_sampled(m, c, 500, rng.child(i)).value
     # finite point masses and 1D/3D lattices: the deepest support point
     pts = m.active_points().astype(float)
-    k, val = _pruned_lex_best(pts, pts, m.active_weights())
-    return pts[k].copy(), val
+    k, res = _pruned_lex_best(pts, pts, m.active_weights())
+    return pts[k].copy(), res.value
 
 
 def _mixed_mean(m: MixedInteger) -> np.ndarray:
-    pts = m.sample(RngState(7), 4000)
-    mean = pts.mean(axis=0)
+    """The mean of the measure, the volume-weighted mean of its fiber
+    centroids (interval midpoints for d = 1, polygon centroids for d = 2),
+    moved to the fiber nearest in the integer block, and clamped into that
+    fiber for d = 1."""
     zs = np.array([z for z, _p, _v in m.fibers], dtype=float)
+    vols = np.array([v for _z, _p, v in m.fibers])
+    if m.d == 1:
+        cs = ((m._lo + m._hi) / 2.0)[:, None]
+    else:
+        cs = np.array([geom.polygon_centroid(p) for _z, p, _v in m.fibers])
+    mean = vols @ np.hstack([zs, cs]) / vols.sum()
     k = int(np.argmin(np.abs(zs - mean[:m.n]).sum(axis=1)))
     z, payload, _v = m.fibers[k]
     out = np.concatenate([np.asarray(z, dtype=float), mean[m.n:]])
@@ -243,13 +251,6 @@ class SolveReport:
     bound_comparison: tuple
 
 
-def _mass_stopped(m: Measure, delta: float) -> bool:
-    # Monte Carlo masses stop conservatively: estimate + 3*SE must clear delta
-    if getattr(m, "mass_exact", True):
-        return m.total_mass <= delta
-    return m.total_mass + 3.0 * getattr(m, "mass_stderr", 0.0) <= delta
-
-
 def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
           strategy=Centerpoint(), budget: int = DEFAULT_BUDGET,
           rng: RngState | None = None) -> SolveReport:
@@ -272,7 +273,7 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
     stop = None
     upper = _upper_bound_or_none(S, strategy, V, delta)
 
-    if _mass_stopped(m, delta):
+    if m.total_mass <= delta:
         stop = "mass_below_delta"
     calls_start = o.call_count
     while stop is None:
@@ -308,7 +309,7 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
         if mass <= MASS_TOL:
             stop = "empty_region"
             break
-        if _mass_stopped(m, delta):
+        if m.total_mass <= delta:
             stop = "mass_below_delta"
             break
 

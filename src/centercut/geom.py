@@ -2,8 +2,9 @@
 
 Directions, halfspaces and H-representation polytopes, plus the handful of
 exact primitives everything else is built on: polygon clipping, planar convex
-hulls, signed areas, batched brute-force vertex enumeration (dimension <= 3),
-bounded lattice point enumeration, and 2D lattice width.
+hulls, signed areas and centroids, batched brute-force vertex enumeration
+(dimension <= 3), 3D volumes and centroids from it, bounded lattice point
+enumeration, and 2D lattice width.
 
 Halfspaces are written ``{y : normal . y >= offset}`` with a unit normal.
 Serialized constraint rows use the opposite convention ``a . x <= b`` (one
@@ -18,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (BudgetExceeded, DimensionTooLarge, Infeasible, MalformedPolygon,
                      Unbounded)
@@ -347,6 +349,19 @@ def shoelace_area(verts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def polygon_centroid(verts: np.ndarray) -> np.ndarray:
+    """Centroid of a vertex cycle of nonzero area: the area-weighted mean of
+    the triangles fanned from its first vertex."""
+    p0 = verts[0]
+    acc = np.zeros(2)
+    area = 0.0
+    for i in range(1, len(verts) - 1):
+        a = shoelace_area(np.array([p0, verts[i], verts[i + 1]]))
+        acc += a * (p0 + verts[i] + verts[i + 1]) / 3.0
+        area += a
+    return acc / area
+
+
 def canonical_polygon(verts: np.ndarray, tol: float = EPS) -> np.ndarray:
     """Dedupe, orient CCW, and start at the lexicographically smallest vertex."""
     v = np.atleast_2d(np.asarray(verts, dtype=float)).reshape(-1, 2)
@@ -509,6 +524,31 @@ def _basic_solutions(A: np.ndarray, b: np.ndarray, tol: float):
     P = np.matmul(A, X[:, :, None])[:, :, 0]
     feasible = np.all(P >= b - tol, axis=1)
     return X[feasible], P[feasible]
+
+
+def volume_centroid_3d(A: np.ndarray, b: np.ndarray):
+    """Volume, centroid and vertices of the bounded 3D set ``{y : A y >= b}``.
+
+    The vertices are the ``_basic_solutions`` within EPS * max(1, max |b|),
+    the tolerance of the mixed measures' polygon slices. The boundary
+    triangles of their convex hull, fanned to the mean of the vertices, cut
+    the set into tetrahedra: its volume is the sum of theirs, and its
+    centroid the volume-weighted mean of their centroids. Fewer than four
+    vertices, or an affinely flat set of them, give volume 0 and centroid
+    None.
+    """
+    pts, _ = _basic_solutions(A, b, EPS * max(1.0, float(np.max(np.abs(b), initial=0.0))))
+    if len(pts) < 4:
+        return 0.0, None, pts
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:   # a flat vertex set
+        return 0.0, None, pts
+    c = pts.mean(axis=0)
+    T = pts[hull.simplices] - c
+    vols = np.abs(np.linalg.det(T)) / 6.0
+    volume = float(vols.sum())
+    return volume, c + (vols @ T.sum(axis=1)) / (4.0 * volume), pts[hull.vertices]
 
 
 def enumerate_vertices(poly: Polytope) -> np.ndarray:

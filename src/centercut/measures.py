@@ -4,13 +4,11 @@ Four families share one contract: exact halfspace mass in low dimension,
 restriction by halfspace cuts with open-cut bookkeeping (so the mass of the
 open region is what gets tracked), and deterministic seeded sampling.
 
-Masses handed back are :class:`MassEstimate` values; the ``exact`` flag is
-False exactly when a Monte Carlo path was used, in which case ``stderr``
-carries the reported standard error. The only such path is the uniform
-measure in dimension 3: every other family and dimension is exact, since
-the low-dimensional geometry (vertex enumeration, interval clips, polygon
-clipping) comes from :mod:`centercut.geom`. Rejection sampling runs through
-one loop, ``_rejection_sample``.
+Masses handed back are :class:`MassEstimate` values, and every one is
+exact: the low-dimensional geometry (interval clips, polygon clipping, 3D
+volumes from vertex enumeration) comes from :mod:`centercut.geom`, and no
+mass is estimated from samples. Rejection sampling runs through one loop,
+``_rejection_sample``.
 """
 from __future__ import annotations
 
@@ -25,18 +23,15 @@ from .errors import DimensionTooLarge, EmptyRegion, RejectionStall
 from .geom import Halfspace, Polytope
 
 MASS_TOL = 1e-12          # zero-mass threshold for volume-backed families
-MC_DEFAULT_SAMPLES = 20_000
 _STALL_PROPOSALS = 1_000_000
 _STALL_RATE = 1e-6
 
 
 @dataclass(frozen=True)
 class MassEstimate:
-    """A mass value in [0, 1]; ``exact`` is False on Monte Carlo paths."""
+    """A normalized mass in [0, 1], computed exactly."""
 
     value: float
-    exact: bool = True
-    stderr: float = 0.0
 
     def __float__(self) -> float:
         return self.value
@@ -73,15 +68,12 @@ class Measure:
     def __init__(self, region=()):
         self.region = tuple(region)
         self.total_mass = 0.0   # unnormalized mass of support . region
-        self.mass_exact = True
-        self.mass_stderr = 0.0
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
-    def halfspace_mass(self, h: Halfspace, rng: RngState | None = None,
-                       mc_samples: int = MC_DEFAULT_SAMPLES) -> MassEstimate:
+    def halfspace_mass(self, h: Halfspace) -> MassEstimate:
         raise NotImplementedError
 
     def restrict(self, cuts) -> "Measure":
@@ -127,7 +119,7 @@ class FinitePointMass(Measure):
     def active_weights(self) -> np.ndarray:
         return self.weights[self._active]
 
-    def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
+    def halfspace_mass(self, h) -> MassEstimate:
         mask = self._active & h.contains(self.points)
         v = float(self.weights[mask].sum()) / self.total_mass
         return MassEstimate(min(max(v, 0.0), 1.0))
@@ -170,7 +162,7 @@ class LatticeCounting(Measure):
     def active_weights(self) -> np.ndarray:
         return np.ones(len(self._points))
 
-    def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
+    def halfspace_mass(self, h) -> MassEstimate:
         inside = h.contains(self._points)
         return MassEstimate(float(inside.sum()) / self.total_mass)
 
@@ -198,21 +190,18 @@ def _interval_from_halfspaces(items) -> tuple[float, float]:
 
 
 class UniformPolytope(Measure):
-    """Uniform (Lebesgue) measure on a bounded polytope.
-
-    Dimensions 1 and 2 are exact (interval arithmetic / polygon clipping);
-    dimension 3 falls back to Monte Carlo with reported standard error, and
-    higher dimensions raise DimensionTooLarge from the vertex enumeration.
+    """Uniform (Lebesgue) measure on a bounded polytope, exact in every
+    dimension it supports: interval arithmetic in 1D, polygon clipping in
+    2D, and in 3D ``geom.volume_centroid_3d`` on the polytope's rows plus
+    the region's, which also gives the region's vertices and centroid.
+    Higher dimensions raise DimensionTooLarge.
     """
 
     family = "uniform_polytope"
 
-    def __init__(self, polytope: Polytope, region=(), rng: RngState | None = None,
-                 mc_samples: int = MC_DEFAULT_SAMPLES):
+    def __init__(self, polytope: Polytope, region=()):
         super().__init__(region)
         self.polytope = polytope
-        self.mass_exact = True
-        self.mass_stderr = 0.0
         d = polytope.dim
         if d == 1:
             v = polytope.vertices().ravel()
@@ -227,18 +216,14 @@ class UniformPolytope(Measure):
                 verts = geom.clip_polygon_vertices(verts, c.n, c.offset)
             self._verts = verts
             self.total_mass = abs(geom.shoelace_area(verts))
+        elif d == 3:
+            rows = polytope.constraints + self.region
+            self._A = np.array([h.n for h in rows])
+            self._b = np.array([h.offset for h in rows])
+            self.total_mass, self._centroid, self._verts = geom.volume_centroid_3d(
+                self._A, self._b)
         else:
-            self.mass_exact = False
-            lo, hi = polytope.bounding_box()
-            self._bbox = (lo, hi)
-            r = rng if rng is not None else RngState(0)
-            gen = r.generator()
-            pts = gen.uniform(lo, hi, size=(mc_samples, d))
-            ok = polytope.contains(pts) & _cut_mask(pts, self.region)
-            frac = float(ok.mean())
-            boxvol = float(np.prod(hi - lo))
-            self.total_mass = frac * boxvol
-            self.mass_stderr = math.sqrt(frac * (1.0 - frac) / mc_samples) * boxvol
+            raise DimensionTooLarge(f"uniform measures support dimension <= 3, got {d}")
         self._check_nonempty()
 
     @property
@@ -246,12 +231,13 @@ class UniformPolytope(Measure):
         return self.polytope.dim
 
     def region_vertices(self) -> np.ndarray:
-        """Vertex cycle of support . region (2D only)."""
-        if self.polytope.dim != 2:
-            raise ValueError("region_vertices is 2D only")
+        """Vertices of support . region: a vertex cycle in 2D, the vertices
+        of its convex hull in 3D."""
+        if self.polytope.dim == 1:
+            raise ValueError("region_vertices needs dimension 2 or 3")
         return self._verts
 
-    def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
+    def halfspace_mass(self, h) -> MassEstimate:
         d = self.polytope.dim
         if d == 1:
             lo, hi = self._interval
@@ -259,34 +245,26 @@ class UniformPolytope(Measure):
                                                 (float(h.n[0]), h.offset)])
             return MassEstimate(min(max(max(hi - lo, 0.0) / self.total_mass, 0.0), 1.0))
         if d == 2:
-            kept = geom.clip_polygon_vertices(self._verts, h.n, h.offset)
-            v = abs(geom.shoelace_area(kept)) / self.total_mass
-            return MassEstimate(min(max(v, 0.0), 1.0))
-        r = rng if rng is not None else RngState(0)
-        pts = self.sample(r, mc_samples)
-        inside = h.contains(pts)
-        p = float(inside.mean())
-        se = math.sqrt(max(p * (1.0 - p), 1e-12) / mc_samples)
-        return MassEstimate(p, exact=False, stderr=se)
+            kept = abs(geom.shoelace_area(geom.clip_polygon_vertices(self._verts, h.n,
+                                                                     h.offset)))
+        else:
+            kept = geom.volume_centroid_3d(np.vstack([self._A, h.n]),
+                                           np.append(self._b, h.offset))[0]
+        return MassEstimate(min(max(kept / self.total_mass, 0.0), 1.0))
 
     def restrict(self, cuts) -> "UniformPolytope":
         return UniformPolytope(self.polytope, self.region + tuple(cuts))
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
+        """Rejection draws from the bounding box of the region's vertices;
+        the interval itself in 1D."""
         gen = rng.generator()
-        d = self.polytope.dim
-        if d == 1:
+        if self.polytope.dim == 1:
             lo, hi = self._interval
             return (lo + gen.random(count) * (hi - lo)).reshape(-1, 1)
-        if d == 2:
-            if len(self._verts) < 3:
-                raise EmptyRegion("degenerate region cannot be sampled")
-            lo = self._verts.min(axis=0)
-            hi = self._verts.max(axis=0)
-        else:
-            lo, hi = self._bbox
+        verts = self.region_vertices()
         return _rejection_sample(
-            gen, lo, hi, count, 1024,
+            gen, verts.min(axis=0), verts.max(axis=0), count, 1024,
             lambda pts: self.polytope.contains(pts) & _cut_mask(pts, self.region))
 
 
@@ -418,7 +396,7 @@ class MixedInteger(Measure):
         kept = np.cumsum(kept, axis=1)[:, -1]   # sequential, unlike sum()
         return np.minimum(np.maximum(kept / self.total_mass, 0.0), 1.0)
 
-    def halfspace_mass(self, h, rng=None, mc_samples=MC_DEFAULT_SAMPLES) -> MassEstimate:
+    def halfspace_mass(self, h) -> MassEstimate:
         if self.d == 1:
             return MassEstimate(float(self.halfspace_masses(h.n, [h.offset], h.closed)[0]))
         cut = self._split_rows([(h.n, h.offset, h.closed)])
@@ -493,10 +471,9 @@ def _points_in_polygon(pts, verts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # module-level operations
 
-def halfspace_mass(m: Measure, h: Halfspace, rng: RngState | None = None,
-                   mc_samples: int = MC_DEFAULT_SAMPLES) -> MassEstimate:
+def halfspace_mass(m: Measure, h: Halfspace) -> MassEstimate:
     """Normalized mass of ``h`` intersected with the measure's region."""
-    return m.halfspace_mass(h, rng=rng, mc_samples=mc_samples)
+    return m.halfspace_mass(h)
 
 
 def restrict(m: Measure, cuts) -> Measure:

@@ -188,6 +188,27 @@ def test_mc_continuous_1d_and_3d():
     assert r3.depth.value >= max(depth_finite(pts, p).value for p in pts) - 1e-12
 
 
+@pytest.mark.parametrize("poly", [Polytope.from_box([0.0], [1.0]), TRIANGLE,
+                                  Polytope.from_box([0.0] * 3, [1.0, 2.0, 0.5])])
+def test_monte_carlo_result_is_the_searchs_own_depth(spy, poly):
+    # the winner's depth comes from the search itself: a 2D query makes no
+    # depth_finite call after its kernel rows, and 1D and 3D queries make
+    # one per candidate; the witness attains the value
+    calls = spy(cp_mod, "depth_finite")
+    m = UniformPolytope(poly)
+    res = centerpoint_monte_carlo(m, ConstraintSet.continuous(poly.dim), 0.2, 0.2,
+                                  RngState(4))
+    assert len(calls) == (0 if poly.dim == 2 else res.samples_used)
+    pts = m.sample(RngState(4), res.samples_used)
+    want = depth_finite(pts, res.point)
+    assert (res.depth.value, res.depth.exact, res.depth.gap) == (want.value, True, 0.0)
+    assert np.array_equal(res.depth.witness.coords, want.witness.coords)
+    rel = pts - res.point
+    scale = max(1.0, float(np.abs(rel).max()))
+    kept = np.count_nonzero(rel @ res.depth.witness.coords >= -1e-12 * scale) / len(pts)
+    assert kept == pytest.approx(res.depth.value, abs=1e-12)
+
+
 def test_mc_lattice_frozen():
     m = LatticeCounting(Polytope.from_box([0.0, 0.0], [4.0, 4.0]))
     res = centerpoint_monte_carlo(m, ConstraintSet.lattice(2), 0.2, 0.2,
@@ -569,8 +590,8 @@ def test_adapted_upper_bounds_are_sound_and_search_matches_brute_force():
         exact = depth_mod._sweep_counting_min_batch(cand, pts, w)[0] / w.sum()
         # weighted sums are taken in another order here than in the bound
         assert np.all(_depth_upper_bounds(pts, cand, w) >= exact - 1e-12)
-        k, val = _pruned_lex_best(pts, cand, w)
-        assert k == _lex_best(cand, exact) and val == exact[k]
+        k, res = _pruned_lex_best(pts, cand, w)
+        assert k == _lex_best(cand, exact) and res.value == exact[k]
 
 
 def _returns(monkeypatch, name):
@@ -691,9 +712,16 @@ def test_result_points_own_their_memory():
 # bound-driven batches of the deepest-point search
 
 def _brute_lex_best(pts, cand, w):
-    vals = np.array([depth_finite(pts, c, w).value for c in cand])
-    k = _lex_best(cand, vals)
-    return k, float(vals[k])
+    res = [depth_finite(pts, c, w) for c in cand]
+    k = _lex_best(cand, [r.value for r in res])
+    return k, res[k]
+
+
+def _same_pick(found, want):
+    """The same index, and the same depth value and witness, bit for bit."""
+    (k, a), (j, b) = found, want
+    return (k == j and (a.value, a.exact, a.gap) == (b.value, b.exact, b.gap)
+            and np.array_equal(a.witness.coords, b.witness.coords))
 
 
 def _lattice_polygons(seed, sizes):
@@ -714,9 +742,9 @@ def test_box_search_evaluates_only_the_tied_centers(spy, hi, max_rows):
     pts = LatticeCounting(Polytope.from_box([0.0, 0.0], hi)).active_points()
     w = np.ones(len(pts))
     calls = spy(depth_mod, "_sweep_counting_min_batch")
-    k, val = _pruned_lex_best(pts, pts)
+    found = _pruned_lex_best(pts, pts)
     assert _kernel_rows(calls) <= max_rows
-    assert (k, val) == _brute_lex_best(pts, pts, w)
+    assert _same_pick(found, _brute_lex_best(pts, pts, w))
 
 
 def _lattice_and_duplicate_cases():
@@ -735,7 +763,7 @@ def test_search_matches_brute_force_on_lattice_polygons_and_weighted_duplicates(
     cases = _lattice_and_duplicate_cases()
     assert min(len(c[0]) for c in cases) >= 10 and max(len(c[0]) for c in cases) >= 390
     for pts, cand, w in cases:
-        assert _pruned_lex_best(pts, cand, w) == _brute_lex_best(pts, cand, w)
+        assert _same_pick(_pruned_lex_best(pts, cand, w), _brute_lex_best(pts, cand, w))
     # a near tie: (0, 0) lies about 1e-13 below (1, 0), inside the 1e-12 tie
     # band, and its bound equals its depth, so the search must reach it
     pts = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 3.0]])
@@ -751,7 +779,7 @@ def _hexagon_samples(seed, count):
 
 def _assert_topk_matches_a_full_stable_argsort(pts):
     full = depth_mod._sweep_counting_min_batch(pts, pts, np.ones(len(pts)))[0] / len(pts)
-    top, vals, ub, tab = _topk_indices(pts, 12)
+    top, vals, angles, ub, tab = _topk_indices(pts, 12)
     assert np.array_equal(top, np.argsort(-full, kind="stable")[:12])
     assert np.array_equal(ub, _depth_upper_bounds(pts, pts, np.ones(len(pts))))
     U = _prune_directions(pts, np.ones(len(pts)))
@@ -761,6 +789,11 @@ def _assert_topk_matches_a_full_stable_argsort(pts):
     known = ~np.isnan(vals)
     assert np.array_equal(vals[known], full[known])
     assert np.all(full[~known] < full[top[-1]] - 1e-12)
+    # each evaluated row's angle is the witness depth_finite gives that point
+    assert np.array_equal(np.isnan(angles), ~known)
+    for i in np.flatnonzero(known):
+        assert np.array_equal(depth_mod._result(vals[i], angles[i], True, 0.0).witness.coords,
+                              depth_finite(pts, pts[i]).witness.coords)
 
 
 def test_topk_matches_a_full_stable_argsort():
@@ -790,10 +823,11 @@ def test_tightened_search_matches_brute_force(spy, monkeypatch, batch):
     prune = spy(cp_mod, "_depth_upper_bounds")
     cases = _bound_and_search_cases() + _lattice_and_duplicate_cases()
     for pts, cand, w in cases:
-        assert _pruned_lex_best(pts, cand, w) == _brute_lex_best(pts, cand, w)
+        assert _same_pick(_pruned_lex_best(pts, cand, w), _brute_lex_best(pts, cand, w))
         ub = _depth_upper_bounds(pts, cand, w)
         kept = ub.copy()   # the search tightens its own copy
-        cp_mod._deepest_depths(pts, cand, w, 1, np.full(len(cand), np.nan), ub)
+        cp_mod._deepest_depths(pts, cand, w, 1, np.full(len(cand), np.nan), ub,
+                               np.full(len(cand), np.nan))
         assert np.array_equal(ub, kept)
     assert len(bounds) > len(prune)
     _assert_topk_matches_a_full_stable_argsort(_hexagon_samples(1062, 300))
@@ -818,7 +852,9 @@ def _known(pts, w, K):
     # what _topk_indices passes on, for any weights
     tab = _project(pts, w, _prune_directions(pts, w))
     ub = _halfplane_bounds(tab, pts)
-    return cp_mod._deepest_depths(pts, pts, w, K, np.full(len(pts), np.nan), ub), ub, tab
+    angles = np.full(len(pts), np.nan)
+    vals = cp_mod._deepest_depths(pts, pts, w, K, np.full(len(pts), np.nan), ub, angles)
+    return vals, angles, ub, tab
 
 
 @pytest.mark.parametrize("K", [1, 3, 12])
@@ -829,7 +865,7 @@ def test_screened_candidates_lie_below_the_floor_and_search_matches_brute_force(
         if len(cand) == len(pts):   # lattice polygons: add the midpoints of neighbours
             cand = np.vstack([pts, (pts[:-1] + pts[1:]) / 2.0])
         known = _known(pts, w, K)
-        tab = known[2]
+        tab = known[3]
         floor = np.nanmax(known[0]) - 1e-12
         extra = cand[len(pts):]
         exact = depth_mod._sweep_counting_min_batch(extra, pts, w)[0] / w.sum()
@@ -844,7 +880,8 @@ def test_screened_candidates_lie_below_the_floor_and_search_matches_brute_force(
         assert np.all(ub[~live] == low) and low < floor
         assert np.array_equal(ub[live], full[live])
         screened += np.count_nonzero(~live)
-        assert _pruned_lex_best(pts, cand, w, known) == _brute_lex_best(pts, cand, w)
+        assert _same_pick(_pruned_lex_best(pts, cand, w, known),
+                          _brute_lex_best(pts, cand, w))
     assert screened > 0
 
 

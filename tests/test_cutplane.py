@@ -12,7 +12,7 @@ from centercut.centerpoint import ConstraintSet, _lex_best
 from centercut import geom
 from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
                                 ConvexQuadratic, RandomFeasible, Sum,
-                                _pick_centerpoint, epigraph_cut, evaluate, iteration_upper_bound,
+                                _mixed_mean, _pick_centerpoint, epigraph_cut, evaluate, iteration_upper_bound,
                                 mixed_gap_bound, solve, unit_ball_volume)
 from centercut.depth import depth_finite
 from centercut.errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
@@ -257,6 +257,46 @@ def test_3d_lattice_pick_on_the_box():
     point, value = _pick_centerpoint(m, RngState(0), 0)
     assert point.tolist() == [2.0, 2.0, 2.0]
     assert value == 63.0 / 125.0
+
+
+def test_3d_uniform_solve_is_deterministic_and_stops_on_the_exact_mass():
+    # every mass is exact, so two runs agree bit for bit, the run stops on
+    # the first region of volume <= delta, and every pick, taken at the exact
+    # centroid, is at least as deep as Grunbaum's floor (3/4)^3
+    nu = UniformPolytope(Polytope.from_box([0.0] * 3, [1.0] * 3))
+    E0 = Box(np.zeros(3), np.ones(3))
+    o = ConvexQuadratic(np.diag([1.0, 2.0, 0.5]), np.array([0.3, 0.6, 0.2]))
+    reps = [solve(o, ConstraintSet.continuous(3), nu, E0, delta=0.2) for _ in range(2)]
+    a, b = reps
+    assert a.stop_reason == "mass_below_delta"
+    assert len(a.iteration_trace) == len(b.iteration_trace) >= 2
+    for ra, rb in zip(a.iteration_trace, b.iteration_trace):
+        assert np.array_equal(ra.point, rb.point)
+        assert (ra.value, ra.mass_after, ra.depth) == (rb.value, rb.mass_after, rb.depth)
+        assert ra.depth >= 27.0 / 64.0 - 1e-12
+    masses = [r.mass_after for r in a.iteration_trace]
+    assert masses[-1] <= 0.2 < min(masses[:-1])
+
+
+def test_mixed_mean_is_the_exact_fiber_weighted_mean():
+    # n = 1, d = 2 on [0, 3] x [0, 1]^2: four unit squares, mean (1.5, .5, .5),
+    # moved to the nearest fiber z = 1 (the first of the two tied)
+    cube = MixedInteger(Polytope.from_box([0.0] * 3, [3.0, 1.0, 1.0]), 1, 2)
+    assert _mixed_mean(cube) == pytest.approx([1.0, 0.5, 0.5], abs=1e-12)
+    # the triangle fibers of {x >= 0, y >= 0, z >= 0, x + y + z <= 2}: areas
+    # 2, 1/2, 0 (dropped) and centroids (2 - x)/3 in both coordinates
+    simplex = MixedInteger(Polytope.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
+                                               [1, 1, 1, 2]]), 1, 2)
+    want_c = (2.0 * 2.0 / 3.0 + 0.5 * 1.0 / 3.0) / 2.5
+    assert _mixed_mean(simplex) == pytest.approx([0.0, want_c, want_c], abs=1e-12)
+    # n = 1, d = 1 trapezoid: fiber z has [0, 1 + z], z = 0..2
+    trap = MixedInteger(Polytope.from_rows([[-1, 0, 0], [1, 0, 2], [0, -1, 0], [-1, 1, 1]]),
+                        1, 1)
+    lengths = np.array([1.0, 2.0, 3.0])
+    z = lengths @ [0.0, 1.0, 2.0] / lengths.sum()
+    y = lengths @ (lengths / 2.0) / lengths.sum()
+    assert z == pytest.approx(4.0 / 3.0)
+    assert _mixed_mean(trap) == pytest.approx([1.0, y], abs=1e-12)
 
 
 def test_solve_mixed_gap_bound():

@@ -468,3 +468,51 @@ def test_one_enumeration_makes_one_batched_solve(spy):
     assert len(enumerate_vertices(cube)) == 8
     assert len(solves) == 1 and len(dets) == 1
     assert solves[0][0].shape == (8, 3, 3)   # the nonsingular triples of six facets
+
+
+# ---------------------------------------------------------------------------
+# 3D volumes and centroids
+
+def _rows_3d(poly):
+    return (np.array([h.n for h in poly.constraints]),
+            np.array([h.offset for h in poly.constraints]))
+
+
+def _hull_polytope_3d(verts):
+    eq = ConvexHull(verts).equations   # n . x + c <= 0 inside
+    return Polytope.from_rows(np.c_[eq[:, :3], -eq[:, 3]])
+
+
+def test_volume_centroid_3d_of_boxes_and_simplices():
+    for lo, hi in (([0.0] * 3, [1.0] * 3), ([0.0] * 3, [4.0, 3.0, 2.0]),
+                   ([-2.0, 1.0, 5.0], [-1.5, 4.0, 5.25])):
+        vol, c, verts = geom_mod.volume_centroid_3d(*_rows_3d(Polytope.from_box(lo, hi)))
+        assert vol == pytest.approx(np.prod(np.subtract(hi, lo)), rel=1e-12)
+        assert c == pytest.approx((np.add(lo, hi)) / 2.0, abs=1e-12)
+        assert len(verts) == 8
+    gen = np.random.default_rng(33)
+    for _ in range(10):
+        v = gen.normal(size=(4, 3)) * 3.0
+        det = abs(np.linalg.det(v[1:] - v[0]))
+        vol, c, verts = geom_mod.volume_centroid_3d(*_rows_3d(_hull_polytope_3d(v)))
+        assert vol == pytest.approx(det / 6.0, rel=1e-9)
+        assert c == pytest.approx(v.mean(axis=0), abs=1e-9)
+        assert len(verts) == 4
+    # the unit cube below x + y + z = 1.5 is half of it, by symmetry
+    A, b = _rows_3d(Polytope.from_box([0.0] * 3, [1.0] * 3))
+    u = -np.ones(3) / np.sqrt(3.0)
+    vol, c, _ = geom_mod.volume_centroid_3d(np.vstack([A, u]), np.append(b, -1.5 / np.sqrt(3.0)))
+    assert vol == pytest.approx(0.5, abs=1e-12)
+    assert np.all(c < 0.5)
+
+
+def test_volume_centroid_3d_of_flat_and_empty_sets_is_zero():
+    A, b = _rows_3d(Polytope.from_box([0.0] * 3, [1.0] * 3))
+    x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    cases = [(x, [0.5, -0.5]),        # the square x = 1/2: flat
+             (x, [2.0, -3.0]),        # beyond the cube: empty
+             (np.array([[1.0, 1.0, 1.0]]) / np.sqrt(3.0), [np.sqrt(3.0)]),   # one corner
+             (np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0), [np.sqrt(2.0)])]   # one edge
+    for extra, off in cases:
+        vol, c, _ = geom_mod.volume_centroid_3d(np.vstack([A, extra]), np.append(b, off))
+        assert vol == 0.0 and c is None

@@ -2,8 +2,11 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from centercut import geom
+from centercut.centerpoint import centerpoint_lenstra_mixed, centroid
+from centercut.cutplane import _mixed_mean
 from centercut.errors import DimensionTooLarge, EmptyRegion, RejectionStall
 from centercut.geom import Halfspace, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MassEstimate,
@@ -19,9 +22,6 @@ STRIP = Polytope.from_box([0.0, 0.0], [2.0, 1.0])      # mixed: x1 integer
 def test_mass_estimate_float_protocol():
     e = MassEstimate(0.25)
     assert float(e) == 0.25
-    assert e.exact and e.stderr == 0.0
-    m = MassEstimate(0.5, exact=False, stderr=0.01)
-    assert not m.exact and m.stderr == 0.01
 
 
 def test_rng_state_determinism_and_children():
@@ -38,7 +38,6 @@ def test_rng_state_determinism_and_children():
 def test_uniform_square_halfspace_mass_half():
     m = UniformPolytope(UNIT_SQUARE)
     e = halfspace_mass(m, Halfspace.from_vector([1.0, 0.0], 0.5))
-    assert e.exact
     assert float(e) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -57,7 +56,6 @@ def test_lattice_grid_mass_six_ninths():
     m = LatticeCounting(SQUARE_2)
     assert m.total_mass == 9.0
     e = halfspace_mass(m, Halfspace.from_vector([1.0, 1.0], 2.0))
-    assert e.exact
     assert float(e) == pytest.approx(6.0 / 9.0, abs=0.0)
 
 
@@ -65,7 +63,6 @@ def test_mixed_strip_mass_two_thirds():
     m = MixedInteger(STRIP, n=1, d=1)
     assert len(m.fiber_slices()) == 3
     e = halfspace_mass(m, Halfspace.from_vector([1.0, 0.0], 1.0))
-    assert e.exact
     assert float(e) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
@@ -75,14 +72,11 @@ def test_mixed_two_continuous_coords_fibers_are_squares():
     assert [v for _z, _p, v in m.fiber_slices()] == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
-def test_mc_mass_path_reports_stderr():
+def test_uniform_cube_half_mass_is_exact():
     cube = Polytope.from_box([0.0] * 3, [1.0] * 3)
     m = UniformPolytope(cube)
-    e = m.halfspace_mass(Halfspace.from_vector([1.0, 0.0, 0.0], 0.5),
-                         rng=RngState(3))
-    assert not e.exact
-    assert e.stderr > 0.0
-    assert abs(float(e) - 0.5) <= 4.0 * e.stderr + 1e-3
+    e = m.halfspace_mass(Halfspace.from_vector([1.0, 0.0, 0.0], 0.5))
+    assert float(e) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_restrict_square_keeps_half_mass():
@@ -363,10 +357,7 @@ def test_samples_match_the_old_rejection_loops():
     cut = Halfspace.from_vector([1.0, 1.0], 1.0).as_open()
     pyramid = Polytope.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [1, 1, 1, 2]])
     for m in (UniformPolytope(tri), UniformPolytope(tri, (cut,)), UniformPolytope(pyramid)):
-        if m.dim == 2:
-            lo, hi = m.region_vertices().min(axis=0), m.region_vertices().max(axis=0)
-        else:
-            lo, hi = m._bbox
+        lo, hi = m.region_vertices().min(axis=0), m.region_vertices().max(axis=0)
         want = _rejection_loop(RngState(4).generator(), lo, hi, 3000, 1024,
                                lambda p: m.polytope.contains(p) & _cut_mask(p, m.region))
         assert np.array_equal(m.sample(RngState(4), 3000), want)
@@ -392,3 +383,108 @@ def test_samples_match_the_old_rejection_loops():
 def test_mixed_measure_above_dimension_three_raises(n, d):
     with pytest.raises(DimensionTooLarge):
         MixedInteger(Polytope.from_box(np.zeros(4), np.ones(4)), n, d)
+
+
+# ---------------------------------------------------------------------------
+# exact 3D uniform measures
+
+BOX_432 = Polytope.from_box([0.0] * 3, [4.0, 3.0, 2.0])
+
+
+def test_uniform_3d_masses_match_closed_forms():
+    m = UniformPolytope(BOX_432)
+    assert m.total_mass == pytest.approx(24.0, rel=1e-12)
+    for t in (0.5, 1.0, 3.7):
+        for closed in (True, False):
+            e = m.halfspace_mass(Halfspace.from_vector([1.0, 0.0, 0.0], t, closed))
+            assert float(e) == pytest.approx((4.0 - t) / 4.0, abs=1e-12)
+    for s in (0.5, 1.5, 2.0):   # the corner x + y + z <= s, s <= 2
+        e = m.halfspace_mass(Halfspace.from_vector([-1.0, -1.0, -1.0], -s))
+        assert float(e) == pytest.approx(s ** 3 / 6.0 / 24.0, abs=1e-12)
+    assert float(m.halfspace_mass(Halfspace.from_vector([0.0, 0.0, 1.0], 5.0))) == 0.0
+    assert float(m.halfspace_mass(Halfspace.from_vector([0.0, 0.0, 1.0], -1.0))) == 1.0
+    cube = UniformPolytope(Polytope.from_box([0.0] * 3, [1.0] * 3))
+    assert cube.total_mass == pytest.approx(1.0, rel=1e-12)
+    cut = Halfspace.from_vector([-1.0, -1.0, -1.0], -1.5)
+    assert cube.restrict([cut]).total_mass == pytest.approx(0.5, abs=1e-12)
+    assert float(cube.halfspace_mass(cut)) == pytest.approx(0.5, abs=1e-12)
+    half = cube.restrict([Halfspace.from_vector([1.0, 1.0, 0.0], 1.0)])
+    assert half.total_mass == pytest.approx(0.5, abs=1e-12)
+
+
+def _tetrahedron(v):
+    eq = ConvexHull(v).equations   # n . x + c <= 0 inside
+    return Polytope.from_rows(np.c_[eq[:, :3], -eq[:, 3]])
+
+
+def test_uniform_3d_centroid_of_a_tetrahedron_is_its_vertex_mean():
+    gen = np.random.default_rng(51)
+    for _ in range(8):
+        v = gen.uniform(-3.0, 3.0, size=(4, 3))
+        if abs(np.linalg.det(v[1:] - v[0])) < 0.5:
+            continue
+        m = UniformPolytope(_tetrahedron(v))
+        assert m.total_mass == pytest.approx(abs(np.linalg.det(v[1:] - v[0])) / 6.0,
+                                             rel=1e-9)
+        assert centroid(m) == pytest.approx(v.mean(axis=0), abs=1e-9)
+        got = m.region_vertices()
+        assert got[np.lexsort(got.T[::-1])] == pytest.approx(v[np.lexsort(v.T[::-1])],
+                                                               abs=1e-9)
+
+
+def test_uniform_3d_centroid_matches_a_sampled_mean():
+    gen = np.random.default_rng(52)
+    cuts = []
+    for _ in range(4):
+        u = gen.normal(size=3)
+        cuts.append(Halfspace.from_vector(u, float(u @ gen.uniform([1.5, 1.0, 0.6],
+                                                                   [2.5, 2.0, 1.4])) - 0.8))
+    m = UniformPolytope(BOX_432, tuple(cuts))
+    c = centroid(m)
+    pts = m.sample(RngState(5), 20_000)
+    assert np.all(m.polytope.contains(pts)) and np.all(_cut_mask(pts, m.region))
+    se = pts.std(axis=0) / np.sqrt(len(pts))
+    assert np.all(np.abs(pts.mean(axis=0) - c) <= 4.0 * se)
+    frac = m.total_mass / float(np.prod(pts.max(axis=0) - pts.min(axis=0)))
+    assert 0.0 < frac <= 1.0
+
+
+@pytest.mark.parametrize("side, mass", [(0.5, 0.125), (5.0, 125.0)])
+def test_small_region_of_a_large_box_is_exact_and_samples(side, mass):
+    # 20k box samples found no point of [0, 0.5]^3 in [0, 100]^3, and read
+    # [0, 5]^3 as 50 +- 50
+    big = Polytope.from_box([0.0] * 3, [100.0] * 3)
+    cuts = [Halfspace.from_vector(-np.eye(3)[i], -side, closed=False) for i in range(3)]
+    m = UniformPolytope(big, tuple(cuts))
+    assert m.total_mass == pytest.approx(mass, rel=1e-12)
+    assert centroid(m) == pytest.approx(np.full(3, side / 2.0), abs=1e-12)
+    pts = m.sample(RngState(1), 500)
+    assert pts.shape == (500, 3) and np.all(pts <= side) and np.all(pts >= 0.0)
+
+
+def test_flat_or_empty_3d_regions_raise():
+    cube = UniformPolytope(Polytope.from_box([0.0] * 3, [1.0] * 3))
+    flat = [Halfspace.from_vector([1.0, 0.0, 0.0], 0.5),
+            Halfspace.from_vector([-1.0, 0.0, 0.0], -0.5)]
+    beyond = [Halfspace.from_vector([1.0, 0.0, 0.0], 2.0)]
+    corner = [Halfspace.from_vector([1.0, 1.0, 1.0], 3.0)]
+    for cuts in (flat, beyond, corner):
+        with pytest.raises(EmptyRegion):
+            cube.restrict(cuts)
+
+
+def test_uniform_and_mixed_masses_and_centers_draw_no_samples(monkeypatch):
+    def refuse(self, rng, count):
+        raise AssertionError("a mass or center drew samples")
+
+    monkeypatch.setattr(UniformPolytope, "sample", refuse)
+    monkeypatch.setattr(MixedInteger, "sample", refuse)
+    cut = Halfspace.from_vector([1.0, 2.0, -1.0], 1.0)
+    m = UniformPolytope(BOX_432, (cut,))
+    m.restrict([Halfspace.from_vector([0.0, 1.0, 1.0], 1.0)])
+    m.halfspace_mass(Halfspace.from_vector([1.0, 1.0, 1.0], 3.0))
+    centroid(m)
+    _mixed_mean(MixedInteger(Polytope.from_box([0.0] * 3, [3.0, 1.0, 1.0]), 1, 2))
+    _mixed_mean(MixedInteger(STRIP, 1, 1))
+    centerpoint_lenstra_mixed(Polytope.from_box([0.0] * 3, [3.0, 3.0, 1.0]), 2, 1,
+                              omega_bar=2.0)
