@@ -392,6 +392,14 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
     row gives its value and witness, as ``depth_finite`` would; other
     dimensions evaluate ``depth_finite`` at every candidate.
 
+    Without ``known``, a set of at most ``_PRUNE_DIRS`` candidates that fits
+    in one kernel batch skips the bounds: the bound pass sorts the sample
+    along as many directions as it would take kernel rows to evaluate every
+    candidate, and the pruned search evaluates every candidate within 1e-12
+    of the best anyway, so both pick the same one. The row offsets of the
+    kernel's flat search then stay below 4*pi*16, where one ulp is far
+    under its 1e-12 slack, so the values and witness are the same too.
+
     ``known`` optionally carries (exact values and minimizing angles, NaN
     where unknown; upper bounds) for a prefix of cand, and a
     ``_Projections`` table of the same weighted ``pts``, as
@@ -407,6 +415,12 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
         res = [depth_finite(pts, c, w) for c in cand]
         k = _lex_best(cand, [r.value for r in res])
         return k, res[k]
+    if (known is None and len(cand) <= _PRUNE_DIRS
+            and len(cand) * len(pts) <= depth_mod._BATCH_ELEMENTS):
+        vals, angles = depth_mod._sweep_counting_min_batch(cand, pts, w)
+        vals /= float(w.sum())
+        k = _lex_best(cand, vals)
+        return k, depth_mod._result(vals[k], angles[k], True, 0.0)
     vals = np.full(len(cand), np.nan)
     angles = np.full(len(cand), np.nan)
     if known is None:

@@ -2,11 +2,14 @@
 
 Each iteration picks a strategy point inside the open region, queries the
 first-order oracle, and keeps only the epigraph halfspace
-``h_j . (x - x_j) <= best_value - value_j``. All cuts are re-tightened to the
-current best value every iteration (the tightest region the recorded queries
-support), the measure restricted to the start box is restricted by them anew,
-and the run stops once the open region's mass drops to ``delta``, the region
-empties, a zero subgradient certifies optimality, or the call budget runs out.
+``h_j . (x - x_j) <= best_value - value_j``. All cuts are tightened to the
+current best value (the tightest region the recorded queries support): when
+a query improves the best value, the measure restricted to the start box is
+restricted by every re-tightened cut anew; otherwise the old cuts would come
+out bit-identical, so the current measure is restricted by the newest cut
+alone, which gives the same region. The run stops once the open region's
+mass drops to ``delta``, the region empties, a zero subgradient certifies
+optimality, or the call budget runs out.
 """
 from __future__ import annotations
 
@@ -178,7 +181,8 @@ def _mixed_mean(m: MixedInteger) -> np.ndarray:
     """The mean of the measure, the volume-weighted mean of its fiber
     centroids (interval midpoints for d = 1, polygon centroids for d = 2),
     moved to the fiber nearest in the integer block, and clamped into that
-    fiber for d = 1."""
+    fiber: into its interval for d = 1, to the nearest point of its polygon
+    for d = 2."""
     zs = np.array([z for z, _p, _v in m.fibers], dtype=float)
     vols = np.array([v for _z, _p, v in m.fibers])
     if m.d == 1:
@@ -192,6 +196,8 @@ def _mixed_mean(m: MixedInteger) -> np.ndarray:
     if m.d == 1:
         lo, hi = payload
         out[m.n] = min(max(out[m.n], lo), hi)
+    else:
+        out[m.n:] = geom.nearest_point_in_polygon(payload, out[m.n:])
     return out
 
 
@@ -287,7 +293,8 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
             break
         x = _nudge_interior(x, m)
         value, h = evaluate(o, x)
-        if value < best_value:
+        improved = value < best_value
+        if improved:
             best_value, best_point = value, x
         records.append((x, value, h))
         try:
@@ -300,8 +307,11 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
         removed = float(m.halfspace_mass(Halfspace.from_vector(-u, float(-u @ x))))
         depth_rec = removed if est is None else min(est, removed)
         try:
-            m = boxed.restrict(tuple(epigraph_cut(xj, vj, hj, best_value).as_open()
-                                     for xj, vj, hj in records))
+            if improved:   # every cut moves with best_value
+                m = boxed.restrict(tuple(epigraph_cut(xj, vj, hj, best_value).as_open()
+                                         for xj, vj, hj in records))
+            else:   # the old cuts would come out bit-identical: add the new one
+                m = m.restrict((cut.as_open(),))
             mass = m.total_mass
         except EmptyRegion:
             mass = 0.0

@@ -111,6 +111,15 @@ def _sweep_counting_min_batch(centers, pts, weights):
     One flat search serves every row by offsetting row j into the disjoint
     block [4*pi*j, 4*pi*(j+1)).
 
+    The angles are sorted with numpy's default (SIMD) argsort, so the order
+    of equal angles is unspecified. A row reads only sorted angles and the
+    cumulative weight at the first anchor of each group of equal angles: an
+    arc's search ends at such a group's first entry, and the first
+    maximizing anchor starts one, since later anchors of a group miss its
+    earlier weights. So a row's value and angle never depend on the order
+    inside a group, except for the rounding of sums of non-integer weights;
+    with integer weights, as every counting measure has, they are exact.
+
     Witness: for the first maximizing anchor i with arc end j, any open arc
     (s, s+pi) with s in (max(b_{i-1}, b_{j-1} - pi), min(b_i, b_j - pi))
     misses exactly the points i..j-1. The midpoint s of that interval lies
@@ -131,7 +140,7 @@ def _sweep_counting_min_batch(centers, pts, weights):
     w[at_center] = 0.0
     betas = np.where(at_center, 0.0,
                      np.mod(np.arctan2(rel[..., 0], rel[..., 1]), TWO_PI))
-    order = np.argsort(betas, axis=1, kind="stable")
+    order = np.argsort(betas, axis=1)
     betas = betas[rr, order]
     w = w[rr, order]
     ext = np.concatenate([betas, betas + TWO_PI], axis=1)

@@ -362,6 +362,21 @@ def polygon_centroid(verts: np.ndarray) -> np.ndarray:
     return acc / area
 
 
+def nearest_point_in_polygon(verts: np.ndarray, p) -> np.ndarray:
+    """The point of a convex CCW vertex cycle nearest to ``p``: ``p`` itself
+    when no edge has it strictly outside, otherwise the nearest of the
+    edges' nearest points."""
+    v = np.asarray(verts, dtype=float)
+    p = np.asarray(p, dtype=float)
+    e = np.roll(v, -1, axis=0) - v
+    rel = p - v
+    if np.all(e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0] >= 0.0):
+        return p.copy()
+    t = np.clip(row_dots(rel, e) / row_dots(e, e), 0.0, 1.0)
+    near = v + t[:, None] * e
+    return near[int(np.argmin(np.hypot(near[:, 0] - p[0], near[:, 1] - p[1])))]
+
+
 def canonical_polygon(verts: np.ndarray, tol: float = EPS) -> np.ndarray:
     """Dedupe, orient CCW, and start at the lexicographically smallest vertex."""
     v = np.atleast_2d(np.asarray(verts, dtype=float)).reshape(-1, 2)

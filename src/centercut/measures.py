@@ -141,14 +141,16 @@ class LatticeCounting(Measure):
     family = "lattice_counting"
 
     def __init__(self, polytope: Polytope, region=(), *, _points=None):
-        """``_points`` is private to ``restrict``: the active points of a
-        measure whose region ``region`` only adds cuts to, so a restriction
-        filters them instead of enumerating the polytope again."""
+        """``_points`` is private to ``restrict``: the lattice points of the
+        polytope that already satisfy every cut of ``region``, so a
+        restriction masks its parent's active points by the new cuts only,
+        instead of enumerating the polytope again and applying every cut."""
         super().__init__(region)
         self.polytope = polytope
         if _points is None:
             _points = geom.enumerate_lattice_points(polytope).astype(float)
-        self._points = _points[_cut_mask(_points, self.region)]
+            _points = _points[_cut_mask(_points, self.region)]
+        self._points = _points
         self.total_mass = float(len(self._points))
         self._check_nonempty()
 
@@ -167,8 +169,9 @@ class LatticeCounting(Measure):
         return MassEstimate(float(inside.sum()) / self.total_mass)
 
     def restrict(self, cuts) -> "LatticeCounting":
-        return LatticeCounting(self.polytope, self.region + tuple(cuts),
-                               _points=self._points)
+        cuts = tuple(cuts)
+        return LatticeCounting(self.polytope, self.region + cuts,
+                               _points=self._points[_cut_mask(self._points, cuts)])
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         gen = rng.generator()

@@ -835,14 +835,61 @@ def test_tightened_search_matches_brute_force(spy, monkeypatch, batch):
 
 def test_lattice_searches_fit_one_batch_and_never_tighten(spy):
     # the qualifiers of a lattice pick fit in one batch, so only the
-    # shape-adapted bound pass runs
+    # shape-adapted bound pass runs, and only on sets of more than
+    # _PRUNE_DIRS points: smaller ones are one kernel batch without bounds
     bounds = spy(cp_mod, "_halfplane_bounds")
     prune = spy(cp_mod, "_depth_upper_bounds")
     boxes = [LatticeCounting(Polytope.from_box([0.0, 0.0], hi)).active_points()
              for hi in ((7.0, 7.0), (19.0, 16.0))]
-    for pts in boxes + _lattice_polygons(21, [12, 25, 40, 70, 120, 200, 340, 400]):
+    sets = boxes + _lattice_polygons(21, [12, 25, 40, 70, 120, 200, 340, 400])
+    for pts in sets:
         _pruned_lex_best(pts, pts)
-    assert len(bounds) == len(prune) == 10
+    assert len(bounds) == len(prune) == sum(len(p) > cp_mod._PRUNE_DIRS for p in sets)
+
+
+def _small_candidate_cases():
+    """(points, candidates, weights) with 1 to _PRUNE_DIRS candidates:
+    lattice polygons and collinear lattice points searched over themselves,
+    weighted finite point masses with duplicated points, and their
+    candidates with duplicates and off-support points."""
+    gen = np.random.default_rng(31)
+    cases = [(p, p, np.ones(len(p))) for p in _lattice_polygons(23, [3, 6, 9, 12, 14])]
+    line = np.array([[k, 2 * k] for k in range(-3, 5)], dtype=float)   # collinear
+    cases += [(line, line, np.ones(len(line))), (line, line[:1], np.ones(len(line)))]
+    # four tied centers, the lexicographically smallest last
+    box = LatticeCounting(Polytope.from_box([0.0, 0.0], [3.0, 3.0])).active_points()
+    cases.append((box, box[::-1], np.ones(len(box))))
+    for k in range(1, cp_mod._PRUNE_DIRS + 1):
+        pts = gen.integers(0, 5, size=(int(gen.integers(5, 40)), 2)).astype(float)
+        pts = np.vstack([pts, pts[:3]])   # duplicated support points
+        m = FinitePointMass(pts, weights=gen.integers(1, 6, size=len(pts)).astype(float))
+        sup = m.active_points()
+        cand = np.vstack([sup[gen.integers(0, len(sup), size=k - k // 3)],
+                          gen.uniform(0.0, 4.0, size=(k // 3, 2))])
+        cases.append((sup, cand, m.active_weights()))
+    return cases
+
+
+def test_small_candidate_sets_are_one_kernel_batch_and_match_brute_force(spy):
+    # at most _PRUNE_DIRS candidates in one batch: no bound pass, one kernel
+    # call, and the pick, value and witness of depth_finite at every candidate
+    bounds = spy(cp_mod, "_halfplane_bounds")
+    kernel = spy(depth_mod, "_sweep_counting_min_batch")
+    cases = _small_candidate_cases()
+    assert {len(c) for _p, c, _w in cases} == set(range(1, cp_mod._PRUNE_DIRS + 1))
+    for pts, cand, w in cases:
+        kernel.clear()
+        found = _pruned_lex_best(pts, cand, w)
+        assert len(kernel) == 1 and len(kernel[0][0]) == len(cand)
+        assert _same_pick(found, _brute_lex_best(pts, cand, w))
+    assert bounds == []
+    # _PRUNE_DIRS candidates over more points than one batch holds: bounds
+    pts = LatticeCounting(Polytope.from_box([0.0, 0.0], [45.0, 45.0])).active_points()
+    assert cp_mod._PRUNE_DIRS * len(pts) > depth_mod._BATCH_ELEMENTS
+    cand = pts[:: len(pts) // cp_mod._PRUNE_DIRS][:cp_mod._PRUNE_DIRS]
+    w = np.ones(len(pts))
+    assert _same_pick(_pruned_lex_best(pts, cand, w), _brute_lex_best(pts, cand, w))
+    assert len(bounds) == 1
 
 
 # ---------------------------------------------------------------------------

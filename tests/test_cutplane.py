@@ -16,9 +16,9 @@ from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
                                 mixed_gap_bound, solve, unit_ball_volume)
 from centercut.depth import depth_finite
 from centercut.errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
-from centercut.geom import Box, Polytope
-from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
-                                RngState, UniformPolytope)
+from centercut.geom import Box, Halfspace, Polytope
+from centercut.measures import (MASS_TOL, FinitePointMass, LatticeCounting,
+                                MixedInteger, RngState, UniformPolytope)
 
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
 E_UNIT = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -197,12 +197,69 @@ def test_box8_solve_enumerates_the_lattice_once(spy):
 
 
 def test_solve_builds_the_box_cuts_once(spy):
-    # every iteration restricts the box-restricted measure by the epigraph cuts
+    # the box cuts restrict the measure once; iterations add epigraph cuts
     calls = spy(Box, "half_open_cuts")
     o = ConvexQuadratic(np.eye(2), np.array([3.3, 4.7]))
     nu = LatticeCounting(Polytope.from_box([0.0, 0.0], [8.0, 8.0]))
     rep = solve(o, ConstraintSet.lattice(2), nu, Box(np.zeros(2), np.full(2, 8.0)), 0.9)
     assert len(rep.iteration_trace) > 1 and len(calls) == 1
+
+
+def _solve_rebuilding_every_iteration(o, nu, E0, delta):
+    """solve's Centerpoint loop for counting measures, except that every
+    iteration restricts the start-box measure by all the cuts re-tightened
+    to the best value. Returns (best value, trace rows as tuples)."""
+    boxed = nu.restrict(tuple(E0.half_open_cuts()))
+    m, best, records, rows = boxed, math.inf, [], []
+    while m.total_mass > delta:
+        x, est = _pick_centerpoint(m, RngState(0), len(rows))
+        value, h = evaluate(o, x)
+        best = min(best, value)
+        records.append((x, value, h))
+        u = epigraph_cut(x, value, h, best).n
+        removed = float(m.halfspace_mass(Halfspace.from_vector(-u, float(-u @ x))))
+        try:
+            m = boxed.restrict(tuple(epigraph_cut(xj, vj, hj, best).as_open()
+                                     for xj, vj, hj in records))
+            mass = m.total_mass
+        except EmptyRegion:
+            mass = 0.0
+        rows.append((x.tobytes(), value, h.tobytes(), mass, min(est, removed)))
+        if mass <= MASS_TOL:
+            break
+    return best, rows
+
+
+def test_solve_restricting_by_the_newest_cut_matches_a_full_rebuild():
+    # while the best value stands, solve restricts the current measure by
+    # the newest cut only; the report equals the rebuild's, bit for bit
+    gen = np.random.default_rng(8)
+    pts = gen.integers(0, 9, size=(60, 2)).astype(float)
+    measures = [LatticeCounting(Polytope.from_vertices_2d([[0.2, 0.1], [11.3, 1.7],
+                                                           [9.6, 10.8], [0.9, 8.4]])),
+                LatticeCounting(Polytope.from_box([0.0, 0.0], [8.0, 8.0])),
+                FinitePointMass(pts, gen.integers(1, 5, size=len(pts)).astype(float))]
+    kept = 0
+    for nu in measures:
+        lo, hi = nu.active_points().min(axis=0), nu.active_points().max(axis=0) + 1.0
+        E0 = Box(lo, hi)
+        # integer subgradients and values in quarters put lattice points on
+        # the cut lines, where an open cut and a closed one differ
+        objectives = [ConvexQuadratic(np.eye(2), np.floor((lo + hi) / 2.0) + [0.5, -0.5]),
+                      ConvexQuadratic(np.diag([1.0, 2.0]), lo + [2.5, 3.5])]
+        for _ in range(3):
+            A = gen.normal(size=(2, 2))
+            objectives.append(ConvexQuadratic(A.T @ A + 0.1 * np.eye(2),
+                                              gen.uniform(lo, hi - 1.0)))
+        for o in objectives:
+            rep = solve(o, ConstraintSet.lattice(2), nu, E0, 0.9)
+            best, rows = _solve_rebuilding_every_iteration(o, nu, E0, 0.9)
+            assert rep.best_value == best
+            assert [(r.point.tobytes(), r.value, r.subgradient.tobytes(), r.mass_after,
+                     r.depth) for r in rep.iteration_trace] == rows
+            values = [r.value for r in rep.iteration_trace]
+            kept += sum(v >= min(values[:i]) for i, v in enumerate(values) if i)
+    assert kept >= 5   # iterations that kept the best value, and so one region
 
 
 def test_finite_centerpoint_pick_matches_brute_force():
@@ -297,6 +354,23 @@ def test_mixed_mean_is_the_exact_fiber_weighted_mean():
     y = lengths @ (lengths / 2.0) / lengths.sum()
     assert z == pytest.approx(4.0 / 3.0)
     assert _mixed_mean(trap) == pytest.approx([1.0, y], abs=1e-12)
+
+
+def test_mixed_mean_outside_its_polygon_fiber_moves_into_it():
+    # {0 <= z <= 1, 2z <= y1 <= 2z + 1/2, 0 <= y2 <= 1}: the mean
+    # (1/2, 5/4, 1/2) goes to fiber z = 0, whose square [0, 1/2] x [0, 1]
+    # does not hold (5/4, 1/2); its nearest point there is (1/2, 1/2)
+    P = Polytope.from_rows([[-1, 0, 0, 0], [1, 0, 0, 1], [2, -1, 0, 0], [-2, 1, 0, 0.5],
+                            [0, 0, -1, 0], [0, 0, 1, 1]])
+    m = MixedInteger(P, 1, 2)
+    x = _mixed_mean(m)
+    assert x == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
+    assert P.contains(x[None])[0]
+    o = ConvexQuadratic(np.eye(3), np.array([0.5, 1.2, 0.5]))
+    rep = solve(o, ConstraintSet.mixed(1, 2), m, Box(np.zeros(3), np.array([2.0, 3.0, 2.0])),
+                0.1)
+    assert P.contains(rep.iteration_trace[0].point[None])[0]
+    assert rep.iteration_trace[0].depth > 0.0
 
 
 def test_solve_mixed_gap_bound():

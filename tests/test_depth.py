@@ -280,6 +280,27 @@ def test_batch_kernel_matches_integer_reference():
         _assert_exact_and_attained(m, p, r)
 
 
+def test_batch_kernel_rows_do_not_depend_on_the_point_order():
+    """The kernel sorts angles with an unspecified order among equal ones,
+    so with integer weights every row, value and angle, is bit-identical
+    under any permutation of the points: centers on data points (at-center
+    entries), duplicated points and collinear lattice points (exact angle
+    ties), and centers off the lattice."""
+    gen = np.random.default_rng(77)
+    grid = np.array([[i, j] for i in range(-3, 4) for j in range(-2, 4)], dtype=float)
+    pts = np.vstack([grid, grid[gen.integers(0, len(grid), 12)]])
+    w = gen.integers(1, 5, size=len(pts)).astype(float)
+    centers = np.vstack([pts, [[0.5, 0.5], [0.25, -1.0], [1.0 / 3.0, 2.0]]])
+    rel = pts - pts[0]
+    betas = np.mod(np.arctan2(rel[:, 0], rel[:, 1]), 2.0 * np.pi)
+    assert len(np.unique(betas)) < len(pts) - 12   # exact ties beyond the duplicates
+    want = _sweep_counting_min_batch(centers, pts, w)
+    for _ in range(6):
+        perm = gen.permutation(len(pts))
+        got = _sweep_counting_min_batch(centers, pts[perm], w[perm])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_counting_witness_attains_weighted_depth():
     """Weighted points, some at x and some collinear with x on both sides:
     ``depth_finite`` and ``min_direction_2d`` agree, never exceed a dense

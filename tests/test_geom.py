@@ -275,6 +275,27 @@ def test_convex_hull_2d_drops_interior_collinear_and_duplicate_points():
         assert np.allclose(convex_hull_2d(cloud), want, atol=1e-12)
 
 
+def test_nearest_point_in_polygon():
+    # a point the polygon holds stays; others go to the nearest boundary
+    # point, against a dense sample of the boundary
+    tri = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    for p in ([1.0, 1.0], [0.0, 0.0], [2.0, 0.0]):
+        assert np.array_equal(geom_mod.nearest_point_in_polygon(tri, p), p)
+    t = np.linspace(0.0, 1.0, 20_001)[:, None]
+    boundary = np.vstack([a + t * (b - a) for a, b in zip(tri, np.roll(tri, -1, axis=0))])
+    gen = np.random.default_rng(4)
+    for p in gen.uniform(-3.0, 7.0, size=(40, 2)):
+        q = geom_mod.nearest_point_in_polygon(tri, p)
+        if Polytope.from_vertices_2d(tri).contains(p[None])[0]:
+            assert np.array_equal(q, p)
+            continue
+        ref = np.min(np.hypot(*(boundary - p).T))
+        assert np.hypot(*(q - p)) == pytest.approx(ref, abs=1e-3)
+        assert np.hypot(*(q - p)) <= ref + 1e-12
+    assert np.array_equal(geom_mod.nearest_point_in_polygon(tri, [-1.0, -1.0]), [0.0, 0.0])
+    assert geom_mod.nearest_point_in_polygon(tri, [2.0, -5.0]) == pytest.approx([2.0, 0.0])
+
+
 def test_box_half_open_semantics():
     b = Box([0.0, 0.0], [2.0, 2.0])
     inside = b.contains_half_open(np.array([[0.0, 0.0], [1.9999, 1.0],

@@ -216,14 +216,44 @@ def test_mc_estimate_within_three_stderr():
     assert hits >= 0.99 * trials
 
 
+def _support(m):
+    """What a measure's region holds: active points and weights, the region's
+    vertices, or its fiber slices."""
+    if isinstance(m, (FinitePointMass, LatticeCounting)):
+        return [m.active_points().tobytes(), m.active_weights().tobytes()]
+    if isinstance(m, UniformPolytope):
+        return [m.region_vertices().tobytes()]
+    return [(z, np.asarray(p).tobytes(), v) for z, p, v in m.fibers]
+
+
 def test_restriction_composition_matches_joint():
-    h1 = Halfspace.from_vector([1.0, 0.0], 0.25)
-    h2 = Halfspace.from_vector([0.0, 1.0], 0.25)
-    for m in (UniformPolytope(UNIT_SQUARE), LatticeCounting(SQUARE_2),
-              MixedInteger(STRIP, n=1, d=1)):
-        step = restrict(restrict(m, [h1]), [h2])
-        joint = restrict(m, [h1, h2])
-        assert step.total_mass == pytest.approx(joint.total_mass, abs=1e-12)
+    # restricting by A, then by B, is restricting by A + B: the same region
+    # tuple, support and total mass, bit for bit, for all four families
+    h1 = (Halfspace.from_vector([1.0, 0.0], 0.25),)
+    h2 = (Halfspace.from_vector([0.0, 1.0], 0.25),)
+    gen = np.random.default_rng(5)
+    pts = gen.integers(0, 4, size=(25, 2)).astype(float)
+    P3 = Polytope.from_box([0.0] * 3, [2.0, 1.0, 1.0])
+    a = (Halfspace.from_vector([1.0, 0.4], 0.3), Halfspace.from_vector([-0.3, 1.0], -1.0))
+    b = (Halfspace.from_vector([1.0, 1.0], 1.0).as_open(),
+         Halfspace.from_vector([-1.0, 0.2], -1.7))
+    a3 = (Halfspace.from_vector([0.2, 1.0, 0.1], 0.2),)
+    b3 = (Halfspace.from_vector([0.1, -0.3, 1.0], 0.1).as_open(),
+          Halfspace.from_vector([-0.5, 0.2, -1.0], -1.9))
+    cases = [(UniformPolytope(UNIT_SQUARE), h1, h2), (LatticeCounting(SQUARE_2), h1, h2),
+             (MixedInteger(STRIP, n=1, d=1), h1, h2),
+             (FinitePointMass(pts, gen.integers(1, 4, size=len(pts))), a, b),
+             (LatticeCounting(SQUARE_2), a, b),
+             (UniformPolytope(SQUARE_2), a, b),
+             (UniformPolytope(P3), a3, b3),
+             (MixedInteger(STRIP, 1, 1), a, b),
+             (MixedInteger(P3, 1, 2), a3, b3)]
+    for m, a, b in cases:
+        step = restrict(restrict(m, a), b)
+        joint = restrict(m, a + b)
+        assert step.region == joint.region == m.region + a + b
+        assert step.total_mass == joint.total_mass < m.restrict(a).total_mass
+        assert _support(step) == _support(joint)
 
 
 def test_rejection_stall_on_sliver():
