@@ -266,6 +266,13 @@ def _halfplane_bounds(tab, cand, floor=0.0):
     points on each side of every candidate. Rounding is monotone, so the
     shift can only move a point onto a candidate's end, which widens a
     halfplane and never narrows it.
+
+    A self-search (``cand is tab.pts``) needs no candidate sort and almost
+    no search: the point of rank r along a direction has its own key between
+    its shifted ends, so r points lie below its lower end and r + 1 up to
+    its upper end, unless the key of the rank r - 1 or r + 1 neighbour
+    reaches that end. Only those entries are searched, with the same
+    shifted keys and ends, so the bounds are the ones a full search gives.
     """
     D, n = tab.ps.shape
     scale = max(1.0, float(np.abs(tab.pts).max()), float(np.abs(cand).max(initial=0.0)))
@@ -285,15 +292,25 @@ def _halfplane_bounds(tab, cand, floor=0.0):
         corder = np.argsort(cu, axis=1)
         cs = cu[rr, corder]
     shift = span * rr
-    keys = (tab.ps + shift).ravel()
-    first = n * rr   # the keys of the blocks before block k
-
-    def points_before(ends, side):
-        return np.searchsorted(keys, (ends + shift).ravel(), side=side).reshape(cs.shape) - first
-
+    keys = tab.ps + shift
+    flat = keys.ravel()
+    lo, hi = (cs - pad) + shift, (cs + pad) + shift   # the padded ends, shifted
+    if cand is tab.pts:   # counts from the ranks, searched only next to near-ties
+        above = tab.total - tab.cum[:, :-1]
+        below = tab.cum[:, 1:].copy()
+        k, r = np.nonzero(keys[:, :-1] >= lo[:, 1:])
+        r += 1
+        above[k, r] = tab.total - tab.cum[k, np.searchsorted(flat, lo[k, r], side="left") - n * k]
+        k, r = np.nonzero(keys[:, 1:] <= hi[:, :-1])
+        below[k, r] = tab.cum[k, np.searchsorted(flat, hi[k, r], side="right") - n * k]
+    else:
+        first = n * rr   # the keys of the blocks before block k
+        above = tab.total - tab.cum[rr, np.searchsorted(flat, lo.ravel(), side="left")
+                                    .reshape(lo.shape) - first]
+        below = tab.cum[rr, np.searchsorted(flat, hi.ravel(), side="right")
+                        .reshape(hi.shape) - first]
     bound = np.empty(cs.shape)
-    bound[rr, corder] = np.minimum(tab.total - tab.cum[rr, points_before(cs - pad, "left")],
-                                   tab.cum[rr, points_before(cs + pad, "right")])
+    bound[rr, corder] = np.minimum(above, below)
     ub[live] = bound.min(axis=0, initial=np.inf) / tab.total
     return ub
 
@@ -323,7 +340,8 @@ def _deepest_depths(pts, cand, w, K, vals, ub, angles):
     best-bounded ones, 1 row at first and twice as many each time up to a
     full batch, and the kernel's minimizing angle a of each probe row gives
     a unit direction (sin a, cos a) along which ``_halfplane_bounds``
-    tightens the bounds of the remaining qualifiers. The ones that fall
+    tightens the bounds of the remaining qualifiers, screened against the
+    threshold, so only those inside its slabs are sorted. The ones that fall
     below the threshold are dropped, since it only rises, and the survivors
     are re-sorted. Every bound stays sound, so each candidate within 1e-12
     of the K-th largest value is still evaluated.
@@ -356,8 +374,8 @@ def _deepest_depths(pts, cand, w, K, vals, ub, angles):
         if tighten:
             end = int(np.searchsorted(neg_ub, 1e-12 - top[0], side="right"))
             U = np.column_stack([np.sin(angles[take]), np.cos(angles[take])])
-            neg = np.maximum(neg_ub[:end], -_halfplane_bounds(_project(pts, w, U),
-                                                              cand[order[:end]]))
+            neg = np.maximum(neg_ub[:end], -_halfplane_bounds(
+                _project(pts, w, U), cand[order[:end]], top[0] - 1e-12))
             keep = np.flatnonzero(neg <= 1e-12 - top[0])
             keep = keep[np.argsort(neg[keep], kind="stable")]
             order, neg_ub = order[keep], neg[keep]
@@ -515,6 +533,9 @@ def _mixed_candidates(m: MixedInteger, pts, cap):
 # ---------------------------------------------------------------------------
 # exact 2D lattice route
 
+_LATTICE_2D_GUARANTEE = depth_guarantee(ConstraintSet.lattice(2))
+
+
 def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
     """Exact counting-measure centerpoint of a 2D lattice measure: the
     deepest active lattice point, lexicographically smallest on ties.
@@ -530,7 +551,7 @@ def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
     k, _res = _pruned_lex_best(pts, pts)
     point = pts[k].copy()
     return CenterpointResult(point, min_direction_2d(m, point), "exact2d-int", 0,
-                             depth_guarantee(ConstraintSet.lattice(2)))
+                             _LATTICE_2D_GUARANTEE)
 
 
 def centerpoint_2d_integer(P: Polytope, cap: int = 100_000) -> CenterpointResult:

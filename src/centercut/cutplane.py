@@ -7,14 +7,17 @@ current best value (the tightest region the recorded queries support): when
 a query improves the best value, the measure restricted to the start box is
 restricted by every re-tightened cut anew; otherwise the old cuts would come
 out bit-identical, so the current measure is restricted by the newest cut
-alone, which gives the same region. The run stops once the open region's
-mass drops to ``delta``, the region empties, a zero subgradient certifies
-optimality, or the call budget runs out.
+alone, which gives the same region. Each query's cut is kept as a
+normalized row (unit normal, |h_j| and h_j . x_j), so re-tightening a cut
+recomputes only its offset, with ``epigraph_cut``'s rounding. The run stops
+once the open region's mass drops to ``delta``, the region empties, a zero
+subgradient certifies optimality, or the call budget runs out.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .centerpoint import (ConstraintSet, _pruned_lex_best,
                           centroid, depth_guarantee)
 from .depth import min_direction_2d
 from .errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
-from .geom import Box, Halfspace
+from .geom import Box, Direction, Halfspace
 from .measures import (LatticeCounting, MASS_TOL, Measure, MixedInteger,
                        RngState, UniformPolytope)
 
@@ -117,18 +120,39 @@ def evaluate(o, x):
     return value, np.asarray(grad, dtype=float)
 
 
+class _CutRow(NamedTuple):
+    """One query's epigraph cut with its offset left open: the unit normal
+    -h_j / |h_j|, the norm |h_j|, h_j . x_j and value_j."""
+
+    normal: Direction
+    scale: float
+    hx: float
+    value: float
+
+    @classmethod
+    def of(cls, x_j, value_j: float, h_j) -> "_CutRow":
+        """Raises ZeroSubgradient when h_j vanishes."""
+        x_j = np.asarray(x_j, dtype=float)
+        h_j = np.asarray(h_j, dtype=float)
+        if float(np.linalg.norm(h_j)) <= _ZERO_GRAD_TOL:
+            raise ZeroSubgradient(x_j, value_j)
+        normal, scale = Direction._normalized(geom._vector(-h_j))
+        return cls(normal, scale, float(h_j @ x_j), value_j)
+
+    def at(self, best_value: float, closed: bool = True) -> Halfspace:
+        """The cut tightened to ``best_value``, rounded as
+        ``Halfspace.from_vector(-h_j, -rhs)`` rounds it."""
+        return Halfspace(self.normal, -(self.hx + (best_value - self.value)) / self.scale,
+                         closed)
+
+
 def epigraph_cut(x_j, value_j: float, h_j, best_value: float) -> Halfspace:
     """Closed halfspace {x : h_j . (x - x_j) <= best_value - value_j}.
 
     Raises ZeroSubgradient when h_j vanishes: x_j is then optimal and there
     is nothing to cut.
     """
-    x_j = np.asarray(x_j, dtype=float)
-    h_j = np.asarray(h_j, dtype=float)
-    if float(np.linalg.norm(h_j)) <= _ZERO_GRAD_TOL:
-        raise ZeroSubgradient(x_j, value_j)
-    rhs = float(h_j @ x_j) + (best_value - value_j)
-    return Halfspace.from_vector(-h_j, -rhs)
+    return _CutRow.of(x_j, value_j, h_j).at(best_value)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +289,11 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
     The measure ``nu`` must be supported on S; E0 membership uses half-open
     box semantics (lower faces in, upper faces out) so integer supports on
     the lower boundary stay queryable.
+
+    Each query's cut is normalized once, into a ``_CutRow``; an improving
+    query rebuilds every cut from those rows, offsets only, and the region
+    equals the one ``epigraph_cut`` at the new best value would give, bit
+    for bit.
     """
     rng = rng if rng is not None else RngState(0)
     try:
@@ -273,7 +302,7 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
         raise InfeasibleStart("no feasible point inside the starting box") from None
     m = boxed
     best_point, best_value = None, math.inf
-    records = []   # (x_j, value_j, h_j)
+    rows = []   # each query's _CutRow
     V = m.total_mass
     trace = []
     stop = None
@@ -296,22 +325,22 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
         improved = value < best_value
         if improved:
             best_value, best_point = value, x
-        records.append((x, value, h))
         try:
-            cut = epigraph_cut(x, value, h, best_value)
+            row = _CutRow.of(x, value, h)
         except ZeroSubgradient:
             trace.append(TraceRow(x, value, h, m.total_mass, est))
             stop = "zero_subgradient"
             break
-        u = cut.n  # inward normal of the kept side; -u points at the removed mass
-        removed = float(m.halfspace_mass(Halfspace.from_vector(-u, float(-u @ x))))
+        rows.append(row)
+        u = row.normal.coords  # inward normal of the kept side; -u points at the removed mass
+        back, scale = Direction._normalized(-u)
+        removed = float(m.halfspace_mass(Halfspace(back, float(-u @ x) / scale)))
         depth_rec = removed if est is None else min(est, removed)
         try:
             if improved:   # every cut moves with best_value
-                m = boxed.restrict(tuple(epigraph_cut(xj, vj, hj, best_value).as_open()
-                                         for xj, vj, hj in records))
+                m = boxed.restrict(tuple(r.at(best_value, closed=False) for r in rows))
             else:   # the old cuts would come out bit-identical: add the new one
-                m = m.restrict((cut.as_open(),))
+                m = m.restrict((row.at(best_value, closed=False),))
             mass = m.total_mass
         except EmptyRegion:
             mass = 0.0

@@ -71,7 +71,8 @@ def _u(alpha):
 
 
 def _result(value, alpha, exact, gap) -> DepthResult:
-    return DepthResult(float(value), Direction.from_vector(_u(alpha)), exact, gap)
+    # _u of a finite angle is a finite vector, so _vector's checks are skipped
+    return DepthResult(float(value), Direction._normalized(_u(alpha))[0], exact, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,14 @@ def _sweep_counting_min_batch(centers, pts, weights):
     One searchsorted per row does the sweep; at-center points ride along as
     zero-weight entries so rows stay rectangular without changing any sum.
     One flat search serves every row by offsetting row j into the disjoint
-    block [4*pi*j, 4*pi*(j+1)).
+    block [4*pi*j, 4*pi*(j+1)). The search for anchor i always lands in
+    [i + 1, N + i] of its row, since the arc end lies strictly between b_i
+    and b_i + 2*pi and rounding is monotone, so no index needs clipping.
+
+    The atan2 angles, in [-pi, pi], are wrapped into [0, 2*pi] by adding
+    2*pi to the negative ones, which rounds as ``np.mod`` does and, like it,
+    turns -0.0 into +0.0. The kernel is called thousands of times per solve
+    on small sets, so it keeps its numpy calls few.
 
     The angles are sorted with numpy's default (SIMD) argsort, so the order
     of equal angles is unspecified. A row reads only sorted angles and the
@@ -133,23 +141,23 @@ def _sweep_counting_min_batch(centers, pts, weights):
     rr = rows[:, None]
     rel = (pts if pts.ndim == 3 else pts[None]) - centers[:, None, :]
     scale = np.maximum(1.0, np.abs(rel).reshape(C, -1).max(axis=1))
-    r = np.hypot(rel[..., 0], rel[..., 1])
-    at_center = r <= 1e-12 * scale[:, None]
-    w = np.broadcast_to(np.asarray(weights, dtype=float), (C, N)).copy()
-    total = w.sum(axis=1)
-    w[at_center] = 0.0
-    betas = np.where(at_center, 0.0,
-                     np.mod(np.arctan2(rel[..., 0], rel[..., 1]), TWO_PI))
+    x, y = rel[..., 0], rel[..., 1]
+    at_center = np.hypot(x, y) <= 1e-12 * scale[:, None]
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum(axis=-1)
+    b = np.arctan2(x, y)
+    b += np.where(b < 0.0, TWO_PI, 0.0)
+    betas = np.where(at_center, 0.0, b)
     order = np.argsort(betas, axis=1)
     betas = betas[rr, order]
-    w = w[rr, order]
+    w = np.where(at_center, 0.0, weights)[rr, order]
     ext = np.concatenate([betas, betas + TWO_PI], axis=1)
     cum = np.zeros((C, 2 * N + 1))
     np.cumsum(np.concatenate([w, w], axis=1), axis=1, out=cum[:, 1:])
     offs = (2.0 * TWO_PI) * rr
     idx = np.searchsorted((ext + offs).ravel(),
                           (betas + (math.pi - 1e-12) + offs).ravel(), side="left")
-    idx = np.clip(idx.reshape(C, N) - 2 * N * rr, 0, 2 * N)
+    idx = idx.reshape(C, N) - 2 * N * rr
     open_w = cum[rr, idx] - cum[:, :N]
     i = np.argmax(open_w, axis=1)
     j = idx[rows, i]

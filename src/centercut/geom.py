@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (BudgetExceeded, DimensionTooLarge, Infeasible, MalformedPolygon,
@@ -41,6 +40,16 @@ def _vector(x, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and a.size != dim:
         raise ValueError(f"expected dimension {dim}, got {a.size}")
     return a
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call. Only LP
+    feasibility checks use it, and neither centerpoint queries nor solves on
+    validated polytopes make one, so ``import centercut`` leaves
+    ``scipy.optimize`` (most of its import time and memory) unloaded. Every
+    LP goes through this module-level name, so a profiler can wrap it."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def row_dots(a, b) -> np.ndarray:
@@ -75,10 +84,11 @@ class Direction:
 
     @classmethod
     def _normalized(cls, a: np.ndarray) -> tuple["Direction", float]:
-        """``(a / |a|, |a|)`` for a finite vector ``a``, with one norm. A
+        """``(a / |a|, |a|)`` for a finite 1-D vector ``a``, with one norm,
+        sqrt(a . a), the sum ``np.linalg.norm`` takes for a real vector. A
         finite norm makes the quotient unit length to a few ulp, so only an
         overflowing one runs the unit check, which rejects it."""
-        n = float(np.linalg.norm(a))
+        n = math.sqrt(a.dot(a))
         if n <= 0.0:
             raise ValueError("cannot normalize the zero vector")
         if n == math.inf:

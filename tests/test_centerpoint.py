@@ -621,11 +621,14 @@ def test_monte_carlo_bounds_each_sample_once(spy, monkeypatch):
     halfplane = spy(cp_mod, "_halfplane_bounds")
     dirs = _returns(monkeypatch, "_prune_directions")
     screens = _returns(monkeypatch, "_slab_screen")
+    screen_calls = spy(cp_mod, "_slab_screen")
     hexagon = _hull_polygon(np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 1.0], [4.0, 4.0],
                                       [1.0, 4.5], [-1.0, 2.0]]))
     runs = []
+    tightened = 0
     for k, m in enumerate(_thin_triangles(11, 2) + [UniformPolytope(hexagon)]):
-        for calls in (bounds, searches, deepest, tables, halfplane, dirs, screens):
+        for calls in (bounds, searches, deepest, tables, halfplane, dirs, screens,
+                      screen_calls):
             calls.clear()
         res = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1, RngState(k))
         (pts, cand), = [call[:2] for call in searches]
@@ -639,13 +642,23 @@ def test_monte_carlo_bounds_each_sample_once(spy, monkeypatch):
         floor = cand_call[2]
         assert floor == np.nanmax(top_vals) - 1e-12 > 0.0
         assert np.array_equal(cand_call[1], cand[len(pts):])
-        # one screen, of the arrangement vertices, and most of them fall out
-        (live, low), = screens
+        # one screen of the arrangement vertices, along the prune directions,
+        # and most of them fall out
+        (live, low), = [got for call, got in zip(screen_calls, screens) if call[0] is tab]
         assert len(live) == len(cand) - len(pts) and 0 < live.sum() < len(live) / 2
         cand_ub = deepest[1][5]
         assert np.array_equal(cand_ub[:len(pts)], top_ub)
         assert np.all(cand_ub[len(pts):][~live] == low) and low < floor
+        # every other screen is a tightening pass: one per bound call along
+        # witness directions, against that search's positive threshold
+        tight = [call for call in halfplane if call[0] is not tab]
+        assert all(t.U is not dirs[0] and t.pts is pts for t in tables if t is not tab)
+        assert [call[0] for call in screen_calls if call[0] is not tab] == \
+            [call[0] for call in tight]
+        assert all(len(call) == 3 and call[2] > 0.0 for call in tight)
+        tightened += len(tight)
         runs.append((m, k, res))
+    assert tightened > 0
     real = cp_mod._continuous_candidates_2d
     monkeypatch.setattr(cp_mod, "_continuous_candidates_2d",
                         lambda pts, cap: (real(pts, cap)[0], None))
@@ -890,6 +903,60 @@ def test_small_candidate_sets_are_one_kernel_batch_and_match_brute_force(spy):
     w = np.ones(len(pts))
     assert _same_pick(_pruned_lex_best(pts, cand, w), _brute_lex_best(pts, cand, w))
     assert len(bounds) == 1
+
+
+def _searched_bounds(tab, cand):
+    """``_halfplane_bounds`` without a floor, with one search per candidate
+    end: the reference for the self-search, which reads most counts from
+    the ranks. Returns (bounds, how many sorted entries have counts other
+    than their rank r below and r + 1 up to their ends)."""
+    D, n = tab.ps.shape
+    scale = max(1.0, float(np.abs(tab.pts).max()), float(np.abs(cand).max()))
+    pad = 1e-9 * scale
+    span = 4.0 * scale + 1.0
+    rr = np.arange(D)[:, None]
+    cu = tab.U @ cand.T
+    corder = np.argsort(cu, axis=1)
+    cs = cu[rr, corder]
+    shift = span * rr
+    keys = (tab.ps + shift).ravel()
+
+    def points_before(ends, side):
+        return np.searchsorted(keys, (ends + shift).ravel(), side=side).reshape(cs.shape) - n * rr
+
+    below, upto = points_before(cs - pad, "left"), points_before(cs + pad, "right")
+    bound = np.empty(cs.shape)
+    bound[rr, corder] = np.minimum(tab.total - tab.cum[rr, below], tab.cum[rr, upto])
+    ranks = np.arange(cs.shape[1])
+    return bound.min(axis=0) / tab.total, np.count_nonzero((below != ranks) | (upto != ranks + 1))
+
+
+def test_self_bounds_read_from_the_ranks_equal_a_full_search():
+    gen = np.random.default_rng(1500)
+    cases = [(p, np.ones(len(p))) for p in _lattice_polygons(15, [12, 40, 200, 400])]
+    grid = gen.integers(0, 6, size=(40, 2)).astype(float)
+    cases.append((np.vstack([grid, grid[:15], grid[:5]]), np.ones(60)))   # exact duplicates
+    # chains of near-ties: neighbours 3e-10 * scale apart, inside the 1e-9 pad
+    for scale in (1.0, 50.0):
+        chain = np.column_stack([np.arange(12) * 3e-10 * scale, np.zeros(12)])
+        pts = np.vstack([chain, chain[::-1] + [0.0, scale], gen.uniform(-scale, scale, (20, 2))])
+        cases.append((pts, gen.uniform(0.5, 2.0, len(pts))))
+    # duplicates near 1e6, where the pad is 1e-3, and weighted points
+    big = 1e6 + gen.integers(0, 4, size=(30, 2)).astype(float)
+    big = np.vstack([big, big[:10], big + [4e-4, 0.0]])
+    cases.append((big, gen.integers(1, 4, size=len(big)).astype(float)))
+    cases.append((big, gen.uniform(0.1, 3.0, len(big))))
+    searched = 0
+    for pts, w in cases:
+        for U in (_prune_directions(pts, w), np.array([[0.0, 1.0], [1.0, 0.0]])):
+            tab = _project(pts, w, U)
+            got = _halfplane_bounds(tab, tab.pts)
+            want, off_rank = _searched_bounds(tab, pts.copy())
+            assert got.tobytes() == want.tobytes()
+            # a copy takes the general path, which must agree too
+            assert got.tobytes() == _halfplane_bounds(tab, pts.copy()).tobytes()
+            searched += off_rank
+    assert searched > 100   # many entries have neighbours within the pad
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,64 @@ def test_solve_restricting_by_the_newest_cut_matches_a_full_rebuild():
     assert kept >= 5   # iterations that kept the best value, and so one region
 
 
+def _cut_key(c):
+    return c.n.tobytes(), c.offset, c.closed
+
+
+def test_solve_region_matches_rebuilding_every_cut_with_epigraph_cut(monkeypatch):
+    # solve keeps each cut as a normalized row and rebuilds only offsets; the
+    # region of every restriction equals a loop that rebuilds each cut with
+    # epigraph_cut on every improving query, bit for bit
+    regions = []
+    for cls in (LatticeCounting, FinitePointMass):
+        real = cls.restrict
+
+        def restrict(self, cuts, real=real):
+            regions.append(tuple(_cut_key(c) for c in self.region + tuple(cuts)))
+            return real(self, cuts)
+
+        monkeypatch.setattr(cls, "restrict", restrict)
+    gen = np.random.default_rng(15)
+    pts = gen.integers(0, 9, size=(60, 2)).astype(float)
+    box8 = LatticeCounting(Polytope.from_box([0.0, 0.0], [8.0, 8.0]))
+    cases = [(box8, ConvexQuadratic(np.eye(2), np.array([3.3, 4.7]))),
+             (box8, ConvexQuadratic(np.diag([1.0, 3.0]), np.array([6.25, 0.5]), 2.0)),
+             (FinitePointMass(pts, gen.uniform(0.5, 2.0, len(pts))),
+              ConvexQuadratic(np.eye(2), np.array([2.2, 5.9]))),
+             # the flat piece is the maximum only where x1 >= 1.5 and
+             # x1 + x2 <= 2.5, so the solve ends on a vanishing subgradient
+             (box8, AffineMax([(np.array([1.0, 1.0]), -4.0), (np.array([-1.0, 0.0]), 0.0),
+                               (np.zeros(2), -1.5)]))]
+    stops, kept = [], 0
+    for nu, o in cases:
+        lo, hi = nu.active_points().min(axis=0), nu.active_points().max(axis=0) + 1.0
+        E0 = Box(lo, hi)
+        regions.clear()
+        rep = solve(o, ConstraintSet.lattice(2), nu, E0, 0.9)
+        stops.append(rep.stop_reason)
+        box = tuple(E0.half_open_cuts())
+        want = [tuple(_cut_key(c) for c in box)]
+        region, best, rows = box, math.inf, []
+        for r in rep.iteration_trace:
+            improved = r.value < best
+            kept += not improved
+            best = min(best, r.value)
+            if not np.any(r.subgradient):
+                break
+            rows.append((r.point, r.value, r.subgradient))
+            for x, v, h in rows:   # epigraph_cut rounds as from_vector(-h, -rhs) did
+                assert _cut_key(epigraph_cut(x, v, h, best)) == _cut_key(
+                    Halfspace.from_vector(-h, -(float(h @ x) + (best - v))))
+            if improved:
+                region = box + tuple(epigraph_cut(x, v, h, best).as_open() for x, v, h in rows)
+            else:
+                region = region + (epigraph_cut(*rows[-1], best).as_open(),)
+            want.append(tuple(_cut_key(c) for c in region))
+        assert regions == want and len(want) > 3
+    assert stops == ["empty_region", "empty_region", "mass_below_delta", "zero_subgradient"]
+    assert kept > 0   # some queries keep the best value and add one cut
+
+
 def test_finite_centerpoint_pick_matches_brute_force():
     # weighted points on a small grid (duplicates and collinear triples): the
     # Centerpoint strategy picks what a per-point depth_finite loop picks

@@ -638,3 +638,82 @@ def test_depth_finite_3d_blocks_bound_the_working_set(monkeypatch):
     assert np.array_equal(got.witness.coords, want.witness.coords)
     # x is a grid point: 63 lines, 7 to a block
     assert sizes == [(7, 63)] * 9
+
+
+def _reference_kernel(centers, pts, weights):
+    """The counting kernel as first written: a weight copy per row,
+    ``np.mod`` for the angle wrap, ``hypot`` for every entry and a clipped
+    search index. ``_sweep_counting_min_batch`` must match it bit for bit."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    pts = np.asarray(pts, dtype=float)
+    C, N = len(centers), pts.shape[-2]
+    rows = np.arange(C)
+    rr = rows[:, None]
+    rel = (pts if pts.ndim == 3 else pts[None]) - centers[:, None, :]
+    scale = np.maximum(1.0, np.abs(rel).reshape(C, -1).max(axis=1))
+    r = np.hypot(rel[..., 0], rel[..., 1])
+    at_center = r <= 1e-12 * scale[:, None]
+    w = np.broadcast_to(np.asarray(weights, dtype=float), (C, N)).copy()
+    total = w.sum(axis=1)
+    w[at_center] = 0.0
+    betas = np.where(at_center, 0.0,
+                     np.mod(np.arctan2(rel[..., 0], rel[..., 1]), 2.0 * np.pi))
+    order = np.argsort(betas, axis=1)
+    betas = betas[rr, order]
+    w = w[rr, order]
+    ext = np.concatenate([betas, betas + 2.0 * np.pi], axis=1)
+    cum = np.zeros((C, 2 * N + 1))
+    np.cumsum(np.concatenate([w, w], axis=1), axis=1, out=cum[:, 1:])
+    offs = (4.0 * np.pi) * rr
+    idx = np.searchsorted((ext + offs).ravel(),
+                          (betas + (np.pi - 1e-12) + offs).ravel(), side="left")
+    idx = np.clip(idx.reshape(C, N) - 2 * N * rr, 0, 2 * N)
+    open_w = cum[rr, idx] - cum[:, :N]
+    i = np.argmax(open_w, axis=1)
+    j = idx[rows, i]
+    b_prev = np.where(i > 0, ext[rows, i - 1], betas[:, -1] - 2.0 * np.pi)
+    lo = np.maximum(b_prev, ext[rows, j - 1] - np.pi)
+    hi = np.minimum(ext[rows, i], ext[rows, j] - np.pi)
+    return total - open_w[rows, i], (lo + hi) / 2.0 - np.pi / 2.0
+
+
+def _assert_kernel_matches_reference(centers, pts, w):
+    got = _sweep_counting_min_batch(centers, pts, w)
+    want = _reference_kernel(centers, pts, w)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+
+
+def test_batch_kernel_matches_its_reference_formula_bit_for_bit():
+    """The kernel's angle wrap, weight masking and unclipped search give
+    the values and angles, down to the sign of zero, of the reference
+    formula on the inputs where they could differ."""
+    gen = np.random.default_rng(1515)
+    # signed zeros: atan2 gives -0.0 and -pi, which both wrap to +0.0 and +pi
+    signed = np.array([[-0.0, 1.0], [0.0, -1.0], [-0.0, -1.0], [-0.0, -0.0], [1.0, -0.0],
+                       [-1.0, 0.0], [-1e-300, 1.0], [2.0, 3.0], [-2.0, -3.0]])
+    for c in ([0.0, 0.0], [-0.0, -0.0], [-0.0, 1.0], [1.0, -0.0]):
+        _assert_kernel_matches_reference(np.array([c]), signed, np.ones(len(signed)))
+    # offsets exactly at the at-center radius 1e-12 * scale and one ulp past it
+    for scale in (1.0, 1000.0, 3.0e5):
+        t = 1e-12 * scale
+        for r in (t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)):
+            pts = np.array([[r, 0.0], [0.0, -r], [-r, 0.0], [scale, 1.0], [-1.0, scale],
+                            [0.5, -0.25 * scale], [-scale, -scale]])
+            _assert_kernel_matches_reference(np.zeros((1, 2)), pts, np.ones(len(pts)))
+            _assert_kernel_matches_reference(pts, pts, np.arange(1.0, len(pts) + 1.0))
+    # collinear lattice points, every point a center, unit and integer weights
+    grid = np.array([[i, j] for i in range(-4, 5) for j in range(-3, 6)], dtype=float)
+    for w in (np.ones(len(grid)), gen.integers(1, 6, len(grid)).astype(float)):
+        _assert_kernel_matches_reference(grid, grid, w)
+        _assert_kernel_matches_reference(np.array([[0.5, 0.5], [1.0 / 3.0, -2.0]]), grid, w)
+    # non-integer weights, with duplicates; long rows sum pairwise in blocks
+    pts = np.vstack([gen.normal(size=(300, 2)) * 5.0, grid[:40], grid[:40]])
+    w = gen.uniform(0.05, 3.0, len(pts))
+    _assert_kernel_matches_reference(pts[::7], pts, w)
+    # one point set per center with zero weights, as the 3D reduction sends
+    proj = gen.integers(-3, 4, size=(6, 40, 2)).astype(float)
+    w3 = np.where(gen.random((6, 40)) < 0.3, 0.0, gen.uniform(0.5, 2.0, (6, 40)))
+    _assert_kernel_matches_reference(np.zeros((6, 2)), proj, w3)
+    _assert_kernel_matches_reference(np.zeros((6, 2)), proj, np.where(w3 > 0, 1.0, 0.0))

@@ -1,4 +1,9 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -40,9 +45,11 @@ def test_halfspace_from_vector_normalizes_once(spy):
         h = Halfspace.from_vector(v, c)
         assert np.array_equal(h.n, Direction.from_vector(v).coords)
         assert h.offset == c / float(np.linalg.norm(v))
+    # the one norm is sqrt(v . v), the sum np.linalg.norm takes
     norms = spy(np.linalg, "norm")
+    roots = spy(geom_mod.math, "sqrt")
     Halfspace.from_vector([3.0, -4.0], 1.0)
-    assert len(norms) == 1
+    assert len(roots) == 1 and norms == []
     with pytest.raises(ValueError):
         Halfspace.from_vector([0.0, 0.0], 1.0)
     with np.errstate(over="ignore"), pytest.raises(ValueError):   # the norm overflows
@@ -537,3 +544,35 @@ def test_volume_centroid_3d_of_flat_and_empty_sets_is_zero():
     for extra, off in cases:
         vol, c, _ = geom_mod.volume_centroid_3d(np.vstack([A, extra]), np.append(b, off))
         assert vol == 0.0 and c is None
+
+
+def test_import_leaves_scipy_optimize_unloaded_until_an_lp():
+    # a fresh interpreter: importing the package loads no LP solver, and a 4D
+    # polytope, which vertex enumeration cannot validate, still gets the LP check
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import centercut
+        from centercut.errors import Infeasible, Unbounded
+        from centercut.geom import Halfspace, Polytope
+        assert "scipy.optimize" not in sys.modules
+        eye = np.eye(4)
+        box = [Halfspace.from_vector(e, 0.0) for e in eye] + \\
+            [Halfspace.from_vector(-e, -1.0) for e in eye]
+        assert Polytope.from_halfspaces(box).dim == 4
+        assert "scipy.optimize" in sys.modules
+        for cs, err in ((box + [Halfspace.from_vector(np.ones(4), 5.0)], Infeasible),
+                        (box[:4], Unbounded)):
+            try:
+                Polytope.from_halfspaces(cs)
+            except err:
+                pass
+            else:
+                raise AssertionError(err.__name__)
+    """)
+    src = str(pathlib.Path(geom_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
