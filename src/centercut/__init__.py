@@ -12,7 +12,6 @@ from .errors import (
     EmptyRegion,
     Infeasible,
     InfeasibleStart,
-    MalformedPolygon,
     OutsideRegion,
     ParseError,
     RejectionStall,
@@ -35,7 +34,6 @@ __all__ = [
     "EmptyRegion",
     "Infeasible",
     "InfeasibleStart",
-    "MalformedPolygon",
     "OutsideRegion",
     "ParseError",
     "RejectionStall",

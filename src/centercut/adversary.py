@@ -158,10 +158,6 @@ def adversary_query(st: _Game, x):
     return value, h.copy()
 
 
-def epigraph_value(st: _Game, y) -> float:
-    return st.epigraph(y)[0]
-
-
 def is_consistent(st: _Game, tol: float = 1e-9) -> bool:
     """Every recorded answer equals the final max-of-affines at its point,
     with the recorded subgradient attaining the max."""
@@ -353,10 +349,6 @@ class MixedFiber(_Game):
             if alive and np.all(hi - lo > 1e-12):
                 out[v] = (lo, hi)
         return out
-
-    def fiber_volumes(self) -> dict:
-        return {v: float(np.prod(hi - lo))
-                for v, (lo, hi) in self.remaining_boxes().items()}
 
     def _corners(self, lo, hi):
         for bits in itertools.product((0, 1), repeat=self.d):

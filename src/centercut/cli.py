@@ -24,8 +24,8 @@ from .centerpoint import (ConstraintSet, centerpoint_lattice_measure,
                           centerpoint_monte_carlo, centroid, depth_guarantee)
 from .errors import (BudgetExceeded, DimensionTooLarge, EmptyLattice,
                      EmptyRegion, Infeasible, InfeasibleStart,
-                     MalformedPolygon, OutsideRegion, ParseError,
-                     RejectionStall, SchemaError, Unbounded)
+                     OutsideRegion, ParseError, RejectionStall, SchemaError,
+                     Unbounded)
 from .geom import Box, Direction, Polytope
 from .measures import (FinitePointMass, LatticeCounting, MixedInteger,
                        RngState, UniformPolytope)
@@ -282,6 +282,24 @@ def serialize(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # builders
 
+def _at(path, build, *args):
+    """``build(*args)``, with the library's ValueError reported as a schema
+    error at the document path ``path``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def _objective_dims(spec) -> set:
+    """The dimensions an objective's pieces, centers and parts name."""
+    if spec["type"] == "affine_max":
+        return {len(spec["pieces"][0]) - 1}
+    if spec["type"] == "quadratic":
+        return {len(spec["c"])}
+    return set().union(*(_objective_dims(p) for p in spec["parts"]))
+
+
 def _check_dimension(what, dim):
     """Uniform, lattice and mixed measures stop above dimension 3. Saying
     so before the polytope is built spares its LP checks, which run from
@@ -401,7 +419,7 @@ def _depth_at(m, x, rng):
 
 
 def cmd_depth(doc, args) -> dict:
-    m = _build_measure(doc["measure"])
+    m = _at("$.measure", _build_measure, doc["measure"])
     x = np.asarray(doc["point"], dtype=float)
     if x.shape != (m.dim,):
         _fail("$.point", "dimension does not match the measure")
@@ -413,7 +431,7 @@ def cmd_depth(doc, args) -> dict:
 
 
 def cmd_centerpoint(doc, args) -> dict:
-    m = _build_measure(doc["measure"])
+    m = _at("$.measure", _build_measure, doc["measure"])
     method = _pick(args.method, doc, "method", "mc")
     eps = float(_pick(args.eps, doc, "eps", 0.1))
     delta = float(_pick(args.delta, doc, "delta", 0.1))
@@ -421,11 +439,15 @@ def cmd_centerpoint(doc, args) -> dict:
     seed = int(_pick(args.seed, doc, "seed", 0))
     rng = RngState(seed).child(1)
     if "constraint" in doc:
-        S = _build_constraint(doc["constraint"])
+        S = _at("$.constraint", _build_constraint, doc["constraint"])
     else:
         S = _default_constraint(m)
     mixed11 = isinstance(m, MixedInteger) and (m.n, m.d) == (1, 1)
     if method == "mc":
+        if not 0 < eps <= 1:
+            _fail("$.eps", "eps must lie in (0, 1]")
+        if not 0 < delta < 1:
+            _fail("$.delta", "delta must lie in (0, 1)")
         if S.kind == "mixed" and not mixed11:
             _fail("$.method", "mc over a mixed constraint needs an n=1, d=1 "
                   "mixed measure")
@@ -467,27 +489,30 @@ def _guarantee_dict(g):
             "lenstra_floor": g.lenstra_floor}
 
 
-def _solve_with_flags(o, S, nu, E0, doc, args, seed_child):
+def _solve_with_flags(o, S, nu, E0, doc, args):
     """``cutplane.solve`` with delta, strategy, budget and seed taken from
-    the flags, else the document; returns (report, strategy name, delta)."""
+    the flags, else the document; returns (report, strategy name, delta).
+    The seed reaches the random strategy only."""
     delta = float(_pick(args.delta, doc, "delta", doc["delta"]))
     strategy_name = _pick(args.strategy, doc, "strategy", "centerpoint")
     budget = int(_pick(args.budget, doc, "budget", 10_000))
     seed = int(_pick(args.seed, doc, "seed", 0))
     strategy = _STRATEGIES[strategy_name](seed)
-    rng = RngState(seed).child(seed_child)
-    report = cutplane.solve(o, S, nu, E0, delta, strategy=strategy,
-                            budget=budget, rng=rng)
+    report = cutplane.solve(o, S, nu, E0, delta, strategy=strategy, budget=budget)
     return report, strategy_name, delta
 
 
 def cmd_solve(doc, args) -> dict:
-    o = _build_objective(doc["objective"])
-    S = _build_constraint(doc["constraint"])
-    nu = _build_measure(doc["measure"])
+    o = _at("$.objective", _build_objective, doc["objective"])
+    S = _at("$.constraint", _build_constraint, doc["constraint"])
+    nu = _at("$.measure", _build_measure, doc["measure"])
     e0 = doc["E0"]
-    report, strategy_name, delta = _solve_with_flags(
-        o, S, nu, Box(e0["lower"], e0["upper"]), doc, args, 2)
+    if _objective_dims(doc["objective"]) != {nu.dim}:
+        _fail("$.objective", f"dimension does not match the measure's {nu.dim}")
+    if len(e0["lower"]) != nu.dim:
+        _fail("$.E0", f"dimension does not match the measure's {nu.dim}")
+    E0 = _at("$.E0", Box, e0["lower"], e0["upper"])
+    report, strategy_name, delta = _solve_with_flags(o, S, nu, E0, doc, args)
     upper, lower = report.bound_comparison
     trace = report.iteration_trace
     return _pyify({
@@ -506,10 +531,10 @@ def cmd_solve(doc, args) -> dict:
 
 
 def cmd_adversary_run(doc, args) -> dict:
-    game = _build_game(doc["game"])
+    game = _at("$.game", _build_game, doc["game"])
     report, strategy_name, delta = _solve_with_flags(
         cutplane.Adversarial(game), adversary_mod.game_constraint_set(game),
-        adversary_mod.game_measure(game), game.E0, doc, args, 3)
+        adversary_mod.game_measure(game), game.E0, doc, args)
     lower = adversary_mod.lower_bound_for(game, delta)
     return _pyify({
         "command": "adversary-run",
@@ -667,7 +692,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(payload)
         return 0
-    except (ParseError, SchemaError, MalformedPolygon) as exc:
+    except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, RejectionStall, DimensionTooLarge) as exc:

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import adversary as adversary_mod
-from . import depth as depth_mod
 from . import geom
 from .centerpoint import (ConstraintSet, _pruned_lex_best,
                           centerpoint_lattice_measure, centerpoint_mixed_2d,
@@ -178,7 +177,10 @@ def _nearest_row(pts, target):
     return pts[i]
 
 
-def _pick_centerpoint(m: Measure, rng: RngState, i: int):
+def _pick_centerpoint(m: Measure):
+    """The Centerpoint pick, with its exact depth where an exact engine
+    covers the family; None for 3D uniform measures and for mixed measures
+    other than n = 1, d = 1, whose trace then records the removed share."""
     if isinstance(m, LatticeCounting) and m.dim == 2:
         r = centerpoint_lattice_measure(m)
         return r.point, r.depth.value
@@ -188,13 +190,12 @@ def _pick_centerpoint(m: Measure, rng: RngState, i: int):
             return c, 0.5
         if m.dim == 2:
             return c, min_direction_2d(m, c).value
-        return c, depth_mod.depth_sampled(m, c, 500, rng.child(i)).value
+        return c, None
     if isinstance(m, MixedInteger):
         if m.n == 1 and m.d == 1:
             r = centerpoint_mixed_2d(m)
             return r.point, r.depth.value
-        c = _mixed_mean(m)
-        return c, depth_mod.depth_sampled(m, c, 500, rng.child(i)).value
+        return _mixed_mean(m), None
     # finite point masses and 1D/3D lattices: the deepest support point
     pts = m.active_points().astype(float)
     k, res = _pruned_lex_best(pts, pts, m.active_weights())
@@ -234,10 +235,10 @@ def _pick_centroid(m: Measure):
     return _nearest_row(pts, pts.mean(axis=0))
 
 
-def _pick(strategy, m: Measure, rng: RngState, i: int):
+def _pick(strategy, m: Measure, i: int):
     """Strategy point inside the open region, with a depth estimate when known."""
     if isinstance(strategy, Centerpoint):
-        return _pick_centerpoint(m, rng, i)
+        return _pick_centerpoint(m)
     if isinstance(strategy, Centroid):
         return _pick_centroid(m), None
     if isinstance(strategy, RandomFeasible):
@@ -282,8 +283,7 @@ class SolveReport:
 
 
 def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
-          strategy=Centerpoint(), budget: int = DEFAULT_BUDGET,
-          rng: RngState | None = None) -> SolveReport:
+          strategy=Centerpoint(), budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Run the cutting-plane loop until the open region mass is at most delta.
 
     The measure ``nu`` must be supported on S; E0 membership uses half-open
@@ -295,7 +295,6 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
     equals the one ``epigraph_cut`` at the new best value would give, bit
     for bit.
     """
-    rng = rng if rng is not None else RngState(0)
     try:
         boxed = nu.restrict(tuple(E0.half_open_cuts()))
     except EmptyRegion:
@@ -316,7 +315,7 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
             stop = "budget"
             break
         try:
-            x, est = _pick(strategy, m, rng, len(trace))
+            x, est = _pick(strategy, m, len(trace))
         except EmptyRegion:   # degenerate sliver region below pick tolerance
             stop = "empty_region"
             break

@@ -402,7 +402,7 @@ def depth_sampled(m: Measure, x, num_directions: int, rng: RngState) -> DepthRes
         units = dirs / np.sqrt(geom.row_dots(dirs, dirs))[:, None]
         vals = m.halfspace_masses(units, geom.row_dots(dirs, xv)).tolist()
     else:
-        vals = [m.halfspace_mass(Halfspace(Direction.from_vector(u), float(u @ xv))).value
+        vals = [m.halfspace_mass(Halfspace(Direction.from_vector(u), float(u @ xv)))
                 for u in dirs]
     best = math.inf
     best_u = dirs[0]
@@ -436,7 +436,7 @@ def depth_angle_grid(m: Measure, x, num_angles: int) -> DepthResult:
     for a in alphas:
         u = _u(a)
         h = Halfspace(Direction.from_vector(u), float(u @ xv))
-        v = m.halfspace_mass(h).value
+        v = m.halfspace_mass(h)
         if v < best - 1e-15:
             best, best_a = v, a
     return _result(best, best_a, False, 1.0)

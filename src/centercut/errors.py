@@ -5,10 +5,6 @@ class CentercutError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MalformedPolygon(CentercutError):
-    """Polygon input is not a convex, counterclockwise vertex list."""
-
-
 class Infeasible(CentercutError):
     """Constraint system has no feasible point."""
 

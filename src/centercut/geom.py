@@ -20,8 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import (BudgetExceeded, DimensionTooLarge, Infeasible, MalformedPolygon,
-                     Unbounded)
+from .errors import BudgetExceeded, DimensionTooLarge, Infeasible, Unbounded
 
 EPS = 1e-9          # vertex dedup / membership tolerance
 UNIT_TOL = 1e-12    # unit-norm tolerance for directions
@@ -434,24 +433,6 @@ def convex_hull_2d(pts) -> np.ndarray:
     return canonical_polygon(np.array(chain(p) + chain(p[::-1])))
 
 
-def _assert_convex_ccw(verts: np.ndarray) -> None:
-    v = np.asarray(verts, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-        raise MalformedPolygon("need at least 3 vertices in the plane")
-    if not np.all(np.isfinite(v)):
-        raise MalformedPolygon("non-finite vertex")
-    area2 = 2.0 * shoelace_area(v)
-    scale = float(np.max(np.abs(v))) + 1.0
-    if area2 <= EPS * scale * scale:
-        raise MalformedPolygon("vertices are not in CCW convex position")
-    nxt = np.roll(v, -1, axis=0)
-    nxt2 = np.roll(v, -2, axis=0)
-    cross = (nxt[:, 0] - v[:, 0]) * (nxt2[:, 1] - nxt[:, 1]) - \
-            (nxt[:, 1] - v[:, 1]) * (nxt2[:, 0] - nxt[:, 0])
-    if np.any(cross < -EPS * scale * scale):
-        raise MalformedPolygon("vertices are not in CCW convex position")
-
-
 def clip_polygon_vertices(verts: np.ndarray, normal, offset: float,
                           tol: float = 1e-12) -> np.ndarray:
     """Clip a convex CCW vertex cycle against ``{y : normal . y >= offset}``."""
@@ -478,32 +459,6 @@ def clip_polygon_vertices(verts: np.ndarray, normal, offset: float,
     if not out:
         return np.zeros((0, 2))
     return canonical_polygon(np.array(out), tol=keep_tol)
-
-
-def clip_polygon(poly: Polytope, h: Halfspace) -> Polytope:
-    """Intersect a 2D polytope with one halfspace.
-
-    The input must be a convex CCW polygon; the result is returned in
-    canonical form (CCW, lexicographically smallest starting vertex) and may
-    be empty or lower-dimensional. Openness of ``h`` does not change the
-    clipped set of positive area, so it is ignored here.
-    """
-    if poly.dim != 2:
-        raise MalformedPolygon("clip_polygon requires a 2D polytope")
-    verts = poly.vertices()
-    _assert_convex_ccw(verts)
-    out = clip_polygon_vertices(verts, h.n, h.offset)
-    return Polytope.from_vertices_2d(out, validate=False)
-
-
-def polygon_area(poly: Polytope) -> float:
-    """Area of a 2D polytope; degenerate vertex cycles give 0."""
-    if poly.dim != 2:
-        raise MalformedPolygon("polygon_area requires a 2D polytope")
-    verts = poly.vertices()
-    if verts is None or len(verts) < 3:
-        return 0.0
-    return abs(shoelace_area(canonical_polygon(verts)))
 
 
 # ---------------------------------------------------------------------------

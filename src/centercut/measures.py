@@ -4,10 +4,10 @@ Four families share one contract: exact halfspace mass in low dimension,
 restriction by halfspace cuts with open-cut bookkeeping (so the mass of the
 open region is what gets tracked), and deterministic seeded sampling.
 
-Masses handed back are :class:`MassEstimate` values, and every one is
-exact: the low-dimensional geometry (interval clips, polygon clipping, 3D
-volumes from vertex enumeration) comes from :mod:`centercut.geom`, and no
-mass is estimated from samples. Rejection sampling runs through one loop,
+Masses handed back are plain floats, and every one is exact: the
+low-dimensional geometry (interval clips, polygon clipping, 3D volumes
+from vertex enumeration) comes from :mod:`centercut.geom`, and no mass is
+estimated from samples. Rejection sampling runs through one loop,
 ``_rejection_sample``.
 """
 from __future__ import annotations
@@ -19,22 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .errors import DimensionTooLarge, EmptyRegion, RejectionStall
+from .errors import BudgetExceeded, DimensionTooLarge, EmptyRegion, RejectionStall
 from .geom import Halfspace, Polytope
 
 MASS_TOL = 1e-12          # zero-mass threshold for volume-backed families
 _STALL_PROPOSALS = 1_000_000
 _STALL_RATE = 1e-6
-
-
-@dataclass(frozen=True)
-class MassEstimate:
-    """A normalized mass in [0, 1], computed exactly."""
-
-    value: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,7 @@ class Measure:
     def dim(self) -> int:
         raise NotImplementedError
 
-    def halfspace_mass(self, h: Halfspace) -> MassEstimate:
+    def halfspace_mass(self, h: Halfspace) -> float:
         raise NotImplementedError
 
     def restrict(self, cuts) -> "Measure":
@@ -122,10 +112,10 @@ class FinitePointMass(Measure):
     def active_weights(self) -> np.ndarray:
         return self.weights[self._active]
 
-    def halfspace_mass(self, h) -> MassEstimate:
+    def halfspace_mass(self, h) -> float:
         mask = self._active & _cut_mask(self.points, (h,))
         v = float(self.weights[mask].sum()) / self.total_mass
-        return MassEstimate(min(max(v, 0.0), 1.0))
+        return min(max(v, 0.0), 1.0)
 
     def restrict(self, cuts) -> "FinitePointMass":
         return FinitePointMass(self.points, self.weights, self.region + tuple(cuts))
@@ -167,9 +157,9 @@ class LatticeCounting(Measure):
     def active_weights(self) -> np.ndarray:
         return np.ones(len(self._points))
 
-    def halfspace_mass(self, h) -> MassEstimate:
+    def halfspace_mass(self, h) -> float:
         inside = _cut_mask(self._points, (h,))
-        return MassEstimate(float(inside.sum()) / self.total_mass)
+        return float(inside.sum()) / self.total_mass
 
     def restrict(self, cuts) -> "LatticeCounting":
         cuts = tuple(cuts)
@@ -243,20 +233,20 @@ class UniformPolytope(Measure):
             raise ValueError("region_vertices needs dimension 2 or 3")
         return self._verts
 
-    def halfspace_mass(self, h) -> MassEstimate:
+    def halfspace_mass(self, h) -> float:
         d = self.polytope.dim
         if d == 1:
             lo, hi = self._interval
             lo, hi = _interval_from_halfspaces([(1.0, lo), (-1.0, -hi),
                                                 (float(h.n[0]), h.offset)])
-            return MassEstimate(min(max(max(hi - lo, 0.0) / self.total_mass, 0.0), 1.0))
+            return min(max(max(hi - lo, 0.0) / self.total_mass, 0.0), 1.0)
         if d == 2:
             kept = abs(geom.shoelace_area(geom.clip_polygon_vertices(self._verts, h.n,
                                                                      h.offset)))
         else:
             kept = geom.volume_centroid_3d(np.vstack([self._A, h.n]),
                                            np.append(self._b, h.offset))[0]
-        return MassEstimate(min(max(kept / self.total_mass, 0.0), 1.0))
+        return min(max(kept / self.total_mass, 0.0), 1.0)
 
     def restrict(self, cuts) -> "UniformPolytope":
         return UniformPolytope(self.polytope, self.region + tuple(cuts))
@@ -343,9 +333,14 @@ class MixedInteger(Measure):
         return out, True
 
     def _build_fibers(self):
+        """Slices every integer block of the bounding box; BudgetExceeded
+        when that grid is larger than ``geom.LATTICE_CAP``, before any slice."""
         lo, hi = self.polytope.bounding_box()
         zlo = np.ceil(lo[:self.n] - geom.EPS).astype(int)
         zhi = np.floor(hi[:self.n] + geom.EPS).astype(int)
+        total = int(np.prod(np.maximum(zhi - zlo + 1, 0).astype(object)))
+        if total > geom.LATTICE_CAP:
+            raise BudgetExceeded(f"fiber grid of size {total} exceeds cap {geom.LATTICE_CAP}")
         cons = self._constraints()
         self.fibers = []  # (z tuple, payload, volume)
         for z in itertools.product(*[range(zlo[i], zhi[i] + 1) for i in range(self.n)]):
@@ -368,10 +363,6 @@ class MixedInteger(Measure):
             tails, rhs, geom.EPS * max(1.0, float(np.max(np.abs(rhs), initial=0.0))))
         verts = geom.convex_hull_2d(pts) if len(pts) else np.zeros((0, 2))
         return verts, abs(geom.shoelace_area(verts))
-
-    def fiber_slices(self):
-        """List of (integer block tuple, payload, volume)."""
-        return list(self.fibers)
 
     def halfspace_masses(self, normals, offsets, closed: bool = True) -> np.ndarray:
         """Normalized masses of the halfspaces ``{y : normals[i] . y >= offsets[i]}``
@@ -402,9 +393,9 @@ class MixedInteger(Measure):
         kept = np.cumsum(kept, axis=1)[:, -1]   # sequential, unlike sum()
         return np.minimum(np.maximum(kept / self.total_mass, 0.0), 1.0)
 
-    def halfspace_mass(self, h) -> MassEstimate:
+    def halfspace_mass(self, h) -> float:
         if self.d == 1:
-            return MassEstimate(float(self.halfspace_masses(h.n, [h.offset], h.closed)[0]))
+            return float(self.halfspace_masses(h.n, [h.offset], h.closed)[0])
         cut = self._split_rows([(h.n, h.offset, h.closed)])
         kept = 0.0
         for z, verts, vol in self.fibers:
@@ -416,7 +407,7 @@ class MixedInteger(Measure):
                 continue
             tail, rhs = sliced[0]
             kept += abs(geom.shoelace_area(geom.clip_polygon_vertices(verts, tail, rhs)))
-        return MassEstimate(min(max(kept / self.total_mass, 0.0), 1.0))
+        return min(max(kept / self.total_mass, 0.0), 1.0)
 
     def restrict(self, cuts) -> "MixedInteger":
         return MixedInteger(self.polytope, self.n, self.d, self.region + tuple(cuts))
@@ -473,20 +464,3 @@ def _points_in_polygon(pts, verts) -> np.ndarray:
         ok &= (pts - p) @ n >= -geom.EPS
     return ok
 
-
-# ---------------------------------------------------------------------------
-# module-level operations
-
-def halfspace_mass(m: Measure, h: Halfspace) -> MassEstimate:
-    """Normalized mass of ``h`` intersected with the measure's region."""
-    return m.halfspace_mass(h)
-
-
-def restrict(m: Measure, cuts) -> Measure:
-    """New measure with extra region cuts; raises EmptyRegion at zero mass."""
-    return m.restrict(tuple(cuts))
-
-
-def sample(m: Measure, rng: RngState, count: int) -> np.ndarray:
-    """Draw ``count`` points; deterministic in (seed, stream)."""
-    return m.sample(rng, count)

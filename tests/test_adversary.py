@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from centercut.adversary import (ContinuousMedian, IntegerFiber, MixedFiber,
-                                 adversary_query, epigraph_value,
+                                 adversary_query,
                                  game_constraint_set, game_measure,
                                  is_consistent, lower_bound_for,
                                  lower_bound_value)
@@ -115,8 +115,8 @@ def test_epigraph_is_convex():
     ys = rng.uniform(0.0, 1.0, size=(1000, 2, 2))
     for y1, y2 in ys:
         mid = 0.5 * (y1 + y2)
-        lhs = epigraph_value(st, mid)
-        rhs = 0.5 * (epigraph_value(st, y1) + epigraph_value(st, y2))
+        lhs = st.epigraph(mid)[0]
+        rhs = 0.5 * (st.epigraph(y1)[0] + st.epigraph(y2)[0])
         assert lhs <= rhs + 1e-12
 
 
@@ -124,7 +124,7 @@ def test_query_value_attains_epigraph():
     st = _play_continuous([])
     x = np.array([0.5, 0.5])
     v, h = adversary_query(st, x)
-    assert epigraph_value(st, x) == pytest.approx(v, abs=1e-15)
+    assert st.epigraph(x)[0] == pytest.approx(v, abs=1e-15)
     assert is_consistent(st)
 
 
@@ -144,16 +144,20 @@ def test_games_stay_consistent():
 # ---------------------------------------------------------------------------
 # mixed fiber game
 
+def _fiber_volumes(st):
+    return {v: float(np.prod(hi - lo)) for v, (lo, hi) in st.remaining_boxes().items()}
+
+
 def test_mixed_fiber_boxes_shrink_in_fiber_only():
     st = MixedFiber(1, 1, 4)
     adversary_query(st, np.array([0.0, 2.0]))
-    vols = st.fiber_volumes()
+    vols = _fiber_volumes(st)
     assert vols[(1,)] == 4.0
     assert 1.9 <= vols[(0,)] <= 2.1
     # a strictly separating query trims fiber boxes by at most the xi offset
-    before = st.fiber_volumes()
+    before = _fiber_volumes(st)
     adversary_query(st, np.array([0.5, 3.9]))
-    after = st.fiber_volumes()
+    after = _fiber_volumes(st)
     for v, vol in before.items():
         assert vol - 1e-4 <= after[v] <= vol
     assert is_consistent(st)

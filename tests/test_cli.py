@@ -276,6 +276,16 @@ def test_exit_code_budget(tmp_path):
     assert main(["depth", "--input", inp]) == 3
 
 
+def test_exit_code_budget_mixed_fiber_grid(tmp_path, capsys):
+    doc = {"schema_version": 1, "command": "depth",
+           "measure": {"family": "mixed", "polytope": [[1, 0, 1e9], [-1, 0, 0],
+                                                      [0, 1, 1], [0, -1, 0]],
+                       "n": 1, "d": 1},
+           "point": [1.0, 0.5]}
+    assert main(["depth", "--input", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith("error: fiber grid")
+
+
 BOX4_ROWS = np.vstack([np.hstack([np.eye(4), np.full((4, 1), 2.0)]),
                        np.hstack([-np.eye(4), np.zeros((4, 1))])]).tolist()
 
@@ -311,6 +321,50 @@ def test_dimension_above_three_exits_before_any_lp(tmp_path, spy, command, doc):
     inp = _write(tmp_path, {"schema_version": 1, "command": command, **doc})
     assert main([command, "--input", inp]) == 3
     assert lps == []
+
+
+# documents the library rejects with a ValueError: each exits 2 naming the
+# document path, before any solve
+BAD_VALUE_DOCS = [
+    ("centerpoint", "$.eps", {"measure": {"family": "uniform", "polytope": SQUARE_ROWS},
+                              "eps": 0}),
+    ("solve", "$.objective", dict(SOLVE_DOC, objective={
+        "type": "quadratic", "Q": [[1, 1], [0, 1]], "c": [0.3, 0.7]})),
+    ("solve", "$.objective", dict(SOLVE_DOC, objective={
+        "type": "quadratic", "Q": [[1, 0], [0, -1]], "c": [0.3, 0.7]})),
+    ("solve", "$.objective", dict(SOLVE_DOC, objective={
+        "type": "quadratic", "Q": np.eye(3).tolist(), "c": [0.3, 0.7, 0.1]})),
+    ("solve", "$.E0", dict(SOLVE_DOC, E0={"lower": [0, 0, 0], "upper": [4, 4, 4]})),
+    ("depth", "$.measure", {"measure": {"family": "finite", "points": [[0, 0], [1, 0], [0, 1]],
+                                        "weights": [1, 0, 1]}, "point": [0.2, 0.2]}),
+    ("depth", "$.measure", {"measure": {"family": "mixed", "polytope": SQUARE_ROWS,
+                                        "n": 0, "d": 2}, "point": [0.5, 0.5]}),
+    ("centerpoint", "$.constraint", {"measure": {"family": "uniform", "polytope": SQUARE_ROWS},
+                                     "constraint": {"kind": "continuous", "dim": 0}}),
+    ("adversary-run", "$.game", {"game": {"kind": "integer_fiber", "n": 0, "B": 8},
+                                 "delta": 0.5}),
+]
+
+
+@pytest.mark.parametrize("command, path, doc", BAD_VALUE_DOCS)
+def test_exit_code_bad_values_name_their_path(tmp_path, capsys, command, path, doc):
+    inp = _write(tmp_path, {**doc, "schema_version": 1, "command": command})
+    assert main([command, "--input", inp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("error:") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_centerpoint_solve_ignores_the_seed(tmp_path):
+    # the Centerpoint strategy draws nothing, so --seed changes no byte
+    doc = {"schema_version": 1, "command": "solve",
+           "objective": {"type": "quadratic", "Q": np.eye(3).tolist(), "c": [1.3, 1.1, 0.7]},
+           "constraint": {"kind": "continuous", "dim": 3},
+           "measure": {"family": "uniform", "polytope": CUBE_ROWS},
+           "E0": {"lower": [0, 0, 0], "upper": [2, 2, 2]}, "delta": 0.5}
+    outs = [_run(tmp_path, doc, "solve", ["--seed", s])[1].read_bytes() for s in ("0", "7")]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["stop_reason"] == "mass_below_delta"
 
 
 # [-0.25, 3.5]: each side of x = 1 against the length 3.75

@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull
 from centercut.adversary import (ContinuousMedian, IntegerFiber,
                                  game_constraint_set, game_measure)
 from centercut.centerpoint import ConstraintSet, _lex_best
+from centercut import depth as depth_mod
 from centercut import geom
 from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
                                 ConvexQuadratic, RandomFeasible, Sum,
@@ -18,7 +19,7 @@ from centercut.depth import depth_finite
 from centercut.errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
 from centercut.geom import Box, Halfspace, Polytope
 from centercut.measures import (MASS_TOL, FinitePointMass, LatticeCounting,
-                                MixedInteger, RngState, UniformPolytope)
+                                MixedInteger, UniformPolytope)
 
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
 E_UNIT = Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -212,7 +213,7 @@ def _solve_rebuilding_every_iteration(o, nu, E0, delta):
     boxed = nu.restrict(tuple(E0.half_open_cuts()))
     m, best, records, rows = boxed, math.inf, [], []
     while m.total_mass > delta:
-        x, est = _pick_centerpoint(m, RngState(0), len(rows))
+        x, est = _pick_centerpoint(m)
         value, h = evaluate(o, x)
         best = min(best, value)
         records.append((x, value, h))
@@ -360,7 +361,7 @@ def test_3d_lattice_pick_clears_the_paper_floor():
     for _ in range(10):
         m = _random_lattice_polytope_3d(gen, 20, 150)
         pts = m.active_points()
-        point, value = _pick_centerpoint(m, RngState(0), 0)
+        point, value = _pick_centerpoint(m)
         vals = [depth_finite(pts, p).value for p in pts]
         assert value == max(vals) == vals[_lex_best(pts, vals)]
         assert np.array_equal(point, pts[_lex_best(pts, vals)])
@@ -369,7 +370,7 @@ def test_3d_lattice_pick_clears_the_paper_floor():
 
 def test_3d_lattice_pick_on_the_box():
     m = LatticeCounting(Polytope.from_box(np.zeros(3), np.full(3, 4.0)))
-    point, value = _pick_centerpoint(m, RngState(0), 0)
+    point, value = _pick_centerpoint(m)
     assert point.tolist() == [2.0, 2.0, 2.0]
     assert value == 63.0 / 125.0
 
@@ -429,6 +430,51 @@ def test_mixed_mean_outside_its_polygon_fiber_moves_into_it():
                 0.1)
     assert P.contains(rep.iteration_trace[0].point[None])[0]
     assert rep.iteration_trace[0].depth > 0.0
+
+
+BOX_432 = Polytope.from_box(np.zeros(3), [4.0, 3.0, 2.0])
+BOX_632 = Polytope.from_box(np.zeros(3), [6.0, 3.0, 2.0])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("nu, S, hi", [
+    (UniformPolytope(BOX_432), ConstraintSet.continuous(3), [4.0, 3.0, 2.0]),
+    (MixedInteger(BOX_632, 1, 2), ConstraintSet.mixed(1, 2), [6.0, 3.0, 2.0]),
+], ids=["uniform3d", "mixed12"])
+def test_picks_without_an_exact_engine_record_their_removed_share(spy, seed, nu, S, hi):
+    # 3D uniform and n = 1, d = 2 mixed Centerpoint picks sample no depth:
+    # each trace row records the share its cut removes from the region the
+    # pick was made in, and a 3D centroid removes at least (3/4)^3
+    sampled = spy(depth_mod, "depth_sampled")
+    E0 = Box(np.zeros(3), np.array(hi))
+    o = ConvexQuadratic(np.eye(3), np.random.default_rng(seed).uniform(0.0, hi))
+    rep = solve(o, S, nu, E0, 0.05)
+    assert sampled == []
+    assert rep.stop_reason in ("mass_below_delta", "empty_region")
+    boxed = nu.restrict(tuple(E0.half_open_cuts()))
+    m, best, rows = boxed, math.inf, rep.iteration_trace
+    for i, row in enumerate(rows):
+        best = min(best, row.value)
+        u = epigraph_cut(row.point, row.value, row.subgradient, best).n
+        removed = m.halfspace_mass(Halfspace.from_vector(-u, float(-u @ row.point)))
+        assert row.depth == removed
+        if isinstance(nu, UniformPolytope):
+            assert row.depth >= 27.0 / 64.0 - 1e-12
+        if i + 1 < len(rows):
+            m = boxed.restrict(tuple(epigraph_cut(r.point, r.value, r.subgradient, best).as_open()
+                                     for r in rows[:i + 1]))
+
+
+@pytest.mark.xfail(strict=True, reason="the n = 2, d = 1 mixed mean sits on its fiber's "
+                                       "boundary and its cuts remove almost nothing")
+def test_mixed_n2_d1_centerpoint_solve_does_not_stall():
+    # from iteration 9 on the pick is (2, 2, 1.3171...) and the region's mass
+    # stays at 0.3769...; without a budget the solve makes 10,000 calls
+    nu = MixedInteger(Polytope.from_box(np.zeros(3), [6.0, 5.0, 2.0]), 2, 1)
+    o = ConvexQuadratic(np.eye(3), np.array([2.3, 1.6, 1.2]))
+    rep = solve(o, ConstraintSet.mixed(2, 1), nu, Box(np.zeros(3), np.array([7.0, 6.0, 3.0])),
+                0.05, budget=60)
+    assert rep.stop_reason != "budget"
 
 
 def test_solve_mixed_gap_bound():

@@ -8,7 +8,7 @@ from centercut.depth import (_sweep_counting_min_batch, depth_angle_grid,
 from centercut.errors import DimensionTooLarge
 from centercut.geom import Direction, Halfspace, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
-                                RngState, UniformPolytope, halfspace_mass)
+                                RngState, UniformPolytope)
 
 TRIANGLE = Polytope.from_vertices_2d([[0, 0], [1, 0], [0, 1]])
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
@@ -87,7 +87,7 @@ def test_lattice_engine_matches_finite_engine():
     assert a.value == b.value
     # witness attains the reported mass under the public evaluator
     h = Halfspace(a.witness, float(a.witness.coords @ np.array([1.0, 1.0])))
-    assert float(halfspace_mass(m, h)) == pytest.approx(a.value, abs=1e-12)
+    assert float(m.halfspace_mass(h)) == pytest.approx(a.value, abs=1e-12)
 
 
 def test_depth_outside_support_is_zero():
@@ -114,7 +114,7 @@ def test_sampled_single_direction_equals_mass():
     u = rng.generator().normal(size=(1, 2))[0]
     u /= np.linalg.norm(u)
     h = Halfspace(Direction.from_vector(u), float(u @ x))
-    assert res.value == float(halfspace_mass(m, h))
+    assert res.value == float(m.halfspace_mass(h))
 
 
 def test_angle_grid_agrees_with_exact_on_grid():
@@ -212,7 +212,7 @@ def test_helly_floor_mixed():
                 [(h0 - h1) / K, 1, h0]]
         m = MixedInteger(Polytope.from_rows(rows), n=1, d=1)
         cands = []
-        for z, payload, _vol in m.fiber_slices():
+        for z, payload, _vol in m.fibers:
             lo, hi = payload
             for t in (0.25, 0.5, 0.75):
                 cands.append([float(z[0]), lo + t * (hi - lo)])
@@ -334,7 +334,7 @@ def _dense_min(mass_at):
 def _assert_exact_and_attained(m, x, res):
     assert res.exact is True and res.gap == 0.0
     h = Halfspace(res.witness, float(res.witness.coords @ np.asarray(x)))
-    assert float(halfspace_mass(m, h)) == pytest.approx(res.value, abs=1e-12)
+    assert float(m.halfspace_mass(h)) == pytest.approx(res.value, abs=1e-12)
 
 
 def _fan_area_masses(verts, x, angles):
@@ -457,7 +457,7 @@ def _sampled_by_loop(m, x, num, rng):
     for u in dirs:
         h = Halfspace(Direction.from_vector(u), float(u @ x))
         hs.append(h)
-        v = m.halfspace_mass(h).value
+        v = m.halfspace_mass(h)
         if v < best - 1e-15:
             best, best_u = v, u
     return best, Direction.from_vector(best_u).coords, hs
@@ -492,7 +492,7 @@ def test_batched_sampled_depth_matches_per_direction_loop():
             assert res.value == value
             assert np.array_equal(res.witness.coords, witness)
             # the one-row evaluator behind halfspace_mass is the scalar one
-            assert all(m.halfspace_mass(h).value == _scalar_mixed_mass(m, h) for h in hs[:40])
+            assert all(m.halfspace_mass(h) == _scalar_mixed_mass(m, h) for h in hs[:40])
 
 
 @pytest.mark.parametrize("rows, n, normal, offset, closed_mass, open_mass", [
@@ -508,7 +508,7 @@ def test_whole_fiber_rows_match_scalar_evaluator(rows, n, normal, offset, closed
     m = MixedInteger(Polytope.from_rows(rows), n, 1)
     for closed, want in ((True, closed_mass), (False, open_mass)):
         h = Halfspace(Direction(np.array(normal)), offset, closed)
-        assert m.halfspace_mass(h).value == _scalar_mixed_mass(m, h) == want
+        assert m.halfspace_mass(h) == _scalar_mixed_mass(m, h) == want
 
 
 # ---------------------------------------------------------------------------

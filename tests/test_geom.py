@@ -12,11 +12,10 @@ from scipy.spatial import ConvexHull
 
 import centercut.geom as geom_mod
 
-from centercut.errors import (BudgetExceeded, DimensionTooLarge, Infeasible,
-                              MalformedPolygon, Unbounded)
-from centercut.geom import (Box, Direction, Halfspace, Polytope, clip_polygon,
+from centercut.errors import BudgetExceeded, DimensionTooLarge, Infeasible, Unbounded
+from centercut.geom import (Box, Direction, Halfspace, Polytope, clip_polygon_vertices,
                             convex_hull_2d, enumerate_lattice_points,
-                            enumerate_vertices, lattice_width_2d, polygon_area)
+                            enumerate_vertices, lattice_width_2d, shoelace_area)
 
 SQUARE = Polytope.from_vertices_2d([[0, 0], [1, 0], [1, 1], [0, 1]])
 TRIANGLE_2 = Polytope.from_vertices_2d([[0, 0], [2, 0], [0, 2]])
@@ -25,6 +24,16 @@ TRIANGLE_2 = Polytope.from_vertices_2d([[0, 0], [2, 0], [0, 2]])
 def _hull_polygon(pts: np.ndarray) -> Polytope:
     hull = ConvexHull(pts)
     return Polytope.from_vertices_2d(pts[hull.vertices])
+
+
+def _clip(poly: Polytope, h: Halfspace) -> np.ndarray:
+    """The vertex cycle of ``poly`` clipped by ``h``."""
+    return clip_polygon_vertices(poly.polygon(), h.n, h.offset)
+
+
+def _area(poly: Polytope) -> float:
+    """Signed area of the CCW vertex cycle of ``poly``."""
+    return shoelace_area(poly.polygon())
 
 
 def test_direction_normalized():
@@ -69,39 +78,33 @@ def test_halfspace_membership_openness():
 def test_clip_square_diagonal():
     # {x1 + x2 <= 1} keeps the lower-left triangle
     h = Halfspace.from_vector([-1.0, -1.0], -1.0)
-    out = clip_polygon(SQUARE, h)
-    assert polygon_area(out) == pytest.approx(0.5, abs=1e-12)
-    assert len(out.vertices()) == 3
+    out = _clip(SQUARE, h)
+    assert shoelace_area(out) == pytest.approx(0.5, abs=1e-12)
+    assert len(out) == 3
 
 
 def test_clip_disjoint_halfspace_empty():
     h = Halfspace.from_vector([1.0, 0.0], 2.0)
-    out = clip_polygon(SQUARE, h)
-    assert polygon_area(out) == 0.0
+    out = _clip(SQUARE, h)
+    assert len(out) == 0
+    assert shoelace_area(out) == 0.0
 
 
 def test_clip_triangle_quadrilateral_area():
     # triangle (0,0),(2,0),(0,2) cut by {x1 <= 1}: shoelace on the
     # corners (0,0),(1,0),(1,1),(0,2) gives 1.5
     h = Halfspace.from_vector([-1.0, 0.0], -1.0)
-    out = clip_polygon(TRIANGLE_2, h)
-    assert polygon_area(out) == pytest.approx(1.5, abs=1e-12)
-    assert len(out.vertices()) == 4
-
-
-def test_clip_rejects_nonconvex():
-    zigzag = Polytope(2, (), np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0],
-                                       [2.0, 2.0], [0.0, 2.0]]))
-    with pytest.raises(MalformedPolygon):
-        clip_polygon(zigzag, Halfspace.from_vector([1.0, 0.0], 0.0))
+    out = _clip(TRIANGLE_2, h)
+    assert shoelace_area(out) == pytest.approx(1.5, abs=1e-12)
+    assert len(out) == 4
 
 
 def test_polygon_area_basics():
-    assert polygon_area(SQUARE) == pytest.approx(1.0, abs=1e-12)
+    assert _area(SQUARE) == pytest.approx(1.0, abs=1e-12)
     tri = Polytope.from_vertices_2d([[0, 0], [1, 0], [0, 1]])
-    assert polygon_area(tri) == pytest.approx(0.5, abs=1e-12)
+    assert _area(tri) == pytest.approx(0.5, abs=1e-12)
     seg = Polytope.from_vertices_2d([[0, 0], [1, 0]])
-    assert polygon_area(seg) == 0.0
+    assert _area(seg) == 0.0
 
 
 def test_clip_matches_analytic_rectangle_grid():
@@ -110,26 +113,26 @@ def test_clip_matches_analytic_rectangle_grid():
     for t in np.linspace(-1.0, 4.0, 26):
         h = Halfspace.from_vector([-1.0, 0.0], -t)      # {x1 <= t}
         want = 2.0 * min(max(float(t), 0.0), 3.0)
-        assert polygon_area(clip_polygon(rect, h)) == pytest.approx(want, abs=1e-9)
+        assert shoelace_area(_clip(rect, h)) == pytest.approx(want, abs=1e-9)
     for t in np.linspace(-0.5, 2.5, 25):
         h = Halfspace.from_vector([0.0, 1.0], t)        # {x2 >= t}
         want = 3.0 * (2.0 - min(max(float(t), 0.0), 2.0))
-        assert polygon_area(clip_polygon(rect, h)) == pytest.approx(want, abs=1e-9)
+        assert shoelace_area(_clip(rect, h)) == pytest.approx(want, abs=1e-9)
 
 
 def test_clip_additivity_500_random_pairs():
     gen = np.random.default_rng(20240817)
     for _ in range(500):
         poly = _hull_polygon(gen.uniform(-3, 3, size=(7, 2)))
-        if polygon_area(poly) < 1e-6:
+        if _area(poly) < 1e-6:
             continue
         u = gen.normal(size=2)
         u /= np.linalg.norm(u)
         c = float(u @ (poly.vertices().mean(axis=0) + gen.normal(size=2)))
         h = Halfspace.from_vector(u, c)
-        a = polygon_area(clip_polygon(poly, h))
-        b = polygon_area(clip_polygon(poly, h.complement()))
-        assert a + b == pytest.approx(polygon_area(poly), abs=1e-9)
+        a = shoelace_area(_clip(poly, h))
+        b = shoelace_area(_clip(poly, h.complement()))
+        assert a + b == pytest.approx(_area(poly), abs=1e-9)
 
 
 def test_enumerate_vertices_square_triangle():
@@ -175,7 +178,7 @@ def test_lattice_points_match_box_scan():
     checked = 0
     for _ in range(14):
         poly = _hull_polygon(gen.uniform(-4, 4, size=(5, 2)))
-        if polygon_area(poly) < 0.5:
+        if _area(poly) < 0.5:
             continue
         checked += 1
         got = {tuple(int(c) for c in p) for p in enumerate_lattice_points(poly)}
@@ -318,7 +321,7 @@ def test_from_rows_matches_from_box():
     P = Polytope.from_rows([[1, 0, 2], [-1, 0, 0], [0, 1, 3], [0, -1, -1]])
     Q = Polytope.from_box([0.0, 1.0], [2.0, 3.0])
     assert np.allclose(P.vertices(), Q.vertices())
-    assert polygon_area(P) == pytest.approx(polygon_area(Q), abs=1e-12)
+    assert _area(P) == pytest.approx(_area(Q), abs=1e-12)
 
 
 @pytest.mark.parametrize("rows", [

@@ -7,21 +7,15 @@ from scipy.spatial import ConvexHull
 from centercut import geom
 from centercut.centerpoint import centerpoint_lenstra_mixed, centroid
 from centercut.cutplane import _mixed_mean
-from centercut.errors import DimensionTooLarge, EmptyRegion, RejectionStall
+from centercut.errors import BudgetExceeded, DimensionTooLarge, EmptyRegion, RejectionStall
 from centercut.geom import Halfspace, Polytope
-from centercut.measures import (FinitePointMass, LatticeCounting, MassEstimate,
-                                MixedInteger, RngState, UniformPolytope,
-                                _cut_mask, _points_in_polygon, halfspace_mass,
-                                restrict, sample)
+from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
+                                RngState, UniformPolytope, _cut_mask,
+                                _points_in_polygon)
 
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
 SQUARE_2 = Polytope.from_box([0.0, 0.0], [2.0, 2.0])
 STRIP = Polytope.from_box([0.0, 0.0], [2.0, 1.0])      # mixed: x1 integer
-
-
-def test_mass_estimate_float_protocol():
-    e = MassEstimate(0.25)
-    assert float(e) == 0.25
 
 
 def test_rng_state_determinism_and_children():
@@ -37,7 +31,7 @@ def test_rng_state_determinism_and_children():
 
 def test_uniform_square_halfspace_mass_half():
     m = UniformPolytope(UNIT_SQUARE)
-    e = halfspace_mass(m, Halfspace.from_vector([1.0, 0.0], 0.5))
+    e = m.halfspace_mass(Halfspace.from_vector([1.0, 0.0], 0.5))
     assert float(e) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -48,28 +42,28 @@ def test_uniform_cut_near_a_vertex_keeps_its_sliver(offset):
     m = UniformPolytope(UNIT_SQUARE)
     a = 0.75 * np.pi + offset
     u = np.array([np.sin(a), np.cos(a)])
-    e = halfspace_mass(m, Halfspace.from_vector(u, float(u @ [0.5, 0.5])))
+    e = m.halfspace_mass(Halfspace.from_vector(u, float(u @ [0.5, 0.5])))
     assert float(e) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_lattice_grid_mass_six_ninths():
     m = LatticeCounting(SQUARE_2)
     assert m.total_mass == 9.0
-    e = halfspace_mass(m, Halfspace.from_vector([1.0, 1.0], 2.0))
+    e = m.halfspace_mass(Halfspace.from_vector([1.0, 1.0], 2.0))
     assert float(e) == pytest.approx(6.0 / 9.0, abs=0.0)
 
 
 def test_mixed_strip_mass_two_thirds():
     m = MixedInteger(STRIP, n=1, d=1)
-    assert len(m.fiber_slices()) == 3
-    e = halfspace_mass(m, Halfspace.from_vector([1.0, 0.0], 1.0))
+    assert len(m.fibers) == 3
+    e = m.halfspace_mass(Halfspace.from_vector([1.0, 0.0], 1.0))
     assert float(e) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_mixed_two_continuous_coords_fibers_are_squares():
     m = MixedInteger(Polytope.from_box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), n=1, d=2)
     assert m.total_mass == pytest.approx(2.0, abs=1e-12)
-    assert [v for _z, _p, v in m.fiber_slices()] == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert [v for _z, _p, v in m.fibers] == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_uniform_cube_half_mass_is_exact():
@@ -81,51 +75,51 @@ def test_uniform_cube_half_mass_is_exact():
 
 def test_restrict_square_keeps_half_mass():
     m = UniformPolytope(UNIT_SQUARE)
-    r = restrict(m, [Halfspace.from_vector([1.0, 0.0], 0.5)])
+    r = m.restrict([Halfspace.from_vector([1.0, 0.0], 0.5)])
     assert r.total_mass == pytest.approx(0.5, abs=1e-12)
 
 
 def test_restrict_lattice_open_cut_drops_boundary():
     m = LatticeCounting(SQUARE_2)
-    r = restrict(m, [Halfspace.from_vector([1.0, 0.0], 0.0, closed=False)])
+    r = m.restrict([Halfspace.from_vector([1.0, 0.0], 0.0, closed=False)])
     assert r.total_mass == 6.0
 
 
 def test_restrict_to_empty_region_raises():
     far = Halfspace.from_vector([1.0, 0.0], 10.0)
     with pytest.raises(EmptyRegion):
-        restrict(UniformPolytope(UNIT_SQUARE), [far])
+        UniformPolytope(UNIT_SQUARE).restrict([far])
     with pytest.raises(EmptyRegion):
-        restrict(LatticeCounting(UNIT_SQUARE), [far])
+        LatticeCounting(UNIT_SQUARE).restrict([far])
     with pytest.raises(EmptyRegion):
-        restrict(MixedInteger(STRIP, n=1, d=1), [far])
+        MixedInteger(STRIP, n=1, d=1).restrict([far])
 
 
 def test_sampling_is_deterministic():
     for m in (UniformPolytope(UNIT_SQUARE), LatticeCounting(SQUARE_2),
               MixedInteger(STRIP, n=1, d=1),
               FinitePointMass([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])):
-        a = sample(m, RngState(11, 4), 64)
-        b = sample(m, RngState(11, 4), 64)
+        a = m.sample(RngState(11, 4), 64)
+        b = m.sample(RngState(11, 4), 64)
         assert np.array_equal(a, b)
-        c = sample(m, RngState(12, 4), 64)
+        c = m.sample(RngState(12, 4), 64)
         assert not np.array_equal(a, c)
 
 
 def test_samples_lie_in_support_and_region():
     cut = Halfspace.from_vector([0.0, 1.0], 0.25)
-    m = restrict(UniformPolytope(UNIT_SQUARE), [cut])
-    pts = sample(m, RngState(5), 500)
+    m = UniformPolytope(UNIT_SQUARE).restrict([cut])
+    pts = m.sample(RngState(5), 500)
     assert np.all(UNIT_SQUARE.contains(pts))
     assert np.all(pts[:, 1] >= 0.25 - 1e-9)
 
-    lat = restrict(LatticeCounting(SQUARE_2), [cut])
-    lp = sample(lat, RngState(6), 200)
+    lat = LatticeCounting(SQUARE_2).restrict([cut])
+    lp = lat.sample(RngState(6), 200)
     assert np.all(lp == np.round(lp))
     assert np.all(lp[:, 1] >= 1)
 
     mx = MixedInteger(STRIP, n=1, d=1)
-    mp = sample(mx, RngState(7), 300)
+    mp = mx.sample(RngState(7), 300)
     assert np.all(mp[:, 0] == np.round(mp[:, 0]))
     assert np.all((mp[:, 1] >= 0.0) & (mp[:, 1] <= 1.0))
 
@@ -135,7 +129,7 @@ def test_mixed_fiber_frequencies_chi_square():
     # statistic with 2 degrees of freedom stays below the 1 - 1e-4 quantile
     # (18.42) and every frequency lands within 0.02 of 1/3
     m = MixedInteger(STRIP, n=1, d=1)
-    pts = sample(m, RngState(2024), 30000)
+    pts = m.sample(RngState(2024), 30000)
     counts = np.array([(pts[:, 0] == k).sum() for k in (0, 1, 2)])
     assert counts.sum() == 30000
     freq = counts / 30000.0
@@ -160,12 +154,12 @@ def test_complement_masses_sum_to_one():
             in_h = h.contains(pts)
             in_c = h.complement().contains(pts)
             assert np.all(in_h ^ in_c)
-            total = float(halfspace_mass(m, h)) + float(halfspace_mass(m, h.complement()))
+            total = float(m.halfspace_mass(h)) + float(m.halfspace_mass(h.complement()))
             assert total == pytest.approx(1.0, abs=1e-15)
     # boundary through lattice points: closed side claims them, bitwise sum
     h = Halfspace.from_vector([1.0, 0.0], 1.0)
-    a = float(halfspace_mass(lattice, h))
-    b = float(halfspace_mass(lattice, h.complement()))
+    a = float(lattice.halfspace_mass(h))
+    b = float(lattice.halfspace_mass(h.complement()))
     assert (a, b) == (6.0 / 9.0, 3.0 / 9.0)
     assert a + b == 1.0
     vol = UniformPolytope(UNIT_SQUARE)
@@ -175,7 +169,7 @@ def test_complement_masses_sum_to_one():
             u = gen.normal(size=2)
             u /= np.linalg.norm(u)
             h = Halfspace.from_vector(u, float(gen.uniform(-0.5, 1.5)))
-            total = float(halfspace_mass(m, h)) + float(halfspace_mass(m, h.complement()))
+            total = float(m.halfspace_mass(h)) + float(m.halfspace_mass(h.complement()))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -191,8 +185,8 @@ def test_mass_monotone_in_nested_halfspaces():
             c = float(gen.uniform(-1, 2))
             small = Halfspace.from_vector(u, c)
             large = Halfspace.from_vector(u, c - float(gen.uniform(0, 2)))
-            assert float(halfspace_mass(m, small)) <= \
-                float(halfspace_mass(m, large)) + 1e-12
+            assert float(m.halfspace_mass(small)) <= \
+                float(m.halfspace_mass(large)) + 1e-12
 
 
 def test_mc_estimate_within_three_stderr():
@@ -249,8 +243,8 @@ def test_restriction_composition_matches_joint():
              (MixedInteger(STRIP, 1, 1), a, b),
              (MixedInteger(P3, 1, 2), a3, b3)]
     for m, a, b in cases:
-        step = restrict(restrict(m, a), b)
-        joint = restrict(m, a + b)
+        step = m.restrict(a).restrict(b)
+        joint = m.restrict(a + b)
         assert step.region == joint.region == m.region + a + b
         assert step.total_mass == joint.total_mass < m.restrict(a).total_mass
         assert _support(step) == _support(joint)
@@ -265,7 +259,7 @@ def test_rejection_stall_on_sliver():
 
 def test_finite_point_mass_weights():
     m = FinitePointMass([[0.0, 0.0], [1.0, 0.0]], weights=[1.0, 3.0])
-    e = halfspace_mass(m, Halfspace.from_vector([1.0, 0.0], 0.5))
+    e = m.halfspace_mass(Halfspace.from_vector([1.0, 0.0], 0.5))
     assert float(e) == pytest.approx(0.75, abs=0.0)
     with pytest.raises(ValueError):
         FinitePointMass([[0.0, 0.0]], weights=[0.0])
@@ -419,6 +413,14 @@ def test_mixed_measure_above_dimension_three_raises(n, d):
 # exact 3D uniform measures
 
 BOX_432 = Polytope.from_box([0.0] * 3, [4.0, 3.0, 2.0])
+
+
+def test_mixed_fiber_grid_above_the_cap_raises_before_any_slice(spy):
+    # [0, 1e9] x [0, 1] has 1e9 + 1 integer fibers, more than LATTICE_CAP
+    sliced = spy(MixedInteger, "_slice_constraints")
+    with pytest.raises(BudgetExceeded, match="exceeds cap"):
+        MixedInteger(Polytope.from_box([0.0, 0.0], [1e9, 1.0]), 1, 1)
+    assert sliced == []
 
 
 def test_uniform_3d_masses_match_closed_forms():
