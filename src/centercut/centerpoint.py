@@ -131,12 +131,19 @@ def mc_sample_size(eps: float, delta: float, vc_dim: int, C: float = DEFAULT_C) 
 
 def _arrangement_vertices(pts, cap):
     """Pairwise intersections of the lines through pairs of ``pts``, both in
-    ``itertools.combinations`` order, skipping near-parallel pairs."""
+    ``itertools.combinations`` order, for line pairs with four distinct
+    endpoints only, skipping near-parallel pairs. Two lines that share an
+    endpoint meet at that sample point, so their vertex would only be a
+    rounded copy of a candidate already in the set; n points in general
+    position give 3 * C(n, 4) vertices."""
     i, j = np.triu_indices(len(pts), 1)
     d = pts[j] - pts[i]
     nrm = np.column_stack([-d[:, 1], d[:, 0]])
     off = geom.row_dots(nrm, pts[i])
     a, b = np.triu_indices(len(nrm), 1)
+    # i < j on each line and i[a] <= i[b], so i[a] != j[b] always holds
+    apart = (i[a] != i[b]) & (j[a] != i[b]) & (j[a] != j[b])
+    a, b = a[apart], b[apart]
     n1, n2, c1, c2 = nrm[a], nrm[b], off[a], off[b]
     det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
     keep = np.abs(det) > 1e-12
@@ -149,11 +156,13 @@ def _arrangement_vertices(pts, cap):
 
 def _continuous_candidates_2d(pts, cap):
     """Line-arrangement vertices to add to the sample points: the full
-    arrangement when it fits, otherwise lines through the deepest samples.
-    Returns (extra points, None or the sample depths where they were
-    computed with the samples' upper bounds)."""
+    arrangement when it fits, otherwise lines through the deepest samples,
+    in both cases only vertices of lines with four distinct endpoints
+    (``_arrangement_vertices``). Returns (extra points, None or the sample
+    depths where they were computed with the samples' upper bounds)."""
     n = len(pts)
     n_lines = n * (n - 1) // 2
+    # counts every pair of lines, so it bounds the candidates from above
     exhaustive = n_lines * (n_lines - 1) // 2 + n <= min(cap, ARRANGEMENT_LIMIT)
     known = None
     if exhaustive:
@@ -481,7 +490,8 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
 
     Draws N = mc_sample_size points, then returns the S-feasible maximizer of
     exact depth under the sample counting measure. Continuous 2D candidates
-    are the sample points plus line-arrangement vertices (the full
+    are the sample points plus the vertices where two lines through pairs
+    of sample points with four distinct endpoints cross (the full
     arrangement when it fits, otherwise lines through the deepest sample
     points); lattice candidates are the integer grid of the bounding box;
     mixed candidates optimize the continuous block per fiber.

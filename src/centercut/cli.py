@@ -440,6 +440,8 @@ def cmd_centerpoint(doc, args) -> dict:
     rng = RngState(seed).child(1)
     if "constraint" in doc:
         S = _at("$.constraint", _build_constraint, doc["constraint"])
+        if S.dim != m.dim:
+            _fail("$.constraint", f"dimension does not match the measure's {m.dim}")
     else:
         S = _default_constraint(m)
     mixed11 = isinstance(m, MixedInteger) and (m.n, m.d) == (1, 1)
@@ -507,6 +509,8 @@ def cmd_solve(doc, args) -> dict:
     S = _at("$.constraint", _build_constraint, doc["constraint"])
     nu = _at("$.measure", _build_measure, doc["measure"])
     e0 = doc["E0"]
+    if S.dim != nu.dim:
+        _fail("$.constraint", f"dimension does not match the measure's {nu.dim}")
     if _objective_dims(doc["objective"]) != {nu.dim}:
         _fail("$.objective", f"dimension does not match the measure's {nu.dim}")
     if len(e0["lower"]) != nu.dim:

@@ -233,14 +233,18 @@ def test_mc_mixed_feasible():
 
 def _arrangement_by_loop(pts):
     """Reference: lines through every pair of points, then every pair of
-    lines intersected one at a time, both in combinations order."""
+    lines with four distinct endpoints intersected one at a time, both in
+    combinations order."""
     lines = []
-    for p, q in itertools.combinations(pts, 2):
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        p, q = pts[i], pts[j]
         d = q - p
         n = np.array([-d[1], d[0]])
-        lines.append((n, float(n @ p)))
+        lines.append(({i, j}, n, float(n @ p)))
     out = []
-    for (n1, c1), (n2, c2) in itertools.combinations(lines, 2):
+    for (ends1, n1, c1), (ends2, n2, c2) in itertools.combinations(lines, 2):
+        if ends1 & ends2:
+            continue
         det = n1[0] * n2[1] - n1[1] * n2[0]
         if abs(det) <= 1e-12:
             continue
@@ -263,6 +267,57 @@ def test_arrangement_vertices_match_pairwise_loop():
     with pytest.raises(BudgetExceeded):
         _arrangement_vertices(sets[3], kept - 1)
     assert len(_arrangement_vertices(sets[3], kept)) == kept
+
+
+def test_arrangement_vertices_of_general_position_points():
+    """n points in general position: every 4-subset gives its three
+    pairings' crossings, and none of them is a sample point again."""
+    for seed, n in [(1, 4), (2, 5), (3, 7), (4, 9), (5, 12)]:
+        pts = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, 2))
+        # general position: no three points near a line
+        for a, b, c in itertools.combinations(pts, 3):
+            e1, e2 = b - a, c - a
+            assert abs(e1[0] * e2[1] - e1[1] * e2[0]) > 1e-6
+        got = _arrangement_vertices(pts, CANDIDATE_CAP)
+        assert len(got) == 3 * math.comb(n, 4)
+        gap = np.linalg.norm(got[:, None, :] - pts[None, :, :], axis=2)
+        assert gap.min(initial=np.inf) > 1e-9
+
+
+@pytest.mark.parametrize("poly,eps,seed", [(UNIT_SQUARE, 0.4, 21), (TRIANGLE, 0.4, 3),
+                                           (STRIP, 0.35, 8)])
+def test_mc_exhaustive_branch_is_the_brute_force_pick(poly, eps, seed):
+    """The sample points and every crossing of lines with four distinct
+    endpoints, each through depth_finite: the query returns the
+    lexicographically smallest candidate within 1e-12 of the deepest."""
+    m = UniformPolytope(poly)
+    res = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), eps, 0.5,
+                                  RngState(seed))
+    pts = m.sample(RngState(seed), res.samples_used)
+    assert len(pts) <= 20   # the full arrangement fits under ARRANGEMENT_LIMIT
+    cand = np.vstack([pts, _arrangement_by_loop(pts)])
+    vals = np.array([depth_finite(pts, c).value for c in cand])
+    tied = cand[vals >= vals.max() - 1e-12]
+    want = tied[np.lexsort(tied.T[::-1])[0]]
+    assert np.array_equal(res.point, want)
+    assert abs(res.depth.value - vals.max()) <= 1e-12
+
+
+def test_mc_tie_heavy_query_skips_rounded_copies_of_its_samples(spy):
+    """A query whose deepest sample point attains the maximum: a crossing
+    of two lines through that point would be a rounded copy of it, tied
+    within 1e-12, and would take an exact kernel row to lose the
+    tie-break."""
+    m = UniformPolytope(Polytope.from_vertices_2d(
+        [[0.006138519906864204, -3.3117597435096204],
+         [2.649304242374585, 1.2792751122520771],
+         [2.1883164861823614, 3.635874468442511]]))
+    calls = spy(depth_mod, "_sweep_counting_min_batch")
+    res = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1,
+                                  RngState(121658689))
+    assert sum(len(c) for c, _pts, _w in calls) <= 60
+    assert res.point.tolist() == [1.6170224816648038, 0.5365573052081754]
+    assert res.depth.value == 0.4429783223374175
 
 
 def test_mc_candidate_cap():

@@ -343,6 +343,12 @@ BAD_VALUE_DOCS = [
                                      "constraint": {"kind": "continuous", "dim": 0}}),
     ("adversary-run", "$.game", {"game": {"kind": "integer_fiber", "n": 0, "B": 8},
                                  "delta": 0.5}),
+    # a constraint of another dimension than the measure's would give the
+    # solve a 3D upper bound and the query a 3D guarantee
+    ("solve", "$.constraint", dict(SOLVE_DOC, constraint={"kind": "lattice", "n": 3})),
+    ("centerpoint", "$.constraint", {"measure": {"family": "uniform", "polytope": SQUARE_ROWS},
+                                     "constraint": {"kind": "continuous", "dim": 3},
+                                     "method": "mc", "eps": 0.3, "delta": 0.2}),
 ]
 
 
