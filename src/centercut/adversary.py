@@ -429,13 +429,12 @@ class MixedFiber(_Game):
 # closed-form lower bounds
 
 def lower_bound_value(kind: str, n: int = 0, d: int = 0, B: int = 0,
-                      delta: float = 1.0, V: float = 0.0,
-                      chi: float = 0.0) -> int:
+                      delta: float = 1.0, V: float = 0.0) -> int:
     """Minimum oracle calls forced by the named game, clamped at 0."""
     if kind == "continuous_median":
-        if V <= 0 or delta + chi <= 0 or V <= delta + chi:
+        if V <= 0 or delta <= 0 or V <= delta:
             return 0
-        val = math.ceil(math.log2(V / (delta + chi)) - 1e-9) - 1
+        val = math.ceil(math.log2(V / delta) - 1e-9) - 1
     elif kind == "integer_fiber":
         val = 2 ** (n - 1) * (int(math.floor(math.log2(B) + 1e-9)) + 1)
     elif kind == "mixed_fiber":

@@ -467,7 +467,8 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
 
 def _lattice_candidates(m: Measure, cap):
     """Integer grid of the bounding box of the support: the active points of
-    a finite-support measure, the polytope otherwise."""
+    a finite-support measure, the polytope otherwise. Raises EmptyLattice
+    when the box holds no integer point."""
     if isinstance(m, (LatticeCounting, FinitePointMass)):
         pts = m.active_points()
         lo, hi = pts.min(axis=0), pts.max(axis=0)
@@ -476,6 +477,8 @@ def _lattice_candidates(m: Measure, cap):
     zlo = np.ceil(lo - geom.EPS).astype(int)
     zhi = np.floor(hi + geom.EPS).astype(int)
     counts = zhi - zlo + 1
+    if np.any(counts <= 0):
+        raise EmptyLattice("bounding box of the support holds no integer point")
     if np.prod(counts.astype(float)) > cap:
         raise BudgetExceeded("lattice candidate grid exceeds cap")
     axes = [np.arange(zlo[i], zhi[i] + 1) for i in range(len(zlo))]
@@ -711,7 +714,7 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
         c = centroid(UniformPolytope(P))
         point = _slice_point(m, np.round(c[:2]), c)
     else:
-        point = _narrow_recursion(P, m, u, omega_bar)
+        point = _narrow_recursion(P, u, omega_bar)
     res = depth_mod.depth_sampled(m, point, 2000, RngState(0))
     return CenterpointResult(point, res, "lenstra", 0, guarantee)
 
@@ -745,12 +748,9 @@ def _slice_point(m: MixedInteger, z, target) -> np.ndarray:
     return best[1]
 
 
-def _narrow_recursion(P: Polytope, m: MixedInteger, u, omega_bar) -> np.ndarray:
-    # parametrize {z : u.z = t} as z0 + k*w with det[u w] = +-1
-    u = np.asarray(u, dtype=int)
-    g = math.gcd(int(u[0]), int(u[1]))
-    if g > 1:
-        u = u // g
+def _narrow_recursion(P: Polytope, u, omega_bar) -> np.ndarray:
+    # parametrize {z : u.z = t} as z0 + k*w with det[u w] = +-1; the
+    # flatness direction u is primitive
     a, b = _bezout(int(u[0]), int(u[1]))
     w = np.array([-u[1], u[0]])
     verts = P.vertices()

@@ -25,7 +25,6 @@ from .errors import BudgetExceeded, DimensionTooLarge, Infeasible, Unbounded
 EPS = 1e-9          # vertex dedup / membership tolerance
 UNIT_TOL = 1e-12    # unit-norm tolerance for directions
 LATTICE_CAP = 10_000_000  # default lattice enumeration budget
-WIDTH_RADIUS_CAP = 1000   # per-coordinate cap in lattice width search
 
 
 def _vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -609,55 +608,71 @@ def enumerate_lattice_points(poly: Polytope, cap: int = LATTICE_CAP) -> np.ndarr
     return _lex_sorted(pts)
 
 
+def _widths(verts: np.ndarray, dirs) -> np.ndarray:
+    """Width ``max u.v - min u.v`` of the vertices along each direction."""
+    proj = verts @ np.asarray(dirs, dtype=float).T
+    return proj.max(axis=0) - proj.min(axis=0)
+
+
+def _least_width_step(verts: np.ndarray, base: np.ndarray, step: np.ndarray) -> int:
+    """An integer t minimizing the width along ``base + t * step``.
+
+    The width is convex and piecewise linear in t, with breaks where two
+    vertices tie along the direction, so the floor or the ceiling of a
+    break attains its least value over the integers. ``step`` must have
+    positive width.
+    """
+    p, q = verts @ base.astype(float), verts @ step.astype(float)
+    i, j = np.nonzero(q[:, None] > q[None, :])
+    breaks = (p[j] - p[i]) / (q[i] - q[j])
+    ts = np.unique(np.r_[np.floor(breaks), np.ceil(breaks)]).astype(np.int64)
+    return int(ts[np.argmin(_widths(verts, base + ts[:, None] * step))])
+
+
+def _canonical(u: np.ndarray) -> np.ndarray:
+    """``u`` or ``-u``, whichever has its first nonzero entry positive."""
+    return -u if u[0] < 0 or (u[0] == 0 and u[1] < 0) else u
+
+
 def lattice_width_2d(poly: Polytope) -> tuple[float, np.ndarray]:
     """Lattice width of a 2D polytope and a minimizing integer direction.
 
-    Minimizes ``max u.x - min u.x`` over nonzero integer directions with
-    entries bounded by ``4 * ceil(diameter / w)``, hard-capped at 1000 per
-    coordinate, where ``w`` is the Euclidean width of the vertices: the least
-    over hull edges of the largest vertex distance to the edge's line. Since
-    ``width_u >= |u| * w`` and the lattice width is at most the diameter, no
-    minimizer lies outside that bound. Ties are broken toward the
-    lexicographically largest canonical direction (first nonzero entry
-    positive).
+    Minimizes the width norm ``N(u) = max u.x - min u.x`` over nonzero
+    integer directions by generalized Gauss reduction (Kaib and Schnorr
+    1996): starting from the unit vectors, replace ``b2`` by the
+    ``b2 + t b1`` of least width and swap while ``N(b2) < N(b1)``. The
+    reduced ``b1`` attains the lattice width, and its direction is
+    primitive. Ties are broken toward the lexicographically largest
+    canonical direction (first nonzero entry positive) within
+    ``1e-12 * (1 + width)`` of the width. Zero-area input ends the
+    reduction once the extent ``N(b1) / |b1|`` along ``b1`` falls to
+    ``EPS``: a point gives ``(0.0, (1, 0))``, a segment its primitive normal.
     """
     if poly.dim != 2:
         raise ValueError("lattice_width_2d requires a 2D polytope")
     verts = poly.vertices()
     if len(verts) == 0:
         raise Infeasible("empty polytope")
-    if len(verts) == 1:
-        return 0.0, np.array([1, 0])
-    diffs = verts[:, None, :] - verts[None, :, :]
-    diam = float(np.sqrt((diffs ** 2).sum(axis=-1)).max())
-    hull = convex_hull_2d(verts)
-    w_e = 0.0
-    if len(hull) >= 3:
-        edge = np.roll(hull, -1, axis=0) - hull
-        rel = hull[None, :, :] - hull[:, None, :]
-        dist = np.abs(edge[:, None, 0] * rel[..., 1] - edge[:, None, 1] * rel[..., 0])
-        w_e = float((dist.max(axis=1) / np.hypot(edge[:, 0], edge[:, 1])).min())
-    if w_e <= EPS:
-        radius = WIDTH_RADIUS_CAP
-    else:
-        radius = min(WIDTH_RADIUS_CAP, max(1, 4 * math.ceil(diam / w_e)))
-    u1 = np.arange(0, radius + 1)
-    u2 = np.arange(-radius, radius + 1)
-    U = np.stack(np.meshgrid(u1, u2, indexing="ij"), axis=-1).reshape(-1, 2)
-    canonical = (U[:, 0] > 0) | ((U[:, 0] == 0) & (U[:, 1] > 0))
-    U = U[canonical]
-    best_w = math.inf
-    best_u = None
-    chunk = 200_000
-    for s in range(0, len(U), chunk):
-        block = U[s:s + chunk].astype(float)
-        proj = verts @ block.T
-        widths = proj.max(axis=0) - proj.min(axis=0)
-        for w, u in zip(widths, U[s:s + chunk]):
-            w = float(w)
-            if w < best_w - 1e-12 * (1.0 + abs(best_w) if best_w < math.inf else 1.0):
-                best_w, best_u = w, u
-            elif best_u is not None and abs(w - best_w) <= 1e-12 * (1.0 + abs(best_w)):
-                if tuple(u) > tuple(best_u):
-                    best_u = u
-    return best_w, np.asarray(best_u, dtype=int)
+    b1, b2 = np.array([1, 0]), np.array([0, 1])
+    n1 = _widths(verts, [b1, b2])[0]
+    while True:
+        if n1 <= EPS * math.hypot(*b1):
+            return float(n1), _canonical(b1)
+        b2 = b2 + _least_width_step(verts, b2, b1) * b1
+        n1, n2 = _widths(verts, [b1, b2])
+        if n2 >= n1:
+            break
+        b1, b2, n1 = b2, b1, n2
+    # On the reduced pair N(a b1 + c b2) >= |c| N(b2) / 2, so a direction
+    # tied with b1 has |c| <= 2 (c >= 0 up to sign), and the a of two tied
+    # directions with the same c differ by at most 2: each c's ties lie
+    # within 2 of its least-width a.
+    cands = [b1[None]]
+    for c in (1, 2):
+        t = _least_width_step(verts, c * b2, b1)
+        cands.append(c * b2 + np.arange(t - 2, t + 3)[:, None] * b1)
+    cands = np.vstack(cands)
+    widths = _widths(verts, cands)
+    w = float(widths.min())
+    tied = cands[widths <= w + 1e-12 * (1.0 + w)]
+    return w, max(map(_canonical, tied), key=tuple)

@@ -327,6 +327,16 @@ def test_mc_candidate_cap():
                                 RngState(0), candidate_cap=3)
 
 
+@pytest.mark.parametrize("m", [
+    UniformPolytope(Polytope.from_box([0.2, 0.2], [0.8, 0.8])),
+    FinitePointMass([[0.2, 0.3], [0.7, 0.4], [0.5, 0.8]]),
+])
+def test_mc_lattice_candidates_need_an_integer_point(m):
+    # the support's bounding box holds no integer point: no candidate at all
+    with pytest.raises(EmptyLattice):
+        centerpoint_monte_carlo(m, ConstraintSet.lattice(2), 0.3, 0.3, RngState(0))
+
+
 # ---------------------------------------------------------------------------
 # exact 2D lattice route
 

@@ -424,6 +424,17 @@ def test_exit_code_empty_region(tmp_path):
     assert main(["depth", "--input", inp]) == 4
 
 
+def test_exit_code_mc_lattice_constraint_without_integer_points(tmp_path, capsys):
+    doc = {"schema_version": 1, "command": "centerpoint", "method": "mc",
+           "measure": {"family": "uniform", "polytope": [[1, 0, 0.8], [-1, 0, -0.2],
+                                                         [0, 1, 0.8], [0, -1, -0.2]]},
+           "constraint": {"kind": "lattice", "n": 2}}
+    inp = _write(tmp_path, doc)
+    assert main(["centerpoint", "--input", inp]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 

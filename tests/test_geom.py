@@ -1,9 +1,11 @@
 import itertools
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -261,7 +263,8 @@ def test_lattice_width_matches_a_fixed_radius_search():
 def test_lattice_width_unimodular_invariance():
     gen = np.random.default_rng(4242)
     base = Polytope.from_vertices_2d([[0, 0], [4, 1], [3, 5], [-1, 3]])
-    w0, _ = lattice_width_2d(base)
+    w0, u0 = lattice_width_2d(base)
+    assert math.gcd(*map(int, u0)) == 1
     found = 0
     while found < 20:
         M = gen.integers(-3, 4, size=(2, 2))
@@ -269,8 +272,34 @@ def test_lattice_width_unimodular_invariance():
             continue
         found += 1
         img = _hull_polygon(base.vertices() @ M.T.astype(float))
-        w1, _ = lattice_width_2d(img)
+        w1, u1 = lattice_width_2d(img)
         assert w1 == pytest.approx(w0, abs=1e-9)
+        assert math.gcd(*map(int, u1)) == 1
+
+
+@pytest.mark.parametrize("rows, want_u", [
+    # |1001x - 1000y| <= 1/2: the flat direction lies far outside any small
+    # direction grid
+    ([[1001, -1000, 0.5], [-1001, 1000, 0.5], [1, 0, 3000], [-1, 0, 0]], (1001, -1000)),
+    ([[1, -1, 0.5], [-1, 1, 0.5], [1, 0, 3000], [-1, 0, 0]], (1, -1)),
+])
+def test_lattice_width_of_long_thin_strips(rows, want_u):
+    P = Polytope.from_rows(rows)
+    t0 = time.perf_counter()
+    w, u = lattice_width_2d(P)
+    assert time.perf_counter() - t0 < 0.1
+    assert tuple(u) == want_u
+    assert w == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("verts, want_u", [
+    ([[0.3, 0.7]], (1, 0)),
+    ([[0, 0], [3, 0]], (0, 1)),
+    ([[0, 0], [2, 1]], (1, -2)),
+])
+def test_lattice_width_of_zero_area_input_is_zero_along_a_primitive_direction(verts, want_u):
+    w, u = lattice_width_2d(Polytope.from_vertices_2d(verts))
+    assert (w, tuple(u)) == (0.0, want_u)
 
 
 def test_convex_hull_2d_drops_interior_collinear_and_duplicate_points():
