@@ -510,6 +510,8 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
     The pick is the one exact depths at every candidate would give.
     """
     N = mc_sample_size(eps, delta, S.dim + 1, C)
+    if S.kind == "continuous" and N > candidate_cap:   # every sample point is a candidate
+        raise BudgetExceeded(f"{N} sample points exceed cap {candidate_cap}")
     pts = m.sample(rng, N)
     guarantee = depth_guarantee(S)
     known = None
@@ -692,9 +694,9 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
     per fiber (base case n=0 returns the slice midpoint), then return the
     best point of the finite auxiliary measure weighted by fiber masses.
 
-    The returned depth is exact for n=1 (``min_direction_2d``). For n=2 it
-    is ``depth_sampled`` over 2000 directions: an upper bound on the true
-    depth, reported with ``exact=False``.
+    The returned depth is exact for n=1 (``depth.depth``). For n=2, which
+    ``depth`` has no engine for, it is ``depth_sampled`` over 2000
+    directions: an upper bound, reported with ``exact=False``.
     """
     if n < 1 or n > 2 or d != 1:
         raise ValueError("width-based recursion supports n in {1,2}, d=1")
@@ -706,16 +708,15 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
                                lenstra_floor=_lenstra_floor(n, d))
     if n == 1:
         point = _lenstra_point_1d(m, omega_bar)
-        return CenterpointResult(point, min_direction_2d(m, point), "lenstra", 0, guarantee)
-    # n == 2: slice the integer projection along its flatness direction
-    proj = _project_vertices(P, [0, 1])
-    width, u = geom.lattice_width_2d(Polytope.from_vertices_2d(proj))
-    if width > omega_bar:
-        c = centroid(UniformPolytope(P))
-        point = _slice_point(m, np.round(c[:2]), c)
-    else:
-        point = _narrow_recursion(P, u, omega_bar)
-    res = depth_mod.depth_sampled(m, point, 2000, RngState(0))
+    else:   # slice the integer projection along its flatness direction
+        proj = _project_vertices(P, [0, 1])
+        width, u = geom.lattice_width_2d(Polytope.from_vertices_2d(proj))
+        if width > omega_bar:
+            c = centroid(UniformPolytope(P))
+            point = _slice_point(m, np.round(c[:2]), c)
+        else:
+            point = _narrow_recursion(P, u, omega_bar)
+    res = depth_mod.depth(m, point) or depth_mod.depth_sampled(m, point, 2000, RngState(0))
     return CenterpointResult(point, res, "lenstra", 0, guarantee)
 
 

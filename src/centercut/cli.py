@@ -26,7 +26,7 @@ from .errors import (BudgetExceeded, DimensionTooLarge, EmptyLattice,
                      EmptyRegion, Infeasible, InfeasibleStart,
                      OutsideRegion, ParseError, RejectionStall, SchemaError,
                      Unbounded)
-from .geom import Box, Direction, Polytope
+from .geom import Box, Polytope
 from .measures import (FinitePointMass, LatticeCounting, MixedInteger,
                        RngState, UniformPolytope)
 
@@ -59,6 +59,8 @@ def _check_keys(obj, path, required, optional=()):
 def _number(x, path) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail(path, "expected a number")
+    if not abs(x) <= sys.float_info.max:   # json reads NaN, Infinity and 1e400
+        _fail(path, "expected a finite number")
     return float(x)
 
 
@@ -208,9 +210,6 @@ def _validate_payload(doc, path="$"):
         if "method" in doc and doc["method"] not in ("mc", "exact2d-int",
                                                      "lenstra", "centroid"):
             _fail(f"{path}.method", f"unknown method {doc['method']!r}")
-        for k in ("eps", "delta", "C"):
-            if k in doc:
-                _number(doc[k], f"{path}.{k}")
         if "seed" in doc:
             _integer(doc["seed"], f"{path}.seed")
     elif cmd == "solve":
@@ -240,7 +239,7 @@ def parse_problem(text: str) -> dict:
     """Parse and validate a problem document; strict about unknown keys."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # a JSONDecodeError, or an integer of over 4300 digits
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$: expected a JSON object")
@@ -396,26 +395,8 @@ def _pyify(x):
 
 
 def _depth_at(m, x, rng):
-    """Exact depth for 2D measures, for counting measures (finite and
-    lattice) in 1D and 3D and for 1D uniform measures; otherwise the least
-    exact mass over 2000 sampled directions, an upper bound.
-
-    The depth of x in the interval [lo, hi] is the lighter of the lengths
-    on either side of x over hi - lo, 0 outside; the witness is the unit
-    direction toward the lighter side, +1 on a tie as in ``depth_finite``.
-    """
-    if m.dim == 2:
-        return depth_mod.min_direction_2d(m, x)
-    if isinstance(m, (FinitePointMass, LatticeCounting)):
-        return depth_mod.depth_finite(m.active_points(), x, m.active_weights())
-    if isinstance(m, UniformPolytope) and m.dim == 1:
-        lo, hi = m._interval
-        above = min(max(hi - x[0], 0.0), hi - lo)
-        below = min(max(x[0] - lo, 0.0), hi - lo)
-        u = 1.0 if above <= below else -1.0
-        return depth_mod.DepthResult(float(min(above, below) / (hi - lo)),
-                                     Direction.from_vector([u]), True, 0.0)
-    return depth_mod.depth_sampled(m, x, 2000, rng)
+    """``depth.depth``, else the upper bound from 2000 sampled directions."""
+    return depth_mod.depth(m, x) or depth_mod.depth_sampled(m, x, 2000, rng)
 
 
 def cmd_depth(doc, args) -> dict:
@@ -433,9 +414,11 @@ def cmd_depth(doc, args) -> dict:
 def cmd_centerpoint(doc, args) -> dict:
     m = _at("$.measure", _build_measure, doc["measure"])
     method = _pick(args.method, doc, "method", "mc")
-    eps = float(_pick(args.eps, doc, "eps", 0.1))
-    delta = float(_pick(args.delta, doc, "delta", 0.1))
-    c_const = float(_pick(args.C, doc, "C", 0.5))
+    eps = _number(_pick(args.eps, doc, "eps", 0.1), "$.eps")
+    delta = _number(_pick(args.delta, doc, "delta", 0.1), "$.delta")
+    c_const = _number(_pick(args.C, doc, "C", 0.5), "$.C")
+    if c_const <= 0:
+        _fail("$.C", "C must be positive")
     seed = int(_pick(args.seed, doc, "seed", 0))
     rng = RngState(seed).child(1)
     if "constraint" in doc:
@@ -495,7 +478,7 @@ def _solve_with_flags(o, S, nu, E0, doc, args):
     """``cutplane.solve`` with delta, strategy, budget and seed taken from
     the flags, else the document; returns (report, strategy name, delta).
     The seed reaches the random strategy only."""
-    delta = float(_pick(args.delta, doc, "delta", doc["delta"]))
+    delta = _number(_pick(args.delta, doc, "delta", doc["delta"]), "$.delta")
     strategy_name = _pick(args.strategy, doc, "strategy", "centerpoint")
     budget = int(_pick(args.budget, doc, "budget", 10_000))
     seed = int(_pick(args.seed, doc, "seed", 0))

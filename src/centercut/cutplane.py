@@ -26,7 +26,8 @@ from . import geom
 from .centerpoint import (ConstraintSet, _pruned_lex_best,
                           centerpoint_lattice_measure, centerpoint_mixed_2d,
                           centroid, depth_guarantee)
-from .depth import min_direction_2d
+# min_direction_2d is unused here; perfbench's tracer test asserts this binding
+from .depth import depth, min_direction_2d
 from .errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
 from .geom import Box, Direction, Halfspace
 from .measures import (LatticeCounting, MASS_TOL, Measure, MixedInteger,
@@ -178,24 +179,19 @@ def _nearest_row(pts, target):
 
 
 def _pick_centerpoint(m: Measure):
-    """The Centerpoint pick, with its exact depth where an exact engine
-    covers the family; None for 3D uniform measures and for mixed measures
-    other than n = 1, d = 1, whose trace then records the removed share."""
+    """The Centerpoint pick, with its exact depth where ``depth`` has an
+    engine; None for 3D uniform measures and for mixed measures other than
+    n = 1, d = 1, whose trace then records the removed share."""
     if isinstance(m, LatticeCounting) and m.dim == 2:
         r = centerpoint_lattice_measure(m)
         return r.point, r.depth.value
-    if isinstance(m, UniformPolytope):
-        c = centroid(m)
-        if m.dim == 1:
-            return c, 0.5
-        if m.dim == 2:
-            return c, min_direction_2d(m, c).value
-        return c, None
-    if isinstance(m, MixedInteger):
-        if m.n == 1 and m.d == 1:
-            r = centerpoint_mixed_2d(m)
-            return r.point, r.depth.value
-        return _mixed_mean(m), None
+    if isinstance(m, MixedInteger) and m.n == 1 and m.d == 1:
+        r = centerpoint_mixed_2d(m)
+        return r.point, r.depth.value
+    if isinstance(m, (UniformPolytope, MixedInteger)):
+        x = _pick_centroid(m)
+        r = depth(m, x)
+        return x, None if r is None else r.value
     # finite point masses and 1D/3D lattices: the deepest support point
     pts = m.active_points().astype(float)
     k, res = _pruned_lex_best(pts, pts, m.active_weights())

@@ -1,18 +1,20 @@
 """Halfspace depth evaluation.
 
 The depth of a point x under a measure m is the infimum over unit directions
-u of the mass of the closed halfspace {y : u.(y - x) >= 0}. Engines here:
+u of the mass of the closed halfspace {y : u.(y - x) >= 0}. ``depth(m, x)``
+is the one place that picks an exact engine, by family and dimension:
 
-* ``depth_finite``: exact for weighted point lists in dimensions 1-3; 3D
-  depth reduces to the counting kernel over lines through x.
-* ``min_direction_2d``: exact for the 2D measure families. Counting
-  measures use the counting kernel below; uniform polygons evaluate a finite
-  candidate set of angles that provably contains a minimizer, and n=1, d=1
-  mixed measures one cut family, ``_mixed_cuts``, which the exact mixed
-  centerpoint search evaluates too.
-* ``depth_sampled``: an upper bound from finitely many random directions,
-  one vectorized pass for mixed measures with one continuous coordinate.
-* ``depth_angle_grid``: a dense fixed-grid oracle, used for cross-checks.
+    2D, every family                ``min_direction_2d``
+    finite and lattice, 1D and 3D   ``depth_finite``
+    uniform, 1D                     the interval formula
+    uniform 3D; mixed, n + d = 3    none: ``depth`` returns None
+
+Besides the counting kernel below, ``min_direction_2d`` evaluates a finite
+candidate set of angles for uniform polygons and, for n=1, d=1 mixed
+measures, the cut family ``_mixed_cuts``, which the exact mixed centerpoint
+search evaluates too. ``depth_sampled`` is an upper bound from random
+directions, one vectorized pass for mixed measures with d = 1;
+``depth_angle_grid`` is a dense fixed-grid oracle for cross-checks.
 
 Counting measures work in the angle parametrization u(a) = (sin a, cos a):
 a point at offset w from x has u(a).w = |w| cos(a - b) with b = atan2(w1, w2),
@@ -376,6 +378,24 @@ def min_direction_2d(m: Measure, x) -> DepthResult:
     if isinstance(m, MixedInteger):
         return _sweep_mixed_2d(m, xv)
     raise TypeError(f"unsupported measure family: {type(m).__name__}")
+
+
+def depth(m: Measure, x) -> DepthResult | None:
+    """Exact depth of x under m by the module's engine table; None where it
+    has no engine. In [lo, hi] the depth is the lighter length beside x over
+    hi - lo, 0 outside; the witness points to the lighter side, +1 on a tie
+    as in ``depth_finite``."""
+    if m.dim == 2:
+        return min_direction_2d(m, x)
+    if isinstance(m, (FinitePointMass, LatticeCounting)):
+        return depth_finite(m.active_points(), x, m.active_weights())
+    if isinstance(m, UniformPolytope) and m.dim == 1:
+        lo, hi = m._interval
+        above = min(max(hi - x[0], 0.0), hi - lo)
+        below = min(max(x[0] - lo, 0.0), hi - lo)
+        return DepthResult(float(min(above, below) / (hi - lo)),
+                           Direction.from_vector([1.0 if above <= below else -1.0]), True, 0.0)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,19 @@ def test_mc_tie_heavy_query_skips_rounded_copies_of_its_samples(spy):
     assert res.depth.value == 0.4429783223374175
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mc_continuous_sample_above_the_cap_is_not_drawn(spy, dim):
+    # every sample point of a continuous S is a candidate, so a sample above
+    # the cap raises before any point is drawn
+    m = UniformPolytope(Polytope.from_box(np.zeros(dim), np.ones(dim)))
+    calls = spy(UniformPolytope, "sample")
+    N = mc_sample_size(0.3, 0.3, dim + 1)
+    with pytest.raises(BudgetExceeded, match=f"{N} sample points exceed cap {N - 1}"):
+        centerpoint_monte_carlo(m, ConstraintSet.continuous(dim), 0.3, 0.3, RngState(0),
+                                candidate_cap=N - 1)
+    assert calls == []
+
+
 def test_mc_candidate_cap():
     m = LatticeCounting(Polytope.from_box([0.0, 0.0], [9.0, 9.0]))
     with pytest.raises(BudgetExceeded):

@@ -361,6 +361,76 @@ def test_exit_code_bad_values_name_their_path(tmp_path, capsys, command, path, d
     assert "Traceback" not in err
 
 
+# json reads NaN, Infinity and 1e400 as floats; each names its path, exit 2
+NON_FINITE_TEXTS = [
+    ("depth", "$.point[0]", '{"measure": {"family": "uniform", "polytope": %s}, '
+                            '"point": [NaN, 0.5]}' % json.dumps(SQUARE_ROWS)),
+    ("depth", "$.point[0]", '{"measure": {"family": "finite", "points": [[0, 0], [1, 0], '
+                            '[0, 1]]}, "point": [Infinity, 0.5]}'),
+    ("depth", "$.measure.polytope[0][2]", '{"measure": {"family": "uniform", "polytope": '
+                                          '[[1, 0, Infinity], [-1, 0, 0], [0, 1, 1], '
+                                          '[0, -1, 0]]}, "point": [0.5, 0.5]}'),
+    ("solve", "$.objective.c[1]", json.dumps({k: v for k, v in SOLVE_DOC.items()
+                                              if k not in ("schema_version", "command")})
+     .replace('"c": [0.3, 0.7]', '"c": [0.3, 1e400]')),
+    ("depth", "$.point[1]", '{"measure": {"family": "uniform", "polytope": %s}, '
+                            '"point": [0.5, -1%s]}' % (json.dumps(SQUARE_ROWS), "0" * 400)),
+]
+
+
+@pytest.mark.parametrize("command, path, text", NON_FINITE_TEXTS, ids=[
+    "nan-point", "infinite-point", "infinite-polytope-row", "overflowing-objective",
+    "integer-past-float-range"])
+def test_exit_code_non_finite_numbers_name_their_path(tmp_path, capsys, command, path, text):
+    inp = tmp_path / "in.json"
+    inp.write_text('{"schema_version": 1, "command": "%s", %s' % (command, text[1:]))
+    assert main([command, "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: expected a finite number\n"
+
+
+def test_exit_code_integer_past_the_parser_digit_limit(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text('{"schema_version": 1, "command": "depth", "point": [1%s]}' % ("0" * 5000))
+    assert main(["depth", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+
+CENTROID_DOC = {"schema_version": 1, "command": "centerpoint", "method": "centroid",
+                "measure": {"family": "uniform", "polytope": SQUARE_ROWS}}
+
+
+@pytest.mark.parametrize("command, doc, flags, path, msg", [
+    ("solve", SOLVE_DOC, ["--delta", "nan"], "$.delta", "expected a finite number"),
+    ("solve", SOLVE_DOC, ["--delta", "inf"], "$.delta", "expected a finite number"),
+    ("adversary-run", {"schema_version": 1, "command": "adversary-run", "delta": 0.5,
+                       "game": {"kind": "integer_fiber", "n": 2, "B": 8}},
+     ["--delta", "nan"], "$.delta", "expected a finite number"),
+    ("centerpoint", CENTROID_DOC, ["--eps", "nan"], "$.eps", "expected a finite number"),
+    ("centerpoint", CENTROID_DOC, ["--delta=-inf"], "$.delta", "expected a finite number"),
+    ("centerpoint", CENTROID_DOC, ["--C", "nan"], "$.C", "expected a finite number"),
+    ("centerpoint", CENTROID_DOC, ["--C", "inf"], "$.C", "expected a finite number"),
+    ("centerpoint", CENTROID_DOC, ["--C", "0"], "$.C", "C must be positive"),
+    ("centerpoint", CENTROID_DOC, ["--C", "-1"], "$.C", "C must be positive"),
+    ("centerpoint", dict(CENTROID_DOC, method="mc", C=0), [], "$.C", "C must be positive"),
+    ("centerpoint", dict(CENTROID_DOC, eps="0.1"), [], "$.eps", "expected a number"),
+])
+def test_exit_code_bad_numeric_flags_name_their_path(tmp_path, capsys, command, doc, flags,
+                                                     path, msg):
+    assert main([command, "--input", _write(tmp_path, doc)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {path}: {msg}\n"
+
+
+def test_cli_depth_of_a_3d_uniform_measure_is_sampled(tmp_path):
+    doc = {"schema_version": 1, "command": "depth",
+           "measure": {"family": "uniform", "polytope": CUBE_ROWS}, "point": [1.0, 0.7, 1.2]}
+    code, out = _run(tmp_path, doc, "depth")
+    assert code == 0
+    got = json.loads(out.read_text())
+    assert (got["exact"], got["gap"]) == (False, 1.0)
+    assert 0.0 < got["value"] <= 0.5
+
+
 def test_cli_centerpoint_solve_ignores_the_seed(tmp_path):
     # the Centerpoint strategy draws nothing, so --seed changes no byte
     doc = {"schema_version": 1, "command": "solve",

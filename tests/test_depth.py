@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from centercut import depth as depth_mod
-from centercut.depth import (_sweep_counting_min_batch, depth_angle_grid,
+from centercut.depth import (_sweep_counting_min_batch, depth, depth_angle_grid,
                              depth_finite, depth_sampled, min_direction_2d)
 from centercut.errors import DimensionTooLarge
 from centercut.geom import Direction, Halfspace, Polytope
@@ -88,6 +88,66 @@ def test_lattice_engine_matches_finite_engine():
     # witness attains the reported mass under the public evaluator
     h = Halfspace(a.witness, float(a.witness.coords @ np.array([1.0, 1.0])))
     assert float(m.halfspace_mass(h)) == pytest.approx(a.value, abs=1e-12)
+
+
+def _bits(r):
+    return (r.value.hex(), r.witness.coords.tobytes(), r.exact, r.gap.hex())
+
+
+def _interval_depth(lo, hi, x):
+    """The interval formula the CLI used before ``depth`` took it over."""
+    above = min(max(hi - x, 0.0), hi - lo)
+    below = min(max(x - lo, 0.0), hi - lo)
+    return (float(min(above, below) / (hi - lo)),
+            Direction.from_vector([1.0 if above <= below else -1.0]))
+
+
+CUBE = Polytope.from_box([0.0, 0.0, 0.0], [2.0, 2.0, 2.0])
+PTS_1D = np.array([[0.0], [1.0], [2.5], [4.0]])
+PTS_3D = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [0.2, 0.4, 0.9]])
+
+
+@pytest.mark.parametrize("m, x", [
+    (FinitePointMass(PTS_1D, [1, 2, 1, 3]), [1.0]),
+    (FinitePointMass(PTS_1D), [5.0]),
+    (FinitePointMass(GRID_3[:7]), [0.7, 1.2]),
+    (FinitePointMass(PTS_3D), [0.4, 0.4, 0.4]),
+    (LatticeCounting(Polytope.from_rows([[1, 5.5], [-1, 0.3]])), [3.5]),
+    (LatticeCounting(TRIANGLE), [0.2, 0.3]),
+    (LatticeCounting(Polytope.from_box([0.0, 0.0], [4.0, 3.0])), [2.0, 1.0]),
+    (LatticeCounting(CUBE), [0.5, 1.0, 0.5]),
+    (UniformPolytope(TRIANGLE), [0.3, 0.3]),
+    (UniformPolytope(UNIT_SQUARE), [1.5, 0.5]),
+    (MixedInteger(Polytope.from_box([0.0, 0.0], [2.0, 1.0]), 1, 1), [1.0, 0.3]),
+])
+def test_depth_is_the_engine_each_caller_used(m, x):
+    """``depth`` returns bit for bit what the CLI, the solver and the
+    Lenstra route got from their own engine choice."""
+    if m.dim == 2:
+        want = min_direction_2d(m, x)
+    else:
+        want = depth_finite(m.active_points(), x, m.active_weights())
+    assert _bits(depth(m, np.asarray(x))) == _bits(want)
+
+
+@pytest.mark.parametrize("x", [1.0, 2.0, 1.625, -0.25, 3.5, -1.0, 4.0, 0.1 + 0.2])
+def test_depth_of_an_interval_is_the_interval_formula(x):
+    # [-0.25, 3.5]; x = 1.625 is the midpoint, a tie, whose witness is +1
+    m = UniformPolytope(Polytope.from_rows([[1, 3.5], [-1, 0.25]]))
+    value, witness = _interval_depth(-0.25, 3.5, x)
+    r = depth(m, np.array([x]))
+    assert _bits(r) == (value.hex(), witness.coords.tobytes(), True, (0.0).hex())
+    if x == 1.625:
+        assert r.witness.coords.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("m", [
+    UniformPolytope(CUBE),
+    MixedInteger(CUBE, 1, 2),
+    MixedInteger(CUBE, 2, 1),
+])
+def test_depth_has_no_exact_engine_for_3d_smooth_families(m):
+    assert depth(m, [1.0, 1.0, 0.7]) is None
 
 
 def test_depth_outside_support_is_zero():
