@@ -247,17 +247,27 @@ def _slab_screen(tab, cu, pad, floor):
     direction has depth below ``floor``, and the largest halfplane share
     below ``floor`` bounds it. With floor <= 0 every slab is the whole line;
     with floor above every share, every slab is empty.
+
+    Each row of ``below`` ascends and each row of ``above`` descends, so the
+    largest share under ``floor`` in a row is below[j - 1] or above[i], the
+    entries next to the counts that place the slab.
     Returns (inside every slab, that bound).
     """
-    rr = np.arange(len(tab.U))
+    D, n = tab.ps.shape
+    rr = np.arange(D)
     below = tab.cum / tab.total
     above = (tab.total - tab.cum) / tab.total
-    edges = np.pad(tab.ps, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
-    lo = edges[rr, np.count_nonzero(below < floor, axis=1)] - pad
-    hi = edges[rr, np.count_nonzero(above >= floor, axis=1)] + pad
+    j = np.count_nonzero(below < floor, axis=1)
+    i = np.count_nonzero(above >= floor, axis=1)
+    edges = np.empty((D, n + 2))
+    edges[:, 0], edges[:, -1] = -np.inf, np.inf
+    edges[:, 1:-1] = tab.ps
+    lo = edges[rr, j] - pad
+    hi = edges[rr, i] + pad
     live = np.all((cu >= lo[:, None]) & (cu <= hi[:, None]), axis=0)
-    shares = np.concatenate([below, above])
-    return live, float(shares[shares < floor].max(initial=0.0))
+    low = np.maximum(np.where(j > 0, below[rr, j - 1], 0.0),
+                     np.where(i <= n, above[rr, np.minimum(i, n)], 0.0))
+    return live, float(low.max(initial=0.0))
 
 
 def _halfplane_bounds(tab, cand, floor=0.0):
@@ -345,8 +355,12 @@ def _deepest_depths(pts, cand, w, K, vals, ub, angles):
     known so far. A candidate qualifies while its bound reaches the current
     K-th largest value minus 1e-12; the search stops when none does. When
     the qualifiers fit in one batch of ``depth._BATCH_ELEMENTS`` (row, point)
-    pairs, the batch takes them all. Otherwise it is a probe of the
-    best-bounded ones, 1 row at first and twice as many each time up to a
+    pairs, the batch takes them all. That size (see its comment) is 7 rows
+    at 1,061 samples. Larger batches cost more per row and take whole sets
+    of qualifiers that a probe would rule out: at 25,000 pairs (23 rows) the
+    last search of a Monte Carlo query evaluated 12.5 rows on average over
+    210 recorded queries, against 7.8 at 8,192. Otherwise it is a probe of
+    the best-bounded ones, 1 row at first and twice as many each time up to a
     full batch, and the kernel's minimizing angle a of each probe row gives
     a unit direction (sin a, cos a) along which ``_halfplane_bounds``
     tightens the bounds of the remaining qualifiers, screened against the
@@ -510,7 +524,8 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
     The pick is the one exact depths at every candidate would give.
     """
     N = mc_sample_size(eps, delta, S.dim + 1, C)
-    if S.kind == "continuous" and N > candidate_cap:   # every sample point is a candidate
+    # every sample point of a continuous or mixed S is a candidate
+    if S.kind != "lattice" and N > candidate_cap:
         raise BudgetExceeded(f"{N} sample points exceed cap {candidate_cap}")
     pts = m.sample(rng, N)
     guarantee = depth_guarantee(S)

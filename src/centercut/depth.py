@@ -48,10 +48,18 @@ from .measures import (FinitePointMass, LatticeCounting, Measure, MixedInteger,
                        RngState, UniformPolytope)
 
 TWO_PI = 2.0 * math.pi
-# the most (row, point) pairs per kernel call, which keeps the working set
-# near 1 MB: the 3D reduction and the exact mixed search send blocks of about
-# this size, and the deepest-point search caps each batch at it
-_BATCH_ELEMENTS = 25_000
+# the most (row, point) pairs per kernel call: the 3D reduction and the exact
+# mixed search send blocks of about this size, and the deepest-point search
+# caps each batch at it. The cost of a row jumps once a call's temporaries
+# are large enough that glibc hands them back to the OS after the call and
+# faults them in again on the next one (the jump goes away with
+# MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ raised). Where it sits
+# depends on the allocator's history in the process: alone, a row at 1,061
+# points cost 59-66 us in batches of up to 5 rows and 91-96 us from 6 rows
+# up (2-vCPU Xeon VM). So the size was chosen on whole Monte Carlo
+# queries of 1,061 samples: their median time was flat from 4,096 to 8,192
+# pairs and 12% higher at 12,288 and at 25,000
+_BATCH_ELEMENTS = 8_192
 
 
 @dataclass(frozen=True)
@@ -141,10 +149,16 @@ def _sweep_counting_min_batch(centers, pts, weights):
     C, N = len(centers), pts.shape[-2]
     rows = np.arange(C)
     rr = rows[:, None]
-    rel = (pts if pts.ndim == 3 else pts[None]) - centers[:, None, :]
-    scale = np.maximum(1.0, np.abs(rel).reshape(C, -1).max(axis=1))
-    x, y = rel[..., 0], rel[..., 1]
-    at_center = np.hypot(x, y) <= 1e-12 * scale[:, None]
+    x = pts[..., 0] - centers[:, :1]
+    y = pts[..., 1] - centers[:, 1:]
+    near = np.maximum(np.abs(x), np.abs(y))
+    tol = 1e-12 * np.maximum(1.0, near.max(axis=1, keepdims=True))
+    # at the center: hypot(x, y) <= tol, which needs near <= tol and holds
+    # where x = y = 0, so hypot runs only when a nonzero offset is that near
+    at_center = near <= tol
+    if np.count_nonzero(near[at_center]):
+        r, c = np.nonzero(at_center)
+        at_center[r, c] = np.hypot(x[r, c], y[r, c]) <= tol[r, 0]
     weights = np.asarray(weights, dtype=float)
     total = weights.sum(axis=-1)
     b = np.arctan2(x, y)

@@ -327,7 +327,7 @@ class Polytope:
         verts = enumerate_vertices(self)
         if self.dim == 2 and len(verts) >= 3:
             # enumeration returns lex order; the hull rebuilds the cycle
-            verts = convex_hull_2d(verts)
+            verts = _vertex_cycle(verts)
         object.__setattr__(self, "cached_vertices", verts)
         return verts
 
@@ -415,21 +415,45 @@ def convex_hull_2d(pts) -> np.ndarray:
     chain). Duplicate and collinear points are allowed and dropped, so a
     degenerate input gives a segment's two ends or a single point."""
     p = np.unique(np.atleast_2d(np.asarray(pts, dtype=float)).reshape(-1, 2), axis=0)
+    if len(p) <= 2:
+        return canonical_polygon(p)
+    return canonical_polygon(p[_hull_cycle(p)])
+
+
+def _hull_cycle(p) -> list[int]:
+    """Row indices of the hull of lexicographically sorted distinct points,
+    counterclockwise from the first (Andrew's monotone chain); a point on
+    the line of its neighbours on the hull is dropped. The turn tests run
+    on Python floats, which round as numpy's float64 scalars do."""
+    xy = p.tolist()
 
     def chain(seq):
         out = []
-        for q in seq:
+        for k in seq:
+            qx, qy = xy[k]
             while len(out) >= 2:
-                a, b = out[-1] - out[-2], q - out[-2]
-                if a[0] * b[1] - a[1] * b[0] > 0:
+                (ox, oy), (px, py) = xy[out[-2]], xy[out[-1]]
+                if (px - ox) * (qy - oy) - (py - oy) * (qx - ox) > 0:
                     break
                 out.pop()
-            out.append(q)
+            out.append(k)
         return out[:-1]
 
-    if len(p) <= 2:
-        return canonical_polygon(p)
-    return canonical_polygon(np.array(chain(p) + chain(p[::-1])))
+    return chain(range(len(xy))) + chain(range(len(xy) - 1, -1, -1))
+
+
+def _vertex_cycle(verts) -> np.ndarray:
+    """``convex_hull_2d`` of the vertices ``enumerate_vertices`` returns.
+    They are sorted lexicographically and lie pairwise more than EPS apart,
+    so ``np.unique`` would keep them as they are. ``canonical_polygon``
+    keeps the hull cycle as it is when every edge is longer than EPS, by
+    the norm it takes, and the area exceeds EPS**2, so it runs only on
+    the other cycles."""
+    cyc = verts[_hull_cycle(verts)]
+    e = np.roll(cyc, -1, axis=0) - cyc
+    if shoelace_area(cyc) > EPS * EPS and np.sqrt(row_dots(e, e)).min() > EPS:
+        return cyc
+    return canonical_polygon(cyc)
 
 
 def clip_polygon_vertices(verts: np.ndarray, normal, offset: float,

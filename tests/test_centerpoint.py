@@ -333,6 +333,18 @@ def test_mc_continuous_sample_above_the_cap_is_not_drawn(spy, dim):
     assert calls == []
 
 
+def test_mc_mixed_sample_above_the_cap_is_not_drawn(spy):
+    # every sample point of an n=1, d=1 mixed S is a candidate too: the
+    # [0,2]x[0,1] document with --eps 0.0016 drew 1,035,671 candidates
+    # before its cap check
+    calls = spy(MixedInteger, "sample")
+    N = mc_sample_size(0.3, 0.3, 3)
+    with pytest.raises(BudgetExceeded, match=f"{N} sample points exceed cap {N - 1}"):
+        centerpoint_monte_carlo(MixedInteger(STRIP, 1, 1), ConstraintSet.mixed(1, 1), 0.3,
+                                0.3, RngState(0), candidate_cap=N - 1)
+    assert calls == []
+
+
 def test_mc_candidate_cap():
     m = LatticeCounting(Polytope.from_box([0.0, 0.0], [9.0, 9.0]))
     with pytest.raises(BudgetExceeded):
@@ -924,6 +936,29 @@ def test_tightened_search_matches_brute_force(spy, monkeypatch, batch):
     _assert_topk_matches_a_full_stable_argsort(_hexagon_samples(1062, 300))
 
 
+def test_mc_pick_is_the_same_at_every_batch_size(spy, monkeypatch):
+    # the batch size sets how many kernel rows a call takes and when the
+    # search probes and tightens, never the point, value or witness: 1,061
+    # samples of a triangle, a hexagon and a thin sliver
+    hexagon = _hull_polygon(np.array([[0.0, 0.0], [3.0, -1.0], [5.0, 1.0], [4.0, 4.0],
+                                      [1.0, 4.5], [-1.0, 2.0]]))
+    kernel = spy(depth_mod, "_sweep_counting_min_batch")
+    for k, m in enumerate([UniformPolytope(TRIANGLE), UniformPolytope(hexagon)]
+                          + _thin_triangles(13, 1)):
+        picks, calls = [], []
+        for batch in (depth_mod._BATCH_ELEMENTS, 25_000, 500):
+            monkeypatch.setattr(depth_mod, "_BATCH_ELEMENTS", batch)
+            kernel.clear()
+            res = centerpoint_monte_carlo(m, ConstraintSet.continuous(2), 0.05, 0.1,
+                                          RngState(40 + k))
+            assert res.samples_used == 1061
+            picks.append((res.point.tobytes(), res.depth.value,
+                          res.depth.witness.coords.tobytes()))
+            calls.append(len(kernel))
+        assert picks[0] == picks[1] == picks[2]
+        assert len(set(calls)) > 1
+
+
 def test_lattice_searches_fit_one_batch_and_never_tighten(spy):
     # the qualifiers of a lattice pick fit in one batch, so only the
     # shape-adapted bound pass runs, and only on sets of more than
@@ -1090,6 +1125,43 @@ def test_screen_edge_floors():
     live, low = cp_mod._slab_screen(tab, cu, 1e-9, floor)
     assert not live.any() and full.max() <= low < floor
     assert np.all(_halfplane_bounds(tab, cand[len(pts):], floor) == low)
+
+
+def _mask_screen(tab, cu, pad, floor):
+    """``_slab_screen`` by its definition: the slab ends from padded edge
+    columns and the bound as the largest of all shares under ``floor``."""
+    rr = np.arange(len(tab.U))
+    below = tab.cum / tab.total
+    above = (tab.total - tab.cum) / tab.total
+    edges = np.pad(tab.ps, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    lo = edges[rr, np.count_nonzero(below < floor, axis=1)] - pad
+    hi = edges[rr, np.count_nonzero(above >= floor, axis=1)] + pad
+    live = np.all((cu >= lo[:, None]) & (cu <= hi[:, None]), axis=0)
+    shares = np.concatenate([below, above])
+    return live, float(shares[shares < floor].max(initial=0.0))
+
+
+def test_screen_matches_the_mask_formula():
+    # seeded tables of unit, integer and fractional weights, with duplicated
+    # points, against floors <= 0, above every share, exactly on a share
+    # and between shares
+    gen = np.random.default_rng(41)
+    for t in range(60):
+        n = int(gen.integers(1, 40))
+        pts = gen.normal(size=(n, 2)) * gen.uniform(0.1, 1e3)
+        pts[gen.integers(0, n, size=n // 4)] = pts[0]
+        w = [np.ones(n), gen.integers(1, 5, size=n).astype(float),
+             gen.uniform(0.1, 3.0, size=n)][t % 3]
+        U = gen.normal(size=(int(gen.integers(1, 17)), 2))
+        tab = _project(pts, w, U / np.hypot(U[:, 0], U[:, 1])[:, None])
+        cu = tab.U @ np.vstack([pts, gen.normal(size=(20, 2)) * np.abs(pts).max()]).T
+        pad = 1e-9 * max(1.0, float(np.abs(cu).max()))
+        shares = np.concatenate([tab.cum, tab.total - tab.cum]) / tab.total
+        on = gen.choice(shares.ravel(), size=4)
+        for floor in (0.0, -0.5, shares.max() + 1e-9, 2.0, *on, *gen.uniform(0.0, 0.6, 4)):
+            live, low = cp_mod._slab_screen(tab, cu, pad, floor)
+            want_live, want_low = _mask_screen(tab, cu, pad, floor)
+            assert np.array_equal(live, want_live) and low == want_low
 
 
 @pytest.mark.parametrize("w, floor, lo_stat, hi_stat, low", [

@@ -361,6 +361,28 @@ def test_batch_kernel_rows_do_not_depend_on_the_point_order():
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_batch_kernel_at_center_test_is_the_hypot_of_the_offset(scale):
+    """A point counts at the center, in every closed halfplane, exactly when
+    hypot of its offset is at most 1e-12 times the scale, max(1, largest
+    |offset coordinate|). The offsets here lie at most that far from the
+    center along each axis, on either side of that circle: around the
+    center of a cross of four points, of depth 2 alone, one counts 3 and
+    the other 2. Each row also goes alone and as the single-set form."""
+    tol = 1e-12 * scale
+    cases = [((0.0, 0.0), 3), ((0.5 * tol, 0.5 * tol), 3), ((tol, 0.0), 3),
+             ((0.0, -tol), 3), ((0.7 * tol, -0.7 * tol), 3),
+             ((0.9 * tol, 0.9 * tol), 2), ((-tol, tol), 2), ((2.0 * tol, 0.0), 2)]
+    cross = scale * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    sets = np.array([np.vstack([cross, [d]]) for d, _ in cases])
+    w = np.ones(5)
+    vals, angles = _sweep_counting_min_batch(np.zeros((len(cases), 2)), sets, w)
+    assert vals.tolist() == [want for _, want in cases]
+    for k, (d, want) in enumerate(cases):
+        (val,), (angle,) = _sweep_counting_min_batch([0.0, 0.0], sets[k], w)
+        assert (val, angle) == (vals[k], angles[k]) == (want, angles[k])
+
+
 def test_counting_witness_attains_weighted_depth():
     """Weighted points, some at x and some collinear with x on both sides:
     ``depth_finite`` and ``min_direction_2d`` agree, never exceed a dense

@@ -314,6 +314,88 @@ def test_convex_hull_2d_drops_interior_collinear_and_duplicate_points():
         assert np.allclose(convex_hull_2d(cloud), want, atol=1e-12)
 
 
+def _monotone_chain_hull(pts):
+    """``convex_hull_2d`` with its turn tests on numpy scalars: the reference
+    for the vertex cycles of 2D polytopes."""
+    p = np.unique(np.atleast_2d(np.asarray(pts, dtype=float)).reshape(-1, 2), axis=0)
+
+    def chain(seq):
+        out = []
+        for q in seq:
+            while len(out) >= 2:
+                a, b = out[-1] - out[-2], q - out[-2]
+                if a[0] * b[1] - a[1] * b[0] > 0:
+                    break
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    if len(p) <= 2:
+        return geom_mod.canonical_polygon(p)
+    return geom_mod.canonical_polygon(np.array(chain(p) + chain(p[::-1])))
+
+
+def _slice_rows(seed, count):
+    """Constraint rows of the integer slices of n=2, d=1 polytopes, a
+    hexagon in the integer plane times 0 <= y <= c0 + g.z, each cut by a
+    line u.z = t for a small primitive u, as the width-based recursion
+    slices them: in the coordinates (k, y) of z = z0 + k*w."""
+    gen = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        ang = np.linspace(0, 2 * np.pi, 6, endpoint=False) + gen.uniform(-0.3, 0.3, 6)
+        v = np.c_[np.cos(ang), np.sin(ang)] * gen.uniform(1.5, 4.0) + gen.uniform(0, 1, 2)
+        rows = [[-h.n[0], -h.n[1], 0.0, -h.offset]
+                for h in Polytope.from_vertices_2d(v).constraints]
+        g = gen.uniform(-0.3, 0.3, 2)
+        rows += [[0.0, 0.0, -1.0, 0.0], [-g[0], -g[1], 1.0, gen.uniform(1.0, 2.0)]]
+        P = Polytope.from_rows(rows)
+        u = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [1, 2]][gen.integers(6)])
+        w = np.array([-u[1], u[0]])
+        z0dir = np.array([1, 0]) if u[0] == 1 else np.array([0, 1]) if u[1] == 1 else \
+            np.array([1, -1])   # u.z0dir = 1 for every u above
+        tv = P.vertices()[:, :2] @ u
+        for t in range(math.ceil(tv.min()), math.floor(tv.max()) + 1):
+            z0 = t * z0dir
+            sl = np.array([[-(h.n[:2] @ w), -h.n[2], -(h.offset - h.n[:2] @ z0)]
+                           for h in P.constraints])
+            flat = np.abs(sl[:, :2]).max(axis=1) <= 1e-12
+            if not np.any(sl[flat, 2] < -1e-9):
+                out.append(sl[~flat])
+    return out[:count]
+
+
+def test_polytope_vertex_cycles_are_the_monotone_chain_hull():
+    # a 2D polytope orders its enumerated vertices without np.unique and
+    # without numpy scalar turn tests; the cycle keeps the reference hull's
+    # bits: start vertex, orientation, duplicates and collinear points dropped
+    degenerate = [
+        # a segment with a row through its midpoint, tilted 1e-12: three
+        # collinear vertices
+        [[0, 1, 1], [0, -1, -1], [-1, 0, 0], [1, 0, 2], [1e-12, -1, -1 + 1e-12]],
+        # a triangle of area 9.9e-19 <= EPS**2: canonical_polygon collapses it
+        [[0, -1, 0], [-0.99, 1, 0], [0.99, 1, 1.98e-9]],
+        # a redundant row 1e-11 outside a corner: three rows through it
+        [[-1, 0, 0], [1, 0, 2], [0, -1, 0], [0, 1, 1], [1, 1, 3 + 1e-11]],
+        # a corner cut 1.06e-9 deep, inside the feasibility tolerance: two
+        # more vertices, each on the line of an edge
+        [[-1, 0, 0], [0, -1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 2 - 1.5e-9 / math.sqrt(2)]],
+        # a square cut on the diagonal: a triangle whose hull drops nothing
+        [[-1, 0, 0], [0, -1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+    ]
+    cases = _slice_rows(3, 150) + [np.array(r, dtype=float) for r in degenerate]
+    dropped = collapsed = 0
+    for rows in cases:
+        P = Polytope.from_rows(rows)
+        found = enumerate_vertices(P)
+        want = _monotone_chain_hull(found)
+        for got in (P.vertices(), convex_hull_2d(found)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        dropped += len(want) < len(found)
+        collapsed += len(want) <= 2 < len(found)
+    assert dropped >= 2 and collapsed >= 2
+
+
 def test_nearest_point_in_polygon():
     # a point the polygon holds stays; others go to the nearest boundary
     # point, against a dense sample of the boundary
