@@ -192,7 +192,7 @@ class ContinuousMedian(_Game):
             cuts.append(Halfspace.from_vector(
                 -p.h, -(float(p.h @ p.x) + (p.cum - self.cum))))
         try:
-            return UniformPolytope(self.E0.as_polytope(), tuple(cuts))
+            return UniformPolytope(self.E0.as_polytope()).restrict(cuts)
         except EmptyRegion:
             return None
 

@@ -690,15 +690,6 @@ def _lenstra_floor(n: int, d: int) -> float:
     return 1.0 / (2 ** (n * n) * (d + 1) ** (n + 1))
 
 
-def _project_vertices(P: Polytope, coords) -> np.ndarray:
-    """Projection of P onto ``coords`` as a canonical convex polygon.
-
-    Projected vertices come in vertex-enumeration order, with interior and
-    coincident images, so the polygon is their convex hull.
-    """
-    return geom.convex_hull_2d(P.vertices()[:, coords])
-
-
 def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
                               omega_bar: float = OMEGA_BAR) -> CenterpointResult:
     """Width-based recursion for mixed sets (n <= 2, d = 1).
@@ -724,7 +715,8 @@ def centerpoint_lenstra_mixed(P: Polytope, n: int, d: int,
     if n == 1:
         point = _lenstra_point_1d(m, omega_bar)
     else:   # slice the integer projection along its flatness direction
-        proj = _project_vertices(P, [0, 1])
+        # projected vertices repeat and fall inside, so take their convex hull
+        proj = geom.convex_hull_2d(P.vertices()[:, [0, 1]])
         width, u = geom.lattice_width_2d(Polytope.from_vertices_2d(proj))
         if width > omega_bar:
             c = centroid(UniformPolytope(P))

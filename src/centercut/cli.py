@@ -64,9 +64,11 @@ def _number(x, path) -> float:
     return float(x)
 
 
-def _integer(x, path) -> int:
+def _integer(x, path, low=None) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         _fail(path, "expected an integer")
+    if low is not None and x < low:
+        _fail(path, f"expected an integer >= {low}")
     return x
 
 
@@ -230,7 +232,7 @@ def _check_strategy_budget(doc, path):
                                                      "random"):
         _fail(f"{path}.strategy", f"unknown strategy {doc['strategy']!r}")
     if "budget" in doc:
-        _integer(doc["budget"], f"{path}.budget")
+        _integer(doc["budget"], f"{path}.budget", 0)
     if "seed" in doc:
         _integer(doc["seed"], f"{path}.seed")
 
@@ -480,7 +482,7 @@ def _solve_with_flags(o, S, nu, E0, doc, args):
     The seed reaches the random strategy only."""
     delta = _number(_pick(args.delta, doc, "delta", doc["delta"]), "$.delta")
     strategy_name = _pick(args.strategy, doc, "strategy", "centerpoint")
-    budget = int(_pick(args.budget, doc, "budget", 10_000))
+    budget = _integer(_pick(args.budget, doc, "budget", 10_000), "$.budget", 0)
     seed = int(_pick(args.seed, doc, "seed", 0))
     strategy = _STRATEGIES[strategy_name](seed)
     report = cutplane.solve(o, S, nu, E0, delta, strategy=strategy, budget=budget)

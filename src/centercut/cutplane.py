@@ -289,8 +289,10 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
     Each query's cut is normalized once, into a ``_CutRow``; an improving
     query rebuilds every cut from those rows, offsets only, and the region
     equals the one ``epigraph_cut`` at the new best value would give, bit
-    for bit.
+    for bit. Raises ValueError for a negative ``budget``.
     """
+    if budget < 0:
+        raise ValueError("the oracle call budget must be nonnegative")
     try:
         boxed = nu.restrict(tuple(E0.half_open_cuts()))
     except EmptyRegion:

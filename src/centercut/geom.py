@@ -136,9 +136,6 @@ class Halfspace:
         """The complementary halfspace (closedness flips)."""
         return Halfspace(Direction(-self.n), -self.offset, not self.closed)
 
-    def as_open(self) -> "Halfspace":
-        return self if not self.closed else Halfspace(self.normal, self.offset, False)
-
     def as_closed(self) -> "Halfspace":
         return self if self.closed else Halfspace(self.normal, self.offset, True)
 

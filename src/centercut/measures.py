@@ -2,7 +2,10 @@
 
 Four families share one contract: exact halfspace mass in low dimension,
 restriction by halfspace cuts with open-cut bookkeeping (so the mass of the
-open region is what gets tracked), and deterministic seeded sampling.
+open region is what gets tracked), and deterministic seeded sampling. A
+constructor builds the uncut support; a restriction starts from its parent
+and applies the new cuts alone, so a chain of them gives the bits of one
+(3D uniform and d = 2 mixed measures solve their rows again).
 
 Masses handed back are plain floats, and every one is exact: the
 low-dimensional geometry (interval clips, polygon clipping, 3D volumes
@@ -57,10 +60,8 @@ class Measure:
     """Common base: a support, a tuple of region cuts, a cached total mass."""
 
     family: str = ""
-
-    def __init__(self, region=()):
-        self.region = tuple(region)
-        self.total_mass = 0.0   # unnormalized mass of support . region
+    region: tuple = ()        # cuts applied since the build, in order
+    total_mass: float = 0.0   # unnormalized mass of support . region
 
     @property
     def dim(self) -> int:
@@ -70,7 +71,16 @@ class Measure:
         raise NotImplementedError
 
     def restrict(self, cuts) -> "Measure":
-        raise NotImplementedError
+        """A shallow copy cut by ``cuts``: the family's ``_cut`` updates its
+        state by them alone and rebinds, never edits, the arrays it shares
+        with this measure. Raises EmptyRegion when no mass is left."""
+        cuts = tuple(cuts)
+        child = object.__new__(type(self))   # cheaper than copy.copy
+        child.__dict__.update(self.__dict__)
+        child.region = self.region + cuts
+        child._cut(cuts)
+        child._check_nonempty()
+        return child
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         raise NotImplementedError
@@ -85,8 +95,7 @@ class FinitePointMass(Measure):
 
     family = "finite_points"
 
-    def __init__(self, points, weights=None, region=()):
-        super().__init__(region)
+    def __init__(self, points, weights=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if weights is None:
             w = np.ones(len(pts))
@@ -98,8 +107,8 @@ class FinitePointMass(Measure):
             raise ValueError("weights must be positive and finite")
         self.points = pts
         self.weights = w
-        self._active = _cut_mask(pts, self.region)
-        self.total_mass = float(w[self._active].sum())
+        self._active = np.ones(len(pts), dtype=bool)
+        self._cut(())
         self._check_nonempty()
 
     @property
@@ -117,8 +126,9 @@ class FinitePointMass(Measure):
         v = float(self.weights[mask].sum()) / self.total_mass
         return min(max(v, 0.0), 1.0)
 
-    def restrict(self, cuts) -> "FinitePointMass":
-        return FinitePointMass(self.points, self.weights, self.region + tuple(cuts))
+    def _cut(self, cuts):
+        self._active = self._active & _cut_mask(self.points, cuts)
+        self.total_mass = float(self.weights[self._active].sum())
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         gen = rng.generator()
@@ -133,17 +143,9 @@ class LatticeCounting(Measure):
 
     family = "lattice_counting"
 
-    def __init__(self, polytope: Polytope, region=(), *, _points=None):
-        """``_points`` is private to ``restrict``: the lattice points of the
-        polytope that already satisfy every cut of ``region``, so a
-        restriction masks its parent's active points by the new cuts only,
-        instead of enumerating the polytope again and applying every cut."""
-        super().__init__(region)
+    def __init__(self, polytope: Polytope):
         self.polytope = polytope
-        if _points is None:
-            _points = geom.enumerate_lattice_points(polytope).astype(float)
-            _points = _points[_cut_mask(_points, self.region)]
-        self._points = _points
+        self._points = geom.enumerate_lattice_points(polytope).astype(float)
         self.total_mass = float(len(self._points))
         self._check_nonempty()
 
@@ -161,10 +163,9 @@ class LatticeCounting(Measure):
         inside = _cut_mask(self._points, (h,))
         return float(inside.sum()) / self.total_mass
 
-    def restrict(self, cuts) -> "LatticeCounting":
-        cuts = tuple(cuts)
-        return LatticeCounting(self.polytope, self.region + cuts,
-                               _points=self._points[_cut_mask(self._points, cuts)])
+    def _cut(self, cuts):
+        self._points = self._points[_cut_mask(self._points, cuts)]
+        self.total_mass = float(len(self._points))
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         gen = rng.generator()
@@ -172,9 +173,8 @@ class LatticeCounting(Measure):
         return self._points[idx]
 
 
-def _interval_from_halfspaces(items) -> tuple[float, float]:
-    """1D feasible interval for scalar constraints ``a*y >= c``; may be empty."""
-    lo, hi = -math.inf, math.inf
+def _interval_from_halfspaces(items, lo=-math.inf, hi=math.inf) -> tuple[float, float]:
+    """The interval [lo, hi] cut by scalar constraints ``a*y >= c``; may be empty."""
     for a, c in items:
         if a > 1e-12:
             lo = max(lo, c / a)
@@ -190,37 +190,43 @@ class UniformPolytope(Measure):
     dimension it supports: interval arithmetic in 1D, polygon clipping in
     2D, and in 3D ``geom.volume_centroid_3d`` on the polytope's rows plus
     the region's, which also gives the region's vertices and centroid.
-    Higher dimensions raise DimensionTooLarge.
+    Higher dimensions raise DimensionTooLarge. A restriction clips the
+    parent's interval or vertex cycle; in 3D it solves every row again.
     """
 
     family = "uniform_polytope"
 
-    def __init__(self, polytope: Polytope, region=()):
-        super().__init__(region)
+    def __init__(self, polytope: Polytope):
         self.polytope = polytope
         d = polytope.dim
         if d == 1:
             v = polytope.vertices().ravel()
-            lo, hi = _interval_from_halfspaces(
-                [(1.0, float(v.min())), (-1.0, -float(v.max()))]
-                + [(float(c.n[0]), c.offset) for c in self.region])
-            self._interval = (lo, hi)
-            self.total_mass = max(hi - lo, 0.0)
+            self._interval = (float(v.min()), float(v.max()))
         elif d == 2:
-            verts = polytope.polygon()
-            for c in self.region:
-                verts = geom.clip_polygon_vertices(verts, c.n, c.offset)
-            self._verts = verts
-            self.total_mass = abs(geom.shoelace_area(verts))
+            self._verts = polytope.polygon()
         elif d == 3:
-            rows = polytope.constraints + self.region
-            self._A = np.array([h.n for h in rows])
-            self._b = np.array([h.offset for h in rows])
-            self.total_mass, self._centroid, self._verts = geom.volume_centroid_3d(
-                self._A, self._b)
+            self._A = np.array([h.n for h in polytope.constraints])
+            self._b = np.array([h.offset for h in polytope.constraints])
         else:
             raise DimensionTooLarge(f"uniform measures support dimension <= 3, got {d}")
+        self._cut(())
         self._check_nonempty()
+
+    def _cut(self, cuts):
+        d = self.polytope.dim
+        if d == 1:
+            lo, hi = self._interval = _interval_from_halfspaces(
+                [(float(c.n[0]), c.offset) for c in cuts], *self._interval)
+            self.total_mass = max(hi - lo, 0.0)
+        elif d == 2:
+            for c in cuts:
+                self._verts = geom.clip_polygon_vertices(self._verts, c.n, c.offset)
+            self.total_mass = abs(geom.shoelace_area(self._verts))
+        else:
+            self._A = np.vstack([self._A] + [c.n for c in cuts])
+            self._b = np.append(self._b, [c.offset for c in cuts])
+            self.total_mass, self._centroid, self._verts = geom.volume_centroid_3d(
+                self._A, self._b)
 
     @property
     def dim(self) -> int:
@@ -236,9 +242,7 @@ class UniformPolytope(Measure):
     def halfspace_mass(self, h) -> float:
         d = self.polytope.dim
         if d == 1:
-            lo, hi = self._interval
-            lo, hi = _interval_from_halfspaces([(1.0, lo), (-1.0, -hi),
-                                                (float(h.n[0]), h.offset)])
+            lo, hi = _interval_from_halfspaces([(float(h.n[0]), h.offset)], *self._interval)
             return min(max(max(hi - lo, 0.0) / self.total_mass, 0.0), 1.0)
         if d == 2:
             kept = abs(geom.shoelace_area(geom.clip_polygon_vertices(self._verts, h.n,
@@ -247,9 +251,6 @@ class UniformPolytope(Measure):
             kept = geom.volume_centroid_3d(np.vstack([self._A, h.n]),
                                            np.append(self._b, h.offset))[0]
         return min(max(kept / self.total_mass, 0.0), 1.0)
-
-    def restrict(self, cuts) -> "UniformPolytope":
-        return UniformPolytope(self.polytope, self.region + tuple(cuts))
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         """Rejection draws from the bounding box of the region's vertices;
@@ -271,13 +272,13 @@ class MixedInteger(Measure):
     slice is a polytope of dimension d <= 2, an interval or a polygon from
     ``geom``'s vertex enumeration, so every mass is exact; there are no
     Monte Carlo slices. Raises DimensionTooLarge when n + d > 3, where
-    vertex enumeration, and with it the fiber build, stops.
+    vertex enumeration, and with it the fiber build, stops. A d = 1
+    restriction clips each fiber's interval; d = 2 slices every row again.
     """
 
     family = "mixed_integer"
 
-    def __init__(self, polytope: Polytope, n: int, d: int, region=()):
-        super().__init__(region)
+    def __init__(self, polytope: Polytope, n: int, d: int):
         if n < 1 or d < 1:
             raise ValueError("mixed measure needs n >= 1 integer and d >= 1 continuous coords")
         if polytope.dim != n + d:
@@ -287,30 +288,24 @@ class MixedInteger(Measure):
         self.polytope = polytope
         self.n = n
         self.d = d
-        self._build_fibers()
-        self.total_mass = float(sum(f[2] for f in self.fibers))
+        self._slice(self._constraints())
         self._check_nonempty()
-        if d == 1:   # fiber arrays for halfspace_masses and the exact 2D depth engine
-            self._z = np.array([z for z, _p, _v in self.fibers], dtype=float)
-            self._lo, self._hi = np.array([p for _z, p, _v in self.fibers], dtype=float).T
-            self._vol = np.array([v for _z, _p, v in self.fibers])
 
     @property
     def dim(self) -> int:
         return self.n + self.d
 
     def _constraints(self):
-        """The polytope's facets and the region's cuts, split for slicing:
-        see ``_split_rows``."""
-        return self._split_rows([(h.n, h.offset, True) for h in self.polytope.constraints]
-                                + [(c.n, c.offset, c.closed) for c in self.region])
+        """The polytope's (closed) facets and the region's cuts, split for
+        slicing: see ``_split_rows``."""
+        return self._split_rows(self.polytope.constraints + self.region)
 
     def _split_rows(self, rows):
-        """(head, tail, offset, closed, flat) for each (normal, offset,
-        closed) row: the normal's integer and continuous blocks, and whether
-        the tail is numerically zero, decided once for every fiber."""
-        return [(nvec[:self.n], nvec[self.n:], off, closed,
-                 np.linalg.norm(nvec[self.n:]) <= 1e-12) for nvec, off, closed in rows]
+        """(head, tail, offset, closed, flat) for each halfspace of ``rows``:
+        the normal's integer and continuous blocks, and whether the tail is
+        numerically zero, decided once for every fiber."""
+        return [(h.n[:self.n], h.n[self.n:], h.offset, h.closed,
+                 np.linalg.norm(h.n[self.n:]) <= 1e-12) for h in rows]
 
     def _slice_constraints(self, z: np.ndarray, cons):
         """Constraints ``cons`` (from ``_split_rows``) restricted to the
@@ -332,30 +327,44 @@ class MixedInteger(Measure):
                 out.append((tail, rhs))
         return out, True
 
-    def _build_fibers(self):
-        """Slices every integer block of the bounding box; BudgetExceeded
-        when that grid is larger than ``geom.LATTICE_CAP``, before any slice."""
-        lo, hi = self.polytope.bounding_box()
-        zlo = np.ceil(lo[:self.n] - geom.EPS).astype(int)
-        zhi = np.floor(hi[:self.n] + geom.EPS).astype(int)
-        total = int(np.prod(np.maximum(zhi - zlo + 1, 0).astype(object)))
-        if total > geom.LATTICE_CAP:
-            raise BudgetExceeded(f"fiber grid of size {total} exceeds cap {geom.LATTICE_CAP}")
-        cons = self._constraints()
-        self.fibers = []  # (z tuple, payload, volume)
-        for z in itertools.product(*[range(zlo[i], zhi[i] + 1) for i in range(self.n)]):
+    def _slice(self, cons, fibers=None):
+        """Set ``fibers`` (z tuple, payload, volume) to the slices above
+        MASS_TOL of ``fibers`` (d = 1), else of every integer block of the
+        bounding box, by the rows ``cons``; BudgetExceeded when that grid is
+        larger than ``geom.LATTICE_CAP``, before any slice."""
+        if fibers is None:
+            lo, hi = self.polytope.bounding_box()
+            zlo = np.ceil(lo[:self.n] - geom.EPS).astype(int)
+            zhi = np.floor(hi[:self.n] + geom.EPS).astype(int)
+            total = int(np.prod(np.maximum(zhi - zlo + 1, 0).astype(object)))
+            if total > geom.LATTICE_CAP:
+                raise BudgetExceeded(f"fiber grid of size {total} exceeds cap {geom.LATTICE_CAP}")
+            fibers = ((z, (-math.inf, math.inf), None) for z in itertools.product(
+                *[range(zlo[i], zhi[i] + 1) for i in range(self.n)]))
+        self.fibers = []
+        for z, interval, _vol in fibers:
             sliced, feas = self._slice_constraints(np.asarray(z, dtype=float), cons)
-            if not feas:
-                continue
-            payload, vol = self._slice_geometry(sliced)
-            if vol > MASS_TOL:
-                self.fibers.append((z, payload, vol))
+            if feas:
+                payload, vol = self._slice_geometry(sliced, *interval)
+                if vol > MASS_TOL:
+                    self.fibers.append((z, payload, vol))
+        self.total_mass = float(sum(f[2] for f in self.fibers))
+        if self.d == 1:   # fiber arrays for halfspace_masses and the exact 2D depth engine
+            self._z = np.array([z for z, _p, _v in self.fibers], dtype=float)
+            self._lo, self._hi = np.reshape([p for _z, p, _v in self.fibers], (-1, 2)).T
+            self._vol = np.array([v for _z, _p, v in self.fibers])
 
-    def _slice_geometry(self, sliced):
-        """(payload, volume) of one slice: an interval for d = 1, the
-        canonical polygon of ``geom``'s basic solutions for d = 2."""
+    def _cut(self, cuts):
         if self.d == 1:
-            lo, hi = _interval_from_halfspaces([(float(t[0]), r) for t, r in sliced])
+            self._slice(self._split_rows(cuts), self.fibers)
+        else:
+            self._slice(self._constraints())
+
+    def _slice_geometry(self, sliced, lo=-math.inf, hi=math.inf):
+        """(payload, volume) of one slice: [lo, hi] cut by its rows for d = 1,
+        the canonical polygon of ``geom``'s basic solutions for d = 2."""
+        if self.d == 1:
+            lo, hi = _interval_from_halfspaces([(float(t[0]), r) for t, r in sliced], lo, hi)
             return (lo, hi), max(hi - lo, 0.0)
         tails = np.array([t for t, _r in sliced], dtype=float).reshape(-1, 2)
         rhs = np.array([r for _t, r in sliced], dtype=float)
@@ -396,7 +405,7 @@ class MixedInteger(Measure):
     def halfspace_mass(self, h) -> float:
         if self.d == 1:
             return float(self.halfspace_masses(h.n, [h.offset], h.closed)[0])
-        cut = self._split_rows([(h.n, h.offset, h.closed)])
+        cut = self._split_rows([h])
         kept = 0.0
         for z, verts, vol in self.fibers:
             sliced, inside = self._slice_constraints(np.asarray(z, dtype=float), cut)
@@ -408,9 +417,6 @@ class MixedInteger(Measure):
             tail, rhs = sliced[0]
             kept += abs(geom.shoelace_area(geom.clip_polygon_vertices(verts, tail, rhs)))
         return min(max(kept / self.total_mass, 0.0), 1.0)
-
-    def restrict(self, cuts) -> "MixedInteger":
-        return MixedInteger(self.polytope, self.n, self.d, self.region + tuple(cuts))
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
         gen = rng.generator()

@@ -13,7 +13,6 @@ from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
                                    _EVEN_DIRS, _arrangement_vertices,
                                    _depth_upper_bounds, _fiber_breakpoints,
                                    _halfplane_bounds, _lex_best, _project,
-                                   _project_vertices,
                                    _prune_directions, _pruned_lex_best,
                                    _topk_indices,
                                    centerpoint_2d_integer,
@@ -24,7 +23,7 @@ from centercut.centerpoint import (CANDIDATE_CAP, ConstraintSet,
                                    depth_guarantee, mc_sample_size)
 from centercut.depth import depth_finite, depth_sampled, min_direction_2d
 from centercut.errors import BudgetExceeded, DimensionTooLarge, EmptyLattice
-from centercut.geom import Polytope, lattice_width_2d
+from centercut.geom import Polytope, convex_hull_2d, lattice_width_2d
 from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
                                 RngState, UniformPolytope)
 
@@ -614,7 +613,7 @@ def test_lenstra_builds_each_slice_measure_once(monkeypatch):
 
 def test_lenstra_projection_is_the_convex_hull():
     P = Polytope.from_box([0.0, 0.0, 0.0], [3.0, 3.0, 1.0])
-    proj = _project_vertices(P, [0, 1])
+    proj = convex_hull_2d(P.vertices()[:, [0, 1]])
     assert proj.tolist() == [[0, 0], [3, 0], [3, 3], [0, 3]]
     w, u = lattice_width_2d(Polytope.from_vertices_2d(proj))
     assert (w, u.tolist()) == (3.0, [1, 0])

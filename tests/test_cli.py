@@ -421,6 +421,43 @@ def test_exit_code_bad_numeric_flags_name_their_path(tmp_path, capsys, command, 
     assert capsys.readouterr().err == f"error: {path}: {msg}\n"
 
 
+ADVERSARY_DOC = {"schema_version": 1, "command": "adversary-run", "delta": 0.5,
+                 "game": {"kind": "integer_fiber", "n": 2, "B": 8}}
+SOLVE_INSTANCE = {k: v for k, v in SOLVE_DOC.items() if k != "schema_version"}
+
+
+@pytest.mark.parametrize("command, doc, flags, path", [
+    ("solve", dict(SOLVE_DOC, budget=-3), [], "$.budget"),
+    ("solve", SOLVE_DOC, ["--budget", "-3"], "$.budget"),
+    ("adversary-run", dict(ADVERSARY_DOC, budget=-3), [], "$.budget"),
+    ("adversary-run", ADVERSARY_DOC, ["--budget", "-3"], "$.budget"),
+    ("bench", {"schema_version": 1, "command": "bench", "instances": [
+        dict(SOLVE_INSTANCE, id="q", budget=-3)]}, [], "$.instances[0].budget"),
+])
+def test_exit_code_negative_budget_names_its_path(tmp_path, capsys, command, doc, flags, path):
+    # a negative budget made no oracle call and printed stop_reason "budget"
+    assert main([command, "--input", _write(tmp_path, doc)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected an integer >= 0\n"
+
+
+def test_bench_negative_budget_flag_annotates_every_row(tmp_path):
+    game = {"id": "g", "command": "adversary-run", "delta": 0.5, "game": ADVERSARY_DOC["game"]}
+    doc = {"schema_version": 1, "command": "bench",
+           "instances": [dict(SOLVE_INSTANCE, id="q"), game]}
+    code, out = _run(tmp_path, doc, "bench", ["--budget", "-3"])
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["error"], r["bound_ok"]) for r in rows] == [
+        ("SchemaError: $.budget: expected an integer >= 0", "")] * 2
+
+
+def test_cli_zero_budget_makes_no_oracle_call(tmp_path):
+    code, out = _run(tmp_path, SOLVE_DOC, "solve", ["--budget", "0"])
+    assert code == 0
+    res = json.loads(out.read_text())
+    assert (res["oracle_calls"], res["stop_reason"], res["best_point"]) == (0, "budget", None)
+
+
 def test_cli_depth_of_a_3d_uniform_measure_is_sampled(tmp_path):
     doc = {"schema_version": 1, "command": "depth",
            "measure": {"family": "uniform", "polytope": CUBE_ROWS}, "point": [1.0, 0.7, 1.2]}

@@ -147,6 +147,16 @@ def test_solve_budget_stop():
     assert rep.oracle_calls == 3
 
 
+def test_solve_rejects_a_negative_budget_and_a_zero_budget_makes_no_call():
+    o = ConvexQuadratic(np.eye(2), np.array([0.3, 0.7]))
+    nu = UniformPolytope(UNIT_SQUARE)
+    with pytest.raises(ValueError, match="budget"):
+        solve(o, ConstraintSet.continuous(2), nu, E_UNIT, 1e-9, budget=-3)
+    rep = solve(o, ConstraintSet.continuous(2), nu, E_UNIT, 1e-9, budget=0)
+    assert (rep.stop_reason, rep.oracle_calls, rep.best_point) == ("budget", 0, None)
+    assert o.call_count == 0
+
+
 def test_solve_infeasible_start():
     nu = LatticeCounting(Polytope.from_box([0.0, 0.0], [3.0, 3.0]))
     E0 = Box(np.array([10.0, 10.0]), np.array([11.0, 11.0]))
@@ -220,7 +230,7 @@ def _solve_rebuilding_every_iteration(o, nu, E0, delta):
         u = epigraph_cut(x, value, h, best).n
         removed = float(m.halfspace_mass(Halfspace.from_vector(-u, float(-u @ x))))
         try:
-            m = boxed.restrict(tuple(epigraph_cut(xj, vj, hj, best).as_open()
+            m = boxed.restrict(tuple(_open(epigraph_cut(xj, vj, hj, best))
                                      for xj, vj, hj in records))
             mass = m.total_mass
         except EmptyRegion:
@@ -261,6 +271,10 @@ def test_solve_restricting_by_the_newest_cut_matches_a_full_rebuild():
             values = [r.value for r in rep.iteration_trace]
             kept += sum(v >= min(values[:i]) for i, v in enumerate(values) if i)
     assert kept >= 5   # iterations that kept the best value, and so one region
+
+
+def _open(c):
+    return Halfspace(c.normal, c.offset, False)
 
 
 def _cut_key(c):
@@ -312,9 +326,9 @@ def test_solve_region_matches_rebuilding_every_cut_with_epigraph_cut(monkeypatch
                 assert _cut_key(epigraph_cut(x, v, h, best)) == _cut_key(
                     Halfspace.from_vector(-h, -(float(h @ x) + (best - v))))
             if improved:
-                region = box + tuple(epigraph_cut(x, v, h, best).as_open() for x, v, h in rows)
+                region = box + tuple(_open(epigraph_cut(x, v, h, best)) for x, v, h in rows)
             else:
-                region = region + (epigraph_cut(*rows[-1], best).as_open(),)
+                region = region + (_open(epigraph_cut(*rows[-1], best)),)
             want.append(tuple(_cut_key(c) for c in region))
         assert regions == want and len(want) > 3
     assert stops == ["empty_region", "empty_region", "mass_below_delta", "zero_subgradient"]
@@ -461,7 +475,7 @@ def test_picks_without_an_exact_engine_record_their_removed_share(spy, seed, nu,
         if isinstance(nu, UniformPolytope):
             assert row.depth >= 27.0 / 64.0 - 1e-12
         if i + 1 < len(rows):
-            m = boxed.restrict(tuple(epigraph_cut(r.point, r.value, r.subgradient, best).as_open()
+            m = boxed.restrict(tuple(_open(epigraph_cut(r.point, r.value, r.subgradient, best))
                                      for r in rows[:i + 1]))
 
 

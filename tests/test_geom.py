@@ -71,7 +71,7 @@ def test_halfspace_membership_openness():
     h = Halfspace.from_vector([1.0, 0.0], 0.5)          # {x1 >= 0.5}
     pts = np.array([[0.5, 0.0], [0.4, 0.0], [0.6, 0.0]])
     assert h.contains(pts).tolist() == [True, False, True]
-    assert h.as_open().contains(pts).tolist() == [False, False, True]
+    assert Halfspace(h.normal, h.offset, False).contains(pts).tolist() == [False, False, True]
     comp = h.complement()
     assert comp.contains(pts).tolist() == [False, True, False]
     assert not comp.closed

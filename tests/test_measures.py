@@ -229,10 +229,10 @@ def test_restriction_composition_matches_joint():
     pts = gen.integers(0, 4, size=(25, 2)).astype(float)
     P3 = Polytope.from_box([0.0] * 3, [2.0, 1.0, 1.0])
     a = (Halfspace.from_vector([1.0, 0.4], 0.3), Halfspace.from_vector([-0.3, 1.0], -1.0))
-    b = (Halfspace.from_vector([1.0, 1.0], 1.0).as_open(),
+    b = (Halfspace.from_vector([1.0, 1.0], 1.0, closed=False),
          Halfspace.from_vector([-1.0, 0.2], -1.7))
     a3 = (Halfspace.from_vector([0.2, 1.0, 0.1], 0.2),)
-    b3 = (Halfspace.from_vector([0.1, -0.3, 1.0], 0.1).as_open(),
+    b3 = (Halfspace.from_vector([0.1, -0.3, 1.0], 0.1, closed=False),
           Halfspace.from_vector([-0.5, 0.2, -1.0], -1.9))
     cases = [(UniformPolytope(UNIT_SQUARE), h1, h2), (LatticeCounting(SQUARE_2), h1, h2),
              (MixedInteger(STRIP, n=1, d=1), h1, h2),
@@ -266,18 +266,88 @@ def test_finite_point_mass_weights():
 
 
 def test_lattice_restriction_filters_its_points(spy):
-    # a restriction filters the points it was made from; chained restrictions
-    # equal one joint restriction and enumerate the polytope once
+    # a restriction filters the points it was made from, so chained
+    # restrictions enumerate the polytope once; that they equal one joint
+    # restriction is checked for every family below
     P = Polytope.from_vertices_2d([[0.3, 0.1], [9.2, 1.4], [7.7, 8.9], [1.1, 6.6]])
     a = (Halfspace.from_vector([1.0, 0.4], 2.0), Halfspace.from_vector([-0.3, 1.0], -1.0))
-    b = (Halfspace.from_vector([1.0, 1.0], 5.0).as_open(),
+    b = (Halfspace.from_vector([1.0, 1.0], 5.0, closed=False),
          Halfspace.from_vector([-1.0, 0.2], -7.5))
     calls = spy(geom, "enumerate_lattice_points")
-    step = LatticeCounting(P).restrict(a).restrict(b)
+    base = LatticeCounting(P)
+    step = base.restrict(a).restrict(b)
     assert len(calls) == 1
-    joint = LatticeCounting(P, a + b)
-    assert step.active_points().tobytes() == joint.active_points().tobytes()
-    assert step.total_mass == joint.total_mass and step.region == joint.region
+    assert step.region == a + b and 0 < step.total_mass < base.total_mass
+
+
+def _state(m):
+    """Everything a restriction sets, as exact values and bytes: total mass,
+    region, and the family's own state."""
+    out = [m.total_mass.hex(), tuple((c.n.tobytes(), c.offset, c.closed) for c in m.region)]
+    if isinstance(m, FinitePointMass):
+        out += [m._active.tobytes(), m.active_points().tobytes()]
+    elif isinstance(m, LatticeCounting):
+        out.append(m.active_points().tobytes())
+    elif isinstance(m, UniformPolytope) and m.dim == 1:
+        out.append([v.hex() for v in m._interval])
+    elif isinstance(m, UniformPolytope) and m.dim == 2:
+        out.append(m._verts.tobytes())
+    elif isinstance(m, UniformPolytope):
+        out += [m._A.tobytes(), m._b.tobytes(), m._verts.tobytes(), m._centroid.tobytes()]
+    else:
+        out.append([(z, np.asarray(p).tobytes(), v.hex()) for z, p, v in m.fibers])
+        if m.d == 1:
+            out += [a.tobytes() for a in (m._z, m._lo, m._hi, m._vol)]
+    return out
+
+
+_TRAPEZOID = Polytope.from_vertices_2d([[0.0, 0.0], [5.0, 0.0], [4.0, 2.5], [1.0, 3.0]])
+_SLANTED = Polytope.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 3],
+                               [0, 1, 0, 3], [0.3, 0.2, 1, 2.5]])
+_CHAIN_CASES = {   # measure, and a support point that every cut keeps with a margin
+    "finite-2d": (lambda g: FinitePointMass(g.uniform(0, 4, (30, 2)), g.uniform(0.5, 2, 30)),
+                  None),
+    "finite-3d": (lambda g: FinitePointMass(g.uniform(0, 4, (30, 3))), None),
+    "lattice-2d": (lambda g: LatticeCounting(_TRAPEZOID), [2.0, 1.0]),
+    "lattice-3d": (lambda g: LatticeCounting(_SLANTED), [1.0, 1.0, 1.0]),
+    "uniform-1d": (lambda g: UniformPolytope(Polytope.from_box([0.0], [4.0])), [2.0]),
+    "uniform-2d": (lambda g: UniformPolytope(_TRAPEZOID), [2.5, 1.2]),
+    "uniform-3d": (lambda g: UniformPolytope(_SLANTED), [1.5, 1.5, 1.0]),
+    "mixed-1-1": (lambda g: MixedInteger(_TRAPEZOID, 1, 1), [2.0, 1.2]),
+    "mixed-2-1": (lambda g: MixedInteger(_SLANTED, 2, 1), [1.0, 1.0, 1.0]),
+    "mixed-1-2": (lambda g: MixedInteger(_SLANTED, 1, 2), [1.0, 1.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_restriction_chain_matches_one_restriction_and_leaves_the_parent(case):
+    # a seeded chain of open and closed cuts, one restriction per cut, gives
+    # the bytes of one restriction by all of them; no restriction changes the
+    # state of the measure it was made from (a copy shares its arrays)
+    gen = np.random.default_rng([71, sorted(_CHAIN_CASES).index(case)])
+    build, p = _CHAIN_CASES[case]
+    base = build(gen)
+    if p is None:   # the point nearest the mean
+        pts = base.active_points()
+        p = pts[np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1))]
+    cuts = []
+    for i in range(7):   # i = 3: open and on the first axis, a flat cut of the mixed measures
+        u = np.eye(base.dim)[0] if i == 3 else gen.normal(size=base.dim)
+        r = 1.0 if i == 3 else gen.uniform(0.2, 1.0)
+        cuts.append(Halfspace.from_vector(u, float(u @ p) - r * np.linalg.norm(u),
+                                          closed=i % 2 == 0))
+    m, masses = base, []
+    for c in cuts:
+        before = _state(m)
+        child = m.restrict([c])
+        assert _state(m) == before
+        m = child
+        masses.append(m.total_mass)
+    before = _state(base)
+    joint = base.restrict(cuts)
+    assert _state(base) == before
+    assert _state(m) == _state(joint)
+    assert masses[-1] < base.total_mass and len(set(masses)) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +448,10 @@ def test_zero_tail_cut_keeps_or_drops_whole_fibers(closed):
 
 def test_samples_match_the_old_rejection_loops():
     tri = Polytope.from_vertices_2d([[0.0, 0.0], [3.0, 0.5], [1.0, 2.0]])
-    cut = Halfspace.from_vector([1.0, 1.0], 1.0).as_open()
+    cut = Halfspace.from_vector([1.0, 1.0], 1.0, closed=False)
     pyramid = Polytope.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [1, 1, 1, 2]])
-    for m in (UniformPolytope(tri), UniformPolytope(tri, (cut,)), UniformPolytope(pyramid)):
+    for m in (UniformPolytope(tri), UniformPolytope(tri).restrict([cut]),
+              UniformPolytope(pyramid)):
         lo, hi = m.region_vertices().min(axis=0), m.region_vertices().max(axis=0)
         want = _rejection_loop(RngState(4).generator(), lo, hi, 3000, 1024,
                                lambda p: m.polytope.contains(p) & _cut_mask(p, m.region))
@@ -471,7 +542,7 @@ def test_uniform_3d_centroid_matches_a_sampled_mean():
         u = gen.normal(size=3)
         cuts.append(Halfspace.from_vector(u, float(u @ gen.uniform([1.5, 1.0, 0.6],
                                                                    [2.5, 2.0, 1.4])) - 0.8))
-    m = UniformPolytope(BOX_432, tuple(cuts))
+    m = UniformPolytope(BOX_432).restrict(cuts)
     c = centroid(m)
     pts = m.sample(RngState(5), 20_000)
     assert np.all(m.polytope.contains(pts)) and np.all(_cut_mask(pts, m.region))
@@ -487,7 +558,7 @@ def test_small_region_of_a_large_box_is_exact_and_samples(side, mass):
     # [0, 5]^3 as 50 +- 50
     big = Polytope.from_box([0.0] * 3, [100.0] * 3)
     cuts = [Halfspace.from_vector(-np.eye(3)[i], -side, closed=False) for i in range(3)]
-    m = UniformPolytope(big, tuple(cuts))
+    m = UniformPolytope(big).restrict(cuts)
     assert m.total_mass == pytest.approx(mass, rel=1e-12)
     assert centroid(m) == pytest.approx(np.full(3, side / 2.0), abs=1e-12)
     pts = m.sample(RngState(1), 500)
@@ -512,7 +583,7 @@ def test_uniform_and_mixed_masses_and_centers_draw_no_samples(monkeypatch):
     monkeypatch.setattr(UniformPolytope, "sample", refuse)
     monkeypatch.setattr(MixedInteger, "sample", refuse)
     cut = Halfspace.from_vector([1.0, 2.0, -1.0], 1.0)
-    m = UniformPolytope(BOX_432, (cut,))
+    m = UniformPolytope(BOX_432).restrict([cut])
     m.restrict([Halfspace.from_vector([0.0, 1.0, 1.0], 1.0)])
     m.halfspace_mass(Halfspace.from_vector([1.0, 1.0, 1.0], 3.0))
     centroid(m)
