@@ -158,14 +158,14 @@ def adversary_query(st: _Game, x):
     return value, h.copy()
 
 
-def is_consistent(st: _Game, tol: float = 1e-9) -> bool:
+def is_consistent(st: _Game) -> bool:
     """Every recorded answer equals the final max-of-affines at its point,
     with the recorded subgradient attaining the max."""
     for rec in st.log:
         v, _h = st.epigraph(rec.x)
-        if abs(v - rec.value) > tol * max(1.0, abs(rec.value)):
+        if abs(v - rec.value) > 1e-9 * max(1.0, abs(rec.value)):
             return False
-        attained = any(abs(p.value(rec.x) - v) <= tol * max(1.0, abs(v))
+        attained = any(abs(p.value(rec.x) - v) <= 1e-9 * max(1.0, abs(v))
                        and np.array_equal(p.h, rec.h) for p in st.pieces)
         if not attained:
             return False

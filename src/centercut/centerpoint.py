@@ -95,11 +95,11 @@ class CenterpointResult:
     guarantee: DepthGuarantee
 
 
-def _lex_best(candidates, values, tol=1e-12):
+def _lex_best(candidates, values):
     """Index of the max value; exact lexicographically smallest point on ties."""
     values = np.asarray(values)
     top = float(values.max())
-    tied = np.flatnonzero(values >= top - tol)
+    tied = np.flatnonzero(values >= top - 1e-12)
     pts = np.asarray(candidates)[tied]
     return int(tied[np.lexsort(pts.T[::-1])[0]])
 
@@ -483,7 +483,7 @@ def _lattice_candidates(m: Measure, cap):
     """Integer grid of the bounding box of the support: the active points of
     a finite-support measure, the polytope otherwise. Raises EmptyLattice
     when the box holds no integer point."""
-    if isinstance(m, (LatticeCounting, FinitePointMass)):
+    if isinstance(m, FinitePointMass):
         pts = m.active_points()
         lo, hi = pts.min(axis=0), pts.max(axis=0)
     else:

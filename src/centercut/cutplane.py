@@ -30,8 +30,8 @@ from .centerpoint import (ConstraintSet, _pruned_lex_best,
 from .depth import depth, min_direction_2d
 from .errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
 from .geom import Box, Direction, Halfspace
-from .measures import (LatticeCounting, MASS_TOL, Measure, MixedInteger,
-                       RngState, UniformPolytope)
+from .measures import (FinitePointMass, LatticeCounting, MASS_TOL, Measure,
+                       MixedInteger, RngState, UniformPolytope)
 
 DEFAULT_BUDGET = 10_000
 # only an exactly vanishing subgradient certifies optimality; adversarial
@@ -175,7 +175,7 @@ class RandomFeasible:
 
 def _nearest_row(pts, target):
     i = int(np.argmin(np.linalg.norm(pts - target, axis=1)))
-    return pts[i]
+    return pts[i].copy()
 
 
 def _pick_centerpoint(m: Measure):
@@ -193,7 +193,7 @@ def _pick_centerpoint(m: Measure):
         r = depth(m, x)
         return x, None if r is None else r.value
     # finite point masses and 1D/3D lattices: the deepest support point
-    pts = m.active_points().astype(float)
+    pts = m.active_points()
     k, res = _pruned_lex_best(pts, pts, m.active_weights())
     return pts[k].copy(), res.value
 
@@ -227,7 +227,7 @@ def _pick_centroid(m: Measure):
         return centroid(m)
     if isinstance(m, MixedInteger):
         return _mixed_mean(m)
-    pts = m.active_points().astype(float)
+    pts = m.active_points()
     return _nearest_row(pts, pts.mean(axis=0))
 
 
@@ -244,7 +244,7 @@ def _pick(strategy, m: Measure, i: int):
 
 def _nudge_interior(x, m: Measure):
     """Push a continuous block off any cut boundary it sits on exactly."""
-    if isinstance(m, LatticeCounting):
+    if isinstance(m, FinitePointMass):   # its picks clear every open cut by EPS
         return x
     start = m.n if isinstance(m, MixedInteger) else 0
     x = np.array(x, dtype=float)

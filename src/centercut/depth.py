@@ -4,8 +4,8 @@ The depth of a point x under a measure m is the infimum over unit directions
 u of the mass of the closed halfspace {y : u.(y - x) >= 0}. ``depth(m, x)``
 is the one place that picks an exact engine, by family and dimension:
 
-    2D, every family                ``min_direction_2d``
-    finite and lattice, 1D and 3D   ``depth_finite``
+    finite and lattice, 1D-3D       ``depth_finite``
+    uniform and mixed, 2D           ``min_direction_2d``
     uniform, 1D                     the interval formula
     uniform 3D; mixed, n + d = 3    none: ``depth`` returns None
 
@@ -44,8 +44,7 @@ import numpy as np
 from . import geom
 from .errors import DimensionTooLarge
 from .geom import Direction, Halfspace
-from .measures import (FinitePointMass, LatticeCounting, Measure, MixedInteger,
-                       RngState, UniformPolytope)
+from .measures import FinitePointMass, Measure, MixedInteger, RngState, UniformPolytope
 
 TWO_PI = 2.0 * math.pi
 # the most (row, point) pairs per kernel call: the 3D reduction and the exact
@@ -373,18 +372,17 @@ def min_direction_2d(m: Measure, x) -> DepthResult:
     """Exact depth engine for the 2D measure families; every family returns
     ``exact=True, gap=0.0``.
 
-    Counting families use the batch counting kernel. Uniform polygons and n=1,
-    d=1 mixed measures evaluate a finite candidate set that provably holds a
-    minimizing angle: the vertex or fiber-endpoint events, plus the bisected
-    chords for polygons and the lattice stratum u = (+-1, 0) for mixed
-    measures.
+    Counting measures go through ``depth_finite``, one row of the batch
+    counting kernel. Uniform polygons and n=1, d=1 mixed measures evaluate a
+    finite candidate set that provably holds a minimizing angle: the vertex
+    or fiber-endpoint events, plus the bisected chords for polygons and the
+    lattice stratum u = (+-1, 0) for mixed measures.
     """
     xv = np.asarray(x, dtype=float).ravel()
-    if isinstance(m, (LatticeCounting, FinitePointMass)):
+    if isinstance(m, FinitePointMass):
         if m.dim != 2:
             raise DimensionTooLarge("counting sweep is 2D only")
-        mass, alpha = _sweep_counting_min_batch(xv, m.active_points(), m.active_weights())
-        return _result(mass[0] / m.total_mass, alpha[0], True, 0.0)
+        return depth_finite(m.active_points(), xv, m.active_weights())
     if isinstance(m, UniformPolytope):
         if m.dim != 2:
             raise DimensionTooLarge("uniform sweep is 2D only")
@@ -399,10 +397,10 @@ def depth(m: Measure, x) -> DepthResult | None:
     has no engine. In [lo, hi] the depth is the lighter length beside x over
     hi - lo, 0 outside; the witness points to the lighter side, +1 on a tie
     as in ``depth_finite``."""
+    if isinstance(m, FinitePointMass):
+        return depth_finite(m.active_points(), x, m.active_weights())
     if m.dim == 2:
         return min_direction_2d(m, x)
-    if isinstance(m, (FinitePointMass, LatticeCounting)):
-        return depth_finite(m.active_points(), x, m.active_weights())
     if isinstance(m, UniformPolytope) and m.dim == 1:
         lo, hi = m._interval
         above = min(max(hi - x[0], 0.0), hi - lo)
@@ -454,7 +452,7 @@ def depth_angle_grid(m: Measure, x, num_angles: int) -> DepthResult:
     """
     xv = np.asarray(x, dtype=float).ravel()
     alphas = np.linspace(0.0, TWO_PI, num_angles, endpoint=False)
-    if isinstance(m, (FinitePointMass, LatticeCounting)):
+    if isinstance(m, FinitePointMass):
         w = m.active_weights()
         rel = m.active_points() - xv
         scale = max(1.0, float(np.max(np.abs(rel))) if len(rel) else 1.0)

@@ -126,11 +126,11 @@ class Halfspace:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
         return p @ self.n - self.offset
 
-    def contains(self, pts, tol: float = EPS) -> np.ndarray:
+    def contains(self, pts) -> np.ndarray:
         v = self.value(pts)
         if self.closed:
-            return v >= -tol
-        return v > tol
+            return v >= -EPS
+        return v > EPS
 
     def complement(self) -> "Halfspace":
         """The complementary halfspace (closedness flips)."""
@@ -175,10 +175,10 @@ class Box:
         return Polytope.from_halfspaces([c.as_closed() for c in self.half_open_cuts()],
                                         validate=False)
 
-    def contains_half_open(self, pts, tol: float = EPS) -> np.ndarray:
+    def contains_half_open(self, pts) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
-        ok_lo = np.all(p >= self.lower - tol, axis=1)
-        ok_hi = np.all(p < self.upper - tol, axis=1)
+        ok_lo = np.all(p >= self.lower - EPS, axis=1)
+        ok_hi = np.all(p < self.upper - EPS, axis=1)
         return ok_lo & ok_hi
 
     def diameter(self) -> float:
@@ -265,7 +265,7 @@ class Polytope:
         return cls.from_halfspaces(hs, validate=validate)
 
     @classmethod
-    def from_box(cls, lower, upper, validate: bool = False) -> "Polytope":
+    def from_box(cls, lower, upper) -> "Polytope":
         lo, hi = _vector(lower), _vector(upper)
         hs = []
         for i in range(lo.size):
@@ -273,10 +273,10 @@ class Polytope:
             e[i] = 1.0
             hs.append(Halfspace(Direction(e.copy()), float(lo[i])))
             hs.append(Halfspace(Direction(-e), -float(hi[i])))
-        return cls.from_halfspaces(hs, validate=validate)
+        return cls.from_halfspaces(hs, validate=False)
 
     @classmethod
-    def from_vertices_2d(cls, verts, validate: bool = False) -> "Polytope":
+    def from_vertices_2d(cls, verts) -> "Polytope":
         """Build a 2D polytope from a convex vertex list (canonicalized)."""
         v = np.atleast_2d(np.asarray(verts, dtype=float)).reshape(-1, 2)
         v = canonical_polygon(v)
@@ -309,13 +309,13 @@ class Polytope:
                         c = float(n @ v[0]) / nn
                         constraints.append(Halfspace.from_vector(n, c * nn))
                         constraints.append(Halfspace.from_vector(-n, -c * nn))
-        return cls.from_halfspaces(constraints, validate=validate, vertices=v)
+        return cls.from_halfspaces(constraints, validate=False, vertices=v)
 
-    def contains(self, pts, tol: float = EPS) -> np.ndarray:
+    def contains(self, pts) -> np.ndarray:
         p = np.atleast_2d(np.asarray(pts, dtype=float))
         ok = np.ones(len(p), dtype=bool)
         for h in self.constraints:
-            ok &= h.contains(p, tol)
+            ok &= h.contains(p)
         return ok
 
     def vertices(self) -> np.ndarray:
@@ -327,13 +327,6 @@ class Polytope:
             verts = _vertex_cycle(verts)
         object.__setattr__(self, "cached_vertices", verts)
         return verts
-
-    def polygon(self) -> np.ndarray:
-        """CCW canonical vertex cycle (2D only)."""
-        if self.dim != 2:
-            raise ValueError("polygon() requires a 2-dimensional polytope")
-        v = self.vertices()
-        return canonical_polygon(v) if v is not None else np.zeros((0, 2))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         v = self.vertices()
@@ -453,8 +446,7 @@ def _vertex_cycle(verts) -> np.ndarray:
     return canonical_polygon(cyc)
 
 
-def clip_polygon_vertices(verts: np.ndarray, normal, offset: float,
-                          tol: float = 1e-12) -> np.ndarray:
+def clip_polygon_vertices(verts: np.ndarray, normal, offset: float) -> np.ndarray:
     """Clip a convex CCW vertex cycle against ``{y : normal . y >= offset}``."""
     v = np.atleast_2d(np.asarray(verts, dtype=float)).reshape(-1, 2)
     if len(v) == 0:
@@ -462,7 +454,7 @@ def clip_polygon_vertices(verts: np.ndarray, normal, offset: float,
     n = np.asarray(normal, dtype=float)
     vals = v @ n - float(offset)
     scale = float(np.max(np.abs(vals))) + 1.0
-    keep_tol = tol * scale
+    keep_tol = 1e-12 * scale
     out: list[np.ndarray] = []
     m = len(v)
     for i in range(m):
@@ -624,9 +616,8 @@ def enumerate_lattice_points(poly: Polytope, cap: int = LATTICE_CAP) -> np.ndarr
         return np.zeros((0, dim), dtype=int)
     axes = [np.arange(lo[i], hi[i] + 1) for i in range(dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    mask = poly.contains(grid.astype(float), tol=EPS)
-    pts = grid[mask]
-    return _lex_sorted(pts)
+    # the ij meshgrid is in lexicographic order, and the mask keeps it
+    return grid[poly.contains(grid.astype(float))]
 
 
 def _widths(verts: np.ndarray, dirs) -> np.ndarray:

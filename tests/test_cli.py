@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from centercut import geom
+from centercut import adversary, cutplane, geom
+from centercut.centerpoint import (ConstraintSet, centerpoint_lenstra_mixed,
+                                   centerpoint_mixed_2d)
 from centercut.cli import main, parse_problem, serialize
 from centercut.depth import depth_finite
 from centercut.errors import ParseError, SchemaError
-from centercut.geom import Polytope, enumerate_lattice_points
+from centercut.geom import Box, Polytope, enumerate_lattice_points
+from centercut.measures import MixedInteger, UniformPolytope
 
 SQUARE_ROWS = [[1, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]]
 GRID4_ROWS = [[1, 0, 4], [-1, 0, 0], [0, 1, 4], [0, -1, 0]]
@@ -249,6 +252,124 @@ def test_cli_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0].split(",")[0] == "command"
+
+
+# ---------------------------------------------------------------------------
+# answers equal the library's, bit for bit
+
+TRAPEZOID_ROWS = [[1, 0, 3], [-1, 0, 0], [0, -1, 0], [0.2, 1, 1.6]]   # n = 1, d = 1
+PRISM_ROWS = [[1, 0, 0, 3], [-1, 0, 0, 0], [0, 1, 0, 2], [0, -1, 0, 0],
+              [0, 0, -1, 0], [0.1, -0.2, 1, 1.5]]                      # n = 2, d = 1
+AFFINE_MAX = {"type": "affine_max", "pieces": [[1, 0.5, -1.2], [-1, 0.2, 0.9], [0, -1, 0.4]]}
+SUM_OBJECTIVE = {"type": "sum", "parts": [
+    AFFINE_MAX, {"type": "quadratic", "Q": [[1, 0.2], [0.2, 2]], "c": [1.1, 0.6], "r": 0.5}]}
+
+
+def _library_objective(spec):
+    if spec["type"] == "affine_max":
+        return cutplane.AffineMax([(np.array(p[:-1], dtype=float), p[-1])
+                                   for p in spec["pieces"]])
+    if spec["type"] == "quadratic":
+        return cutplane.ConvexQuadratic(np.array(spec["Q"], dtype=float),
+                                        np.array(spec["c"], dtype=float), spec.get("r", 0.0))
+    return cutplane.Sum([_library_objective(p) for p in spec["parts"]])
+
+
+def _solve_fields(rep):
+    trace = rep.iteration_trace
+    return {"best_point": rep.best_point.tolist(), "best_value": rep.best_value,
+            "oracle_calls": rep.oracle_calls, "iterations": len(trace),
+            "stop_reason": rep.stop_reason, "final_mass": trace[-1].mass_after,
+            "upper_bound": rep.bound_comparison[0], "lower_bound": rep.bound_comparison[1]}
+
+
+def _cli_json(tmp_path, doc, extra=()):
+    code, out = _run(tmp_path, doc, doc["command"], extra)
+    assert code == 0
+    return json.loads(out.read_text())
+
+
+def test_cli_exact2d_int_on_a_mixed_measure_is_the_library_answer(tmp_path):
+    doc = {"schema_version": 1, "command": "centerpoint", "method": "exact2d-int",
+           "measure": {"family": "mixed", "polytope": TRAPEZOID_ROWS, "n": 1, "d": 1}}
+    got = _cli_json(tmp_path, doc)
+    res = centerpoint_mixed_2d(MixedInteger(Polytope.from_rows(TRAPEZOID_ROWS), 1, 1))
+    assert got["point"] == res.point.tolist() and got["depth"] == res.depth.value
+    assert (got["depth_exact"], got["depth_gap"]) == (True, 0.0)
+    assert got["method"] == res.method
+
+
+@pytest.mark.parametrize("rows, n", [(TRAPEZOID_ROWS, 1), (PRISM_ROWS, 2)])
+def test_cli_lenstra_flag_is_the_library_answer(tmp_path, rows, n):
+    doc = {"schema_version": 1, "command": "centerpoint",
+           "measure": {"family": "mixed", "polytope": rows, "n": n, "d": 1}}
+    got = _cli_json(tmp_path, doc, ["--method", "lenstra"])
+    res = centerpoint_lenstra_mixed(Polytope.from_rows(rows), n, 1)
+    assert got["point"] == res.point.tolist() and got["depth"] == res.depth.value
+    assert (got["depth_exact"], got["depth_gap"]) == (res.depth.exact, res.depth.gap)
+    assert (got["method"], got["samples_used"]) == (res.method, res.samples_used)
+
+
+@pytest.mark.parametrize("objective", [AFFINE_MAX, SUM_OBJECTIVE], ids=["affine_max", "sum"])
+@pytest.mark.parametrize("strategy", ["centerpoint", "centroid"])
+def test_cli_solve_of_affine_max_and_sum_objectives_is_the_library_answer(
+        tmp_path, objective, strategy):
+    doc = {"schema_version": 1, "command": "solve", "objective": objective,
+           "constraint": {"kind": "continuous", "dim": 2},
+           "measure": {"family": "uniform", "polytope": GRID4_ROWS},
+           "E0": {"lower": [0, 0], "upper": [4, 4]}, "delta": 0.05, "strategy": strategy}
+    got = _cli_json(tmp_path, doc)
+    strat = cutplane.Centerpoint() if strategy == "centerpoint" else cutplane.Centroid()
+    rep = cutplane.solve(_library_objective(objective), ConstraintSet.continuous(2),
+                         UniformPolytope(Polytope.from_rows(GRID4_ROWS)),
+                         Box([0.0, 0.0], [4.0, 4.0]), 0.05, strategy=strat)
+    assert {k: got[k] for k in _solve_fields(rep)} == _solve_fields(rep)
+    assert rep.oracle_calls > 3
+
+
+def test_cli_adversary_run_on_the_continuous_median_is_the_library_answer(tmp_path):
+    doc = {"schema_version": 1, "command": "adversary-run", "delta": 1.0,
+           "game": {"kind": "continuous_median", "E0": {"lower": [0, 0], "upper": [8, 8]}}}
+    got = _cli_json(tmp_path, doc)
+    game = adversary.ContinuousMedian(Box([0.0, 0.0], [8.0, 8.0]))
+    rep = cutplane.solve(cutplane.Adversarial(game), adversary.game_constraint_set(game),
+                         adversary.game_measure(game), game.E0, 1.0)
+    lower = adversary.lower_bound_for(game, 1.0)
+    assert got == {"command": "adversary-run", "game": "continuous_median",
+                   "oracle_calls": rep.oracle_calls, "lower_bound": lower,
+                   "bound_ok": rep.oracle_calls >= lower, "stop_reason": rep.stop_reason,
+                   "best_value": rep.best_value, "consistent": adversary.is_consistent(game),
+                   "strategy": "centerpoint", "delta": 1.0}
+
+
+def test_cli_bench_rows_of_continuous_and_mixed_solves_are_the_library_answers(tmp_path):
+    uniform = {"command": "solve", "objective": SUM_OBJECTIVE,
+               "constraint": {"kind": "continuous", "dim": 2},
+               "measure": {"family": "uniform", "polytope": GRID4_ROWS},
+               "E0": {"lower": [0, 0], "upper": [4, 4]}, "delta": 0.05}
+    mixed = {"command": "solve", "objective": AFFINE_MAX,
+             "constraint": {"kind": "mixed", "n": 1, "d": 1},
+             "measure": {"family": "mixed", "polytope": TRAPEZOID_ROWS, "n": 1, "d": 1},
+             "E0": {"lower": [0, 0], "upper": [4, 2]}, "delta": 0.02}
+    doc = {"schema_version": 1, "command": "bench",
+           "instances": [{"id": "uniform", **uniform}, {"id": "mixed", **mixed}]}
+    rows = _cli_json(tmp_path, doc)["rows"]
+    reps = [cutplane.solve(_library_objective(AFFINE_MAX if i else SUM_OBJECTIVE),
+                           S, m, E0, delta)
+            for i, (S, m, E0, delta) in enumerate([
+                (ConstraintSet.continuous(2), UniformPolytope(Polytope.from_rows(GRID4_ROWS)),
+                 Box([0.0, 0.0], [4.0, 4.0]), 0.05),
+                (ConstraintSet.mixed(1, 1),
+                 MixedInteger(Polytope.from_rows(TRAPEZOID_ROWS), 1, 1),
+                 Box([0.0, 0.0], [4.0, 2.0]), 0.02)])]
+    facts = [("continuous", 0, 2, 0.05), ("mixed", 1, 1, 0.02)]
+    for row, rep, (kind, n, d, delta) in zip(rows, reps, facts):
+        upper = rep.bound_comparison[0]
+        assert row == {"id": row["id"], "kind": kind, "n": n, "d": d, "B": "", "delta": delta,
+                       "strategy": "centerpoint", "oracle_calls": rep.oracle_calls,
+                       "upper_bound": upper, "lower_bound": "",
+                       "bound_ok": rep.oracle_calls <= upper, "error": ""}
+    assert [r["id"] for r in rows] == ["uniform", "mixed"]
 
 
 # ---------------------------------------------------------------------------

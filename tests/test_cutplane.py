@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull
 from centercut.adversary import (ContinuousMedian, IntegerFiber,
                                  game_constraint_set, game_measure)
 from centercut.centerpoint import ConstraintSet, _lex_best
+from centercut import cutplane as cutplane_mod
 from centercut import depth as depth_mod
 from centercut import geom
 from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
@@ -477,6 +478,23 @@ def test_picks_without_an_exact_engine_record_their_removed_share(spy, seed, nu,
         if i + 1 < len(rows):
             m = boxed.restrict(tuple(_open(epigraph_cut(r.point, r.value, r.subgradient, best))
                                      for r in rows[:i + 1]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_uniform_1d_centerpoint_solve_records_the_exact_depth(spy, seed):
+    # a 1D Centerpoint pick is the interval's midpoint; each trace row holds
+    # depth(m, x) of the region the pick was made in, the halving share
+    picks = spy(cutplane_mod, "_pick")
+    nu = UniformPolytope(Polytope.from_rows([[1, 5.5], [-1, 0.3]]))
+    c = np.random.default_rng(seed).uniform(-0.3, 5.5, 1)
+    rep = solve(ConvexQuadratic(np.eye(1), c), ConstraintSet.continuous(1), nu,
+                Box([-1.0], [6.0]), 1e-3)
+    rows = rep.iteration_trace
+    assert rep.stop_reason == "mass_below_delta" and len(rows) == len(picks) >= 5
+    for row, (_strategy, m, _i) in zip(rows, picks):
+        assert row.depth == depth_mod.depth(m, row.point).value
+        assert row.depth == pytest.approx(0.5, abs=1e-12)
+    assert abs(rep.best_point[0] - c[0]) <= 1e-3
 
 
 @pytest.mark.xfail(strict=True, reason="the n = 2, d = 1 mixed mean sits on its fiber's "

@@ -30,12 +30,12 @@ def _hull_polygon(pts: np.ndarray) -> Polytope:
 
 def _clip(poly: Polytope, h: Halfspace) -> np.ndarray:
     """The vertex cycle of ``poly`` clipped by ``h``."""
-    return clip_polygon_vertices(poly.polygon(), h.n, h.offset)
+    return clip_polygon_vertices(poly.vertices(), h.n, h.offset)
 
 
 def _area(poly: Polytope) -> float:
     """Signed area of the CCW vertex cycle of ``poly``."""
-    return shoelace_area(poly.polygon())
+    return shoelace_area(poly.vertices())
 
 
 def test_direction_normalized():
@@ -192,6 +192,17 @@ def test_lattice_points_match_box_scan():
                     want.add((i, j))
         assert got == want
     assert checked >= 10
+
+
+def test_lattice_points_come_in_lexicographic_order():
+    # the bounding-box grid is scanned in lexicographic order, so no sort runs
+    polys = [TRIANGLE_2, Polytope.from_rows([[1, 5.5], [-1, 0.3]]),
+             Polytope.from_rows([[1, 1, 3.5], [-1, 0, 0.5], [0, -1, 1], [1, -2, 2]]),
+             Polytope.from_box([-1.0, 0.0, -2.0], [1.0, 2.0, 0.5])]
+    for poly in polys:
+        pts = enumerate_lattice_points(poly)
+        assert len(pts) > 2
+        assert np.array_equal(pts, pts[np.lexsort(pts.T[::-1])])
 
 
 def test_lattice_enumeration_budget():
@@ -394,6 +405,48 @@ def test_polytope_vertex_cycles_are_the_monotone_chain_hull():
         dropped += len(want) < len(found)
         collapsed += len(want) <= 2 < len(found)
     assert dropped >= 2 and collapsed >= 2
+
+
+def _seeded_2d_polytope(k):
+    """Polytope ``k`` of a seeded family: hulls and collinear runs of points
+    (a point, a segment) through ``from_vertices_2d``, boxes (some of zero
+    width) through ``from_box``, halfplanes around a point through
+    ``from_halfspaces``, and triangles of area at most EPS**2 through
+    ``from_rows``, which canonical_polygon collapses to a segment."""
+    g = np.random.default_rng([41, k])
+    kind = k % 6
+    if kind == 5:
+        a = float(g.uniform(0.5, 0.99))
+        return Polytope.from_rows([[0, -1, 0], [-a, 1, 0], [a, 1, 2e-9 * a]])
+    if kind == 0:
+        return _hull_polygon(g.uniform(-3, 3, size=(int(g.integers(3, 9)), 2)))
+    if kind == 1:
+        base = g.integers(-3, 3, size=2).astype(float)
+        step = g.integers(-2, 3, size=2).astype(float)
+        return Polytope.from_vertices_2d(base + np.outer(np.arange(g.integers(1, 4)), step))
+    if kind == 2:
+        return Polytope.from_box(g.uniform(-3, 0, 2), g.uniform(0, 3, 2))
+    if kind == 3:
+        lo = g.integers(-3, 3, 2).astype(float)
+        return Polytope.from_box(lo, lo + [g.integers(0, 3), g.integers(0, 2)])
+    c = g.uniform(-1, 1, 2)
+    hs = [Halfspace.from_vector(u, float(u @ c) - r)
+          for u, r in zip(g.normal(size=(int(g.integers(3, 8)), 2)), g.uniform(0.2, 2, 8))]
+    hs += [Halfspace.from_vector(u, -5.0) for u in ([1, 0], [-1, 0], [0, 1], [0, -1])]
+    return Polytope.from_halfspaces(hs)
+
+
+def test_2d_vertices_are_already_canonical():
+    # vertices() of a 2D polytope is the CCW cycle from the lexicographically
+    # smallest vertex, so canonical_polygon keeps its bytes; degenerate
+    # polytopes give one point or a segment's two ends
+    sizes = set()
+    for k in range(400):
+        v = _seeded_2d_polytope(k).vertices()
+        canon = geom_mod.canonical_polygon(v)
+        assert canon.shape == v.shape and canon.tobytes() == v.tobytes()
+        sizes.add(len(v))
+    assert {1, 2, 3, 4, 5} <= sizes
 
 
 def test_nearest_point_in_polygon():

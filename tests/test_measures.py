@@ -46,6 +46,26 @@ def test_uniform_cut_near_a_vertex_keeps_its_sliver(offset):
     assert float(e) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_uniform_1d_masses_are_the_interval_formula():
+    # {y : y >= t} keeps [max(lo, t), hi] and {y : -y >= -t} keeps
+    # [lo, min(hi, t)], open or closed alike: an interval has no atoms
+    base = UniformPolytope(Polytope.from_rows([[1, 5.5], [-1, 0.3]]))
+    cut = base.restrict([Halfspace.from_vector([1.0], 0.7),
+                         Halfspace.from_vector([-1.0], -4.2, closed=False)])
+    assert base._interval == (-0.3, 5.5) and cut._interval == (0.7, 4.2)
+    gen = np.random.default_rng(8)
+    for m in (base, cut):
+        lo, hi = m._interval
+        assert m.total_mass == hi - lo
+        for t in [lo, hi, lo - 3.0, hi + 3.0, *gen.uniform(lo - 1.0, hi + 1.0, 20)]:
+            for closed in (True, False):
+                up = m.halfspace_mass(Halfspace.from_vector([1.0], t, closed))
+                down = m.halfspace_mass(Halfspace.from_vector([-1.0], -t, closed))
+                assert up == min(max(max(hi - max(lo, t), 0.0) / (hi - lo), 0.0), 1.0)
+                assert down == min(max(max(min(hi, t) - lo, 0.0) / (hi - lo), 0.0), 1.0)
+                assert up + down == pytest.approx(1.0, abs=1e-12)
+
+
 def test_lattice_grid_mass_six_ninths():
     m = LatticeCounting(SQUARE_2)
     assert m.total_mass == 9.0
@@ -284,10 +304,8 @@ def _state(m):
     """Everything a restriction sets, as exact values and bytes: total mass,
     region, and the family's own state."""
     out = [m.total_mass.hex(), tuple((c.n.tobytes(), c.offset, c.closed) for c in m.region)]
-    if isinstance(m, FinitePointMass):
-        out += [m._active.tobytes(), m.active_points().tobytes()]
-    elif isinstance(m, LatticeCounting):
-        out.append(m.active_points().tobytes())
+    if isinstance(m, FinitePointMass):   # lattice measures too
+        out += [m.active_points().tobytes(), m.active_weights().tobytes()]
     elif isinstance(m, UniformPolytope) and m.dim == 1:
         out.append([v.hex() for v in m._interval])
     elif isinstance(m, UniformPolytope) and m.dim == 2:
