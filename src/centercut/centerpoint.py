@@ -488,15 +488,10 @@ def _lattice_candidates(m: Measure, cap):
         lo, hi = pts.min(axis=0), pts.max(axis=0)
     else:
         lo, hi = m.polytope.bounding_box()
-    zlo = np.ceil(lo - geom.EPS).astype(int)
-    zhi = np.floor(hi + geom.EPS).astype(int)
-    counts = zhi - zlo + 1
-    if np.any(counts <= 0):
+    axes = geom.integer_axes(lo, hi, cap, "lattice candidate grid exceeds cap")
+    if not all(axes):
         raise EmptyLattice("bounding box of the support holds no integer point")
-    if np.prod(counts.astype(float)) > cap:
-        raise BudgetExceeded("lattice candidate grid exceeds cap")
-    axes = [np.arange(zlo[i], zhi[i] + 1) for i in range(len(zlo))]
-    grid = np.meshgrid(*axes, indexing="ij")
+    grid = np.meshgrid(*[np.arange(r.start, r.stop) for r in axes], indexing="ij")
     return np.column_stack([g.ravel() for g in grid]).astype(float)
 
 
@@ -524,8 +519,9 @@ def centerpoint_monte_carlo(m: Measure, S: ConstraintSet, eps: float,
     The pick is the one exact depths at every candidate would give.
     """
     N = mc_sample_size(eps, delta, S.dim + 1, C)
-    # every sample point of a continuous or mixed S is a candidate
-    if S.kind != "lattice" and N > candidate_cap:
+    # every sample point of a continuous or mixed S is a candidate, and a
+    # lattice S holds its whole sample too: no kind draws past the cap
+    if N > candidate_cap:
         raise BudgetExceeded(f"{N} sample points exceed cap {candidate_cap}")
     pts = m.sample(rng, N)
     guarantee = depth_guarantee(S)

@@ -176,14 +176,13 @@ def _check_game(x, path):
     if kind == "continuous_median":
         _check_keys(x, path, ("kind", "E0"))
         _check_box(x["E0"], f"{path}.E0")
-    elif kind == "integer_fiber":
-        _check_keys(x, path, ("kind", "n", "B"))
-        _integer(x["n"], f"{path}.n")
-        _integer(x["B"], f"{path}.B")
-    elif kind == "mixed_fiber":
-        _check_keys(x, path, ("kind", "n", "d", "B"))
-        for k in ("n", "d", "B"):
+    elif kind in ("integer_fiber", "mixed_fiber"):
+        keys = ("kind", "n", "B") if kind == "integer_fiber" else ("kind", "n", "d", "B")
+        _check_keys(x, path, keys)
+        for k in keys[1:]:
             _integer(x[k], f"{path}.{k}")
+        if x["B"] > 2 ** 53:   # float64 holds every integer up to 2**53
+            _fail(f"{path}.B", "expected an integer <= 2**53")
     else:
         _fail(f"{path}.kind", f"unknown game kind {kind!r}")
 
@@ -354,12 +353,11 @@ def _build_game(spec):
     if kind == "continuous_median":
         e0 = spec["E0"]
         return adversary_mod.ContinuousMedian(Box(e0["lower"], e0["upper"]))
+    # from the document: a game builds its n-entry box first
+    _check_dimension(f"{kind} games", spec["n"] + spec.get("d", 0))
     if kind == "integer_fiber":
-        game = adversary_mod.IntegerFiber(spec["n"], spec["B"])
-    else:
-        game = adversary_mod.MixedFiber(spec["n"], spec["d"], spec["B"])
-    _check_dimension(f"{kind} games", game.E0.dim)
-    return game
+        return adversary_mod.IntegerFiber(spec["n"], spec["B"])
+    return adversary_mod.MixedFiber(spec["n"], spec["d"], spec["B"])
 
 
 _STRATEGIES = {

@@ -3,8 +3,8 @@
 Directions, halfspaces and H-representation polytopes, plus the handful of
 exact primitives everything else is built on: polygon clipping, planar convex
 hulls, signed areas and centroids, batched brute-force vertex enumeration
-(dimension <= 3), 3D volumes and centroids from it, bounded lattice point
-enumeration, and 2D lattice width.
+(dimension <= 3), 3D point clipping and hull volumes and centroids, bounded
+lattice point enumeration, and 2D lattice width.
 
 Halfspaces are written ``{y : normal . y >= offset}`` with a unit normal.
 Serialized constraint rows use the opposite convention ``a . x <= b`` (one
@@ -518,29 +518,38 @@ def _basic_solutions(A: np.ndarray, b: np.ndarray, tol: float):
     return X[feasible], P[feasible]
 
 
-def volume_centroid_3d(A: np.ndarray, b: np.ndarray):
-    """Volume, centroid and vertices of the bounded 3D set ``{y : A y >= b}``.
-
-    The vertices are the ``_basic_solutions`` within EPS * max(1, max |b|),
-    the tolerance of the mixed measures' polygon slices. The boundary
-    triangles of their convex hull, fanned to the mean of the vertices, cut
-    the set into tetrahedra: its volume is the sum of theirs, and its
-    centroid the volume-weighted mean of their centroids. Fewer than four
-    vertices, or an affinely flat set of them, give volume 0 and centroid
-    None.
-    """
-    pts, _ = _basic_solutions(A, b, EPS * max(1.0, float(np.max(np.abs(b), initial=0.0))))
+def volume_centroid_3d(pts):
+    """Volume, centroid and vertices (in input order) of the convex hull of
+    3D points: its boundary triangles, fanned to the mean of its vertices,
+    cut it into tetrahedra. Fewer than four points, or a flat set of them,
+    give volume 0, centroid None and the points themselves."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     if len(pts) < 4:
         return 0.0, None, pts
     try:
         hull = ConvexHull(pts)
-    except QhullError:   # a flat vertex set
+    except QhullError:   # a flat point set
         return 0.0, None, pts
-    c = pts.mean(axis=0)
+    verts = pts[hull.vertices]
+    c = verts.mean(axis=0)
     T = pts[hull.simplices] - c
     vols = np.abs(np.linalg.det(T)) / 6.0
     volume = float(vols.sum())
-    return volume, c + (vols @ T.sum(axis=1)) / (4.0 * volume), pts[hull.vertices]
+    return volume, c + (vols @ T.sum(axis=1)) / (4.0 * volume), verts
+
+
+def clip_vertices_3d(pts, normal, offset: float) -> np.ndarray:
+    """The 3D points ``pts`` on the kept side of ``{y : normal . y >= offset}``,
+    then the plane's crossing of every segment from a strictly kept point to
+    a strictly dropped one, with the tolerance of ``clip_polygon_vertices``."""
+    p = np.asarray(pts, dtype=float).reshape(-1, 3)
+    vals = p @ np.asarray(normal, dtype=float) - float(offset)
+    tol = 1e-12 * (float(np.max(np.abs(vals), initial=0.0)) + 1.0)
+    inside, outside = vals > tol, vals < -tol
+    va, vb = vals[inside][:, None], vals[outside][None, :]
+    a, b = p[inside][:, None], p[outside][None, :]
+    cross = a + (va / (va - vb))[..., None] * (b - a)
+    return np.vstack([p[vals >= -tol], cross.reshape(-1, 3)])
 
 
 def enumerate_vertices(poly: Polytope) -> np.ndarray:
@@ -592,6 +601,17 @@ def enumerate_vertices(poly: Polytope) -> np.ndarray:
     return _lex_sorted(found[keep])
 
 
+def integer_axes(lo, hi, cap: int, message: str) -> list[range]:
+    """The integers within EPS of ``[lo[i], hi[i]]``, one exact range per axis;
+    BudgetExceeded with ``message.format(total=..., cap=cap)``, before any
+    array exists, when the box holds more than ``cap`` integer points."""
+    axes = [range(math.ceil(a - EPS), math.floor(b + EPS) + 1) for a, b in zip(lo, hi)]
+    total = math.prod(max(r.stop - r.start, 0) for r in axes)
+    if total > cap:
+        raise BudgetExceeded(message.format(total=total, cap=cap))
+    return axes
+
+
 def enumerate_lattice_points(poly: Polytope, cap: int = LATTICE_CAP) -> np.ndarray:
     """Integer points of a bounded polytope in dimension <= 3.
 
@@ -606,16 +626,12 @@ def enumerate_lattice_points(poly: Polytope, cap: int = LATTICE_CAP) -> np.ndarr
     verts = poly.vertices()
     if len(verts) == 0:
         raise Infeasible("empty polytope")
-    lo = np.ceil(verts.min(axis=0) - EPS).astype(int)
-    hi = np.floor(verts.max(axis=0) + EPS).astype(int)
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(np.prod(counts.astype(object)))
-    if total > cap:
-        raise BudgetExceeded(f"lattice grid of size {total} exceeds cap {cap}")
-    if total == 0:
+    axes = integer_axes(verts.min(axis=0), verts.max(axis=0), cap,
+                        "lattice grid of size {total} exceeds cap {cap}")
+    if not all(axes):
         return np.zeros((0, dim), dtype=int)
-    axes = [np.arange(lo[i], hi[i] + 1) for i in range(dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    grids = np.meshgrid(*[np.arange(r.start, r.stop) for r in axes], indexing="ij")
+    grid = np.stack(grids, axis=-1).reshape(-1, dim)
     # the ij meshgrid is in lexicographic order, and the mask keeps it
     return grid[poly.contains(grid.astype(float))]
 

@@ -8,11 +8,11 @@ measure, ``LatticeCounting``, is the one with unit weights on a polytope's
 lattice points), uniform measures on polytopes and mixed-integer fiber
 measures. A constructor builds the uncut support; a restriction starts from
 its parent and applies the new cuts alone, so a chain of them gives the
-bits of one (3D uniform and d = 2 mixed measures solve their rows again).
+bits of one.
 
 Masses handed back are plain floats, and every one is exact: the
-low-dimensional geometry (interval clips, polygon clipping, 3D volumes
-from vertex enumeration) comes from :mod:`centercut.geom`, and no mass is
+low-dimensional geometry (interval clips, polygon clipping, volumes of
+clipped 3D vertex sets) comes from :mod:`centercut.geom`, and no mass is
 estimated from samples. Rejection sampling runs through one loop,
 ``_rejection_sample``.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .errors import BudgetExceeded, DimensionTooLarge, EmptyRegion, RejectionStall
+from .errors import DimensionTooLarge, EmptyRegion, RejectionStall
 from .geom import Halfspace, Polytope
 
 MASS_TOL = 1e-12          # zero-mass threshold for volume-backed families
@@ -178,10 +178,10 @@ def _interval_from_halfspaces(items, lo=-math.inf, hi=math.inf) -> tuple[float, 
 class UniformPolytope(Measure):
     """Uniform (Lebesgue) measure on a bounded polytope, exact in every
     dimension it supports: interval arithmetic in 1D, polygon clipping in
-    2D, and in 3D ``geom.volume_centroid_3d`` on the polytope's rows plus
-    the region's, which also gives the region's vertices and centroid.
-    Higher dimensions raise DimensionTooLarge. A restriction clips the
-    parent's interval or vertex cycle; in 3D it solves every row again.
+    2D, and in 3D ``geom.volume_centroid_3d`` of the region's vertices,
+    with its centroid. Higher dimensions raise DimensionTooLarge. A
+    restriction clips the parent's interval, vertex cycle or 3D vertex set
+    by each new cut, keeping a 3D clip's hull vertices alone.
     """
 
     family = "uniform_polytope"
@@ -195,8 +195,8 @@ class UniformPolytope(Measure):
         elif d == 2:
             self._verts = polytope.vertices()
         elif d == 3:
-            self._A = np.array([h.n for h in polytope.constraints])
-            self._b = np.array([h.offset for h in polytope.constraints])
+            self.total_mass, self._centroid, self._verts = geom.volume_centroid_3d(
+                polytope.vertices())
         else:
             raise DimensionTooLarge(f"uniform measures support dimension <= 3, got {d}")
         self._cut(())
@@ -213,10 +213,9 @@ class UniformPolytope(Measure):
                 self._verts = geom.clip_polygon_vertices(self._verts, c.n, c.offset)
             self.total_mass = abs(geom.shoelace_area(self._verts))
         else:
-            self._A = np.vstack([self._A] + [c.n for c in cuts])
-            self._b = np.append(self._b, [c.offset for c in cuts])
-            self.total_mass, self._centroid, self._verts = geom.volume_centroid_3d(
-                self._A, self._b)
+            for c in cuts:
+                self.total_mass, self._centroid, self._verts = geom.volume_centroid_3d(
+                    geom.clip_vertices_3d(self._verts, c.n, c.offset))
 
     @property
     def dim(self) -> int:
@@ -238,8 +237,8 @@ class UniformPolytope(Measure):
             kept = abs(geom.shoelace_area(geom.clip_polygon_vertices(self._verts, h.n,
                                                                      h.offset)))
         else:
-            kept = geom.volume_centroid_3d(np.vstack([self._A, h.n]),
-                                           np.append(self._b, h.offset))[0]
+            kept = geom.volume_centroid_3d(geom.clip_vertices_3d(self._verts, h.n,
+                                                                 h.offset))[0]
         return min(max(kept / self.total_mass, 0.0), 1.0)
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:
@@ -262,8 +261,8 @@ class MixedInteger(Measure):
     slice is a polytope of dimension d <= 2, an interval or a polygon from
     ``geom``'s vertex enumeration, so every mass is exact; there are no
     Monte Carlo slices. Raises DimensionTooLarge when n + d > 3, where
-    vertex enumeration, and with it the fiber build, stops. A d = 1
-    restriction clips each fiber's interval; d = 2 slices every row again.
+    vertex enumeration, and with it the fiber build, stops. A restriction
+    clips each live fiber's interval or polygon by the new cuts.
     """
 
     family = "mixed_integer"
@@ -278,17 +277,12 @@ class MixedInteger(Measure):
         self.polytope = polytope
         self.n = n
         self.d = d
-        self._slice(self._constraints())
+        self._slice(self._split_rows(polytope.constraints))
         self._check_nonempty()
 
     @property
     def dim(self) -> int:
         return self.n + self.d
-
-    def _constraints(self):
-        """The polytope's (closed) facets and the region's cuts, split for
-        slicing: see ``_split_rows``."""
-        return self._split_rows(self.polytope.constraints + self.region)
 
     def _split_rows(self, rows):
         """(head, tail, offset, closed, flat) for each halfspace of ``rows``:
@@ -319,23 +313,19 @@ class MixedInteger(Measure):
 
     def _slice(self, cons, fibers=None):
         """Set ``fibers`` (z tuple, payload, volume) to the slices above
-        MASS_TOL of ``fibers`` (d = 1), else of every integer block of the
-        bounding box, by the rows ``cons``; BudgetExceeded when that grid is
-        larger than ``geom.LATTICE_CAP``, before any slice."""
+        MASS_TOL of ``fibers``, else of every integer block of the bounding
+        box, by the rows ``cons``; BudgetExceeded when that grid is larger
+        than ``geom.LATTICE_CAP``, before any slice."""
         if fibers is None:
             lo, hi = self.polytope.bounding_box()
-            zlo = np.ceil(lo[:self.n] - geom.EPS).astype(int)
-            zhi = np.floor(hi[:self.n] + geom.EPS).astype(int)
-            total = int(np.prod(np.maximum(zhi - zlo + 1, 0).astype(object)))
-            if total > geom.LATTICE_CAP:
-                raise BudgetExceeded(f"fiber grid of size {total} exceeds cap {geom.LATTICE_CAP}")
-            fibers = ((z, (-math.inf, math.inf), None) for z in itertools.product(
-                *[range(zlo[i], zhi[i] + 1) for i in range(self.n)]))
+            axes = geom.integer_axes(lo[:self.n], hi[:self.n], geom.LATTICE_CAP,
+                                     "fiber grid of size {total} exceeds cap {cap}")
+            fibers = ((z, None, None) for z in itertools.product(*axes))
         self.fibers = []
-        for z, interval, _vol in fibers:
+        for z, payload, _vol in fibers:
             sliced, feas = self._slice_constraints(np.asarray(z, dtype=float), cons)
             if feas:
-                payload, vol = self._slice_geometry(sliced, *interval)
+                payload, vol = self._slice_geometry(sliced, payload)
                 if vol > MASS_TOL:
                     self.fibers.append((z, payload, vol))
         self.total_mass = float(sum(f[2] for f in self.fibers))
@@ -345,23 +335,26 @@ class MixedInteger(Measure):
             self._vol = np.array([v for _z, _p, v in self.fibers])
 
     def _cut(self, cuts):
-        if self.d == 1:
-            self._slice(self._split_rows(cuts), self.fibers)
-        else:
-            self._slice(self._constraints())
+        self._slice(self._split_rows(cuts), self.fibers)
 
-    def _slice_geometry(self, sliced, lo=-math.inf, hi=math.inf):
-        """(payload, volume) of one slice: [lo, hi] cut by its rows for d = 1,
-        the canonical polygon of ``geom``'s basic solutions for d = 2."""
+    def _slice_geometry(self, sliced, payload=None):
+        """(payload, volume) of one slice: ``payload``, an interval or a vertex
+        cycle, clipped by its rows; with none (a build), the whole line or
+        the canonical polygon of ``geom``'s basic solutions of the rows."""
         if self.d == 1:
-            lo, hi = _interval_from_halfspaces([(float(t[0]), r) for t, r in sliced], lo, hi)
+            lo, hi = _interval_from_halfspaces([(float(t[0]), r) for t, r in sliced],
+                                               *(payload or (-math.inf, math.inf)))
             return (lo, hi), max(hi - lo, 0.0)
-        tails = np.array([t for t, _r in sliced], dtype=float).reshape(-1, 2)
-        rhs = np.array([r for _t, r in sliced], dtype=float)
-        pts, _ = geom._basic_solutions(
-            tails, rhs, geom.EPS * max(1.0, float(np.max(np.abs(rhs), initial=0.0))))
-        verts = geom.convex_hull_2d(pts) if len(pts) else np.zeros((0, 2))
-        return verts, abs(geom.shoelace_area(verts))
+        if payload is None:
+            tails = np.array([t for t, _r in sliced], dtype=float).reshape(-1, 2)
+            rhs = np.array([r for _t, r in sliced], dtype=float)
+            pts, _ = geom._basic_solutions(
+                tails, rhs, geom.EPS * max(1.0, float(np.max(np.abs(rhs), initial=0.0))))
+            payload = geom.convex_hull_2d(pts) if len(pts) else np.zeros((0, 2))
+        else:
+            for tail, rhs in sliced:
+                payload = geom.clip_polygon_vertices(payload, tail, rhs)
+        return payload, abs(geom.shoelace_area(payload))
 
     def halfspace_masses(self, normals, offsets, closed: bool = True) -> np.ndarray:
         """Normalized masses of the halfspaces ``{y : normals[i] . y >= offsets[i]}``
@@ -397,15 +390,10 @@ class MixedInteger(Measure):
             return float(self.halfspace_masses(h.n, [h.offset], h.closed)[0])
         cut = self._split_rows([h])
         kept = 0.0
-        for z, verts, vol in self.fibers:
+        for z, verts, _vol in self.fibers:
             sliced, inside = self._slice_constraints(np.asarray(z, dtype=float), cut)
-            if not inside:
-                continue
-            if not sliced:   # a zero-tail cut keeps the whole fiber
-                kept += vol
-                continue
-            tail, rhs = sliced[0]
-            kept += abs(geom.shoelace_area(geom.clip_polygon_vertices(verts, tail, rhs)))
+            if inside:   # a zero-tail cut keeps the whole polygon
+                kept += self._slice_geometry(sliced, verts)[1]
         return min(max(kept / self.total_mass, 0.0), 1.0)
 
     def sample(self, rng: RngState, count: int) -> np.ndarray:

@@ -344,6 +344,18 @@ def test_mc_mixed_sample_above_the_cap_is_not_drawn(spy):
     assert calls == []
 
 
+def test_mc_lattice_sample_above_the_cap_is_not_drawn(spy):
+    # a lattice S holds its whole sample as well, so the cap raises before
+    # any point is drawn: --eps 1e-6 would ask for 19.3 TiB of them
+    calls = spy(LatticeCounting, "sample")
+    N = mc_sample_size(0.3, 0.3, 3)
+    with pytest.raises(BudgetExceeded, match=f"{N} sample points exceed cap {N - 1}"):
+        centerpoint_monte_carlo(LatticeCounting(Polytope.from_box([0.0, 0.0], [9.0, 9.0])),
+                                ConstraintSet.lattice(2), 0.3, 0.3, RngState(0),
+                                candidate_cap=N - 1)
+    assert calls == []
+
+
 def test_mc_candidate_cap():
     m = LatticeCounting(Polytope.from_box([0.0, 0.0], [9.0, 9.0]))
     with pytest.raises(BudgetExceeded):
@@ -358,6 +370,16 @@ def test_mc_candidate_cap():
 def test_mc_lattice_candidates_need_an_integer_point(m):
     # the support's bounding box holds no integer point: no candidate at all
     with pytest.raises(EmptyLattice):
+        centerpoint_monte_carlo(m, ConstraintSet.lattice(2), 0.3, 0.3, RngState(0))
+
+
+@pytest.mark.parametrize("top", [10 ** 19, 10 ** 20])
+@pytest.mark.parametrize("family", ["finite", "uniform"])
+def test_mc_lattice_candidates_past_the_int64_range_raise_budget_exceeded(family, top):
+    # the bounds lie past 2**63, where no int64 holds them
+    m = (FinitePointMass([[0.0, 0.0], [float(top), 1.0]]) if family == "finite" else
+         UniformPolytope(Polytope.from_box([0.0, 0.0], [float(top), 1.0])))
+    with pytest.raises(BudgetExceeded, match="lattice candidate grid exceeds cap"):
         centerpoint_monte_carlo(m, ConstraintSet.lattice(2), 0.3, 0.3, RngState(0))
 
 

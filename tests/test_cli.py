@@ -8,11 +8,11 @@ import pytest
 from centercut import adversary, cutplane, geom
 from centercut.centerpoint import (ConstraintSet, centerpoint_lenstra_mixed,
                                    centerpoint_mixed_2d)
-from centercut.cli import main, parse_problem, serialize
+from centercut.cli import _COMMANDS, main, parse_problem, serialize
 from centercut.depth import depth_finite
 from centercut.errors import ParseError, SchemaError
 from centercut.geom import Box, Polytope, enumerate_lattice_points
-from centercut.measures import MixedInteger, UniformPolytope
+from centercut.measures import LatticeCounting, MixedInteger, UniformPolytope
 
 SQUARE_ROWS = [[1, 0, 1], [-1, 0, 0], [0, 1, 1], [0, -1, 0]]
 GRID4_ROWS = [[1, 0, 4], [-1, 0, 0], [0, 1, 4], [0, -1, 0]]
@@ -661,6 +661,131 @@ def test_exit_code_mc_lattice_constraint_without_integer_points(tmp_path, capsys
     assert main(["centerpoint", "--input", inp]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exit_code_lattice_past_the_int64_range(tmp_path, capsys):
+    # [0, 1e19] x [0, 1] holds more lattice points than the cap and than
+    # int64 can count: exit 3, not an empty lattice
+    doc = {"schema_version": 1, "command": "depth", "point": [1.0, 0.5],
+           "measure": {"family": "lattice", "polytope": [[1, 0, 1e19], [-1, 0, 0],
+                                                        [0, 1, 1], [0, -1, 0]]}}
+    assert main(["depth", "--input", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith("error: lattice grid of size 20000000000000000002")
+
+
+def test_exit_code_mc_lattice_sample_above_the_cap(tmp_path, capsys, spy):
+    # eps 1e-3 asks for 2,651,293 sample points, more than CANDIDATE_CAP
+    doc = {"schema_version": 1, "command": "centerpoint", "method": "mc", "eps": 1e-3,
+           "measure": {"family": "lattice", "polytope": GRID4_ROWS}}
+    calls = spy(LatticeCounting, "sample")
+    assert main(["centerpoint", "--input", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err == "error: 2651293 sample points exceed cap 1000000\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("game", [{"kind": "integer_fiber", "n": 10 ** 7, "B": 8},
+                                  {"kind": "mixed_fiber", "n": 10 ** 7, "d": 1, "B": 8},
+                                  {"kind": "mixed_fiber", "n": 2, "d": 2, "B": 8}],
+                         ids=["integer-n1e7", "mixed-n1e7", "mixed-n2-d2"])
+def test_fiber_game_above_dimension_three_is_not_built(tmp_path, capsys, spy, game):
+    # the dimension comes from the document, so no game builds its n-entry
+    # box (129 MB at n = 4e6) before the check
+    built = [spy(adversary, "IntegerFiber"), spy(adversary, "MixedFiber")]
+    doc = {"schema_version": 1, "command": "adversary-run", "game": game, "delta": 0.5}
+    assert main(["adversary-run", "--input", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {game['kind']} games support")
+    assert built == [[], []]
+
+
+@pytest.mark.parametrize("B", [2 ** 53 + 1, 10 ** 195, 10 ** 400],
+                         ids=["2**53+1", "1e195", "1e400"])
+@pytest.mark.parametrize("kind, extra", [("integer_fiber", {"n": 2}),
+                                         ("mixed_fiber", {"n": 1, "d": 1}),
+                                         ("mixed_fiber", {"n": 1, "d": 2})],
+                         ids=["integer", "mixed-d1", "mixed-d2"])
+def test_fiber_game_range_past_float64_integers_names_its_path(tmp_path, capsys, kind,
+                                                                extra, B):
+    # float64 holds every integer only up to 2**53; the games compute in it
+    doc = {"schema_version": 1, "command": "adversary-run", "delta": 0.5,
+           "game": {"kind": kind, "B": B, **extra}}
+    assert main(["adversary-run", "--input", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: $.game.B: expected an integer <= 2**53\n"
+    bench = {"schema_version": 1, "command": "bench",
+             "instances": [{"id": "big", **{k: v for k, v in doc.items()
+                                            if k != "schema_version"}}]}
+    assert main(["bench", "--input", _write(tmp_path, bench, "bench.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: $.instances[0].game.B: ")
+
+
+def test_fiber_game_range_of_float64_integers_is_accepted():
+    doc = {"schema_version": 1, "command": "adversary-run", "delta": 0.5,
+           "game": {"kind": "mixed_fiber", "n": 1, "d": 1, "B": 2 ** 53}}
+    assert parse_problem(json.dumps(doc)) == doc
+
+
+_FINITE = {"family": "finite", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+_DEPTH = {"command": "depth", "measure": _FINITE, "point": [0.5, 0.5]}
+_SOLVE = {k: v for k, v in SOLVE_DOC.items() if k != "schema_version"}
+_ADVERSARY = {"command": "adversary-run", "game": {"kind": "integer_fiber", "n": 2, "B": 8},
+              "delta": 0.5}
+_CENTERPOINT = {"command": "centerpoint", "measure": _FINITE}
+
+# one document per schema check: each exits 2 and names its document path
+SCHEMA_ERROR_DOCS = {
+    "not-an-object": ("$.E0", dict(_SOLVE, E0=[0, 4])),
+    "not-an-integer": ("$.measure.n", dict(_DEPTH, measure={
+        "family": "mixed", "polytope": SQUARE_ROWS, "n": 1.5, "d": 1})),
+    "empty-vector": ("$.point", dict(_DEPTH, point=[])),
+    "not-a-matrix": ("$.measure.points", dict(_DEPTH, measure={"family": "finite",
+                                                               "points": 5})),
+    "ragged-matrix": ("$.measure.points", dict(_DEPTH, measure={"family": "finite",
+                                                                "points": [[0, 0], [1]]})),
+    "short-polytope-rows": ("$.measure.polytope", dict(_DEPTH, measure={
+        "family": "uniform", "polytope": [[1], [2]]})),
+    "box-lengths": ("$.E0", dict(_SOLVE, E0={"lower": [0, 0], "upper": [4]})),
+    "measure-without-family": ("$.measure", dict(_DEPTH, measure={"points": [[0, 0]]})),
+    "weights-per-point": ("$.measure.weights", dict(_DEPTH, measure=dict(_FINITE,
+                                                                          weights=[1]))),
+    "unknown-family": ("$.measure.family", dict(_DEPTH, measure={"family": "gaussian"})),
+    "constraint-without-kind": ("$.constraint", dict(_SOLVE, constraint={"n": 2})),
+    "unknown-constraint": ("$.constraint.kind", dict(_SOLVE, constraint={"kind": "boolean"})),
+    "objective-without-type": ("$.objective", dict(_SOLVE, objective={"c": [0, 0]})),
+    "short-pieces": ("$.objective.pieces", dict(_SOLVE, objective={"type": "affine_max",
+                                                                   "pieces": [[1], [2]]})),
+    "non-square-Q": ("$.objective.Q", dict(_SOLVE, objective={"type": "quadratic",
+                                                              "Q": [[1, 0]], "c": [0, 0]})),
+    "empty-parts": ("$.objective.parts", dict(_SOLVE, objective={"type": "sum", "parts": []})),
+    "unknown-objective": ("$.objective.type", dict(_SOLVE, objective={"type": "cubic"})),
+    "game-without-kind": ("$.game", dict(_ADVERSARY, game={"n": 2, "B": 8})),
+    "unknown-game": ("$.game.kind", dict(_ADVERSARY, game={"kind": "chess"})),
+    "unknown-method": ("$.method", dict(_CENTERPOINT, method="newton")),
+    "unknown-strategy": ("$.strategy", dict(_SOLVE, strategy="greedy")),
+    "not-a-document": ("$", [1, 2]),
+    "missing-command": ("$", {}),
+    "unknown-command": ("$.command", {"command": "optimize"}),
+    "instances-not-a-list": ("$.instances", {"command": "bench", "instances": {}}),
+    "instance-not-an-object": ("$.instances[0]", {"command": "bench", "instances": [5]}),
+    "instance-without-id": ("$.instances[0]", {"command": "bench",
+                                               "instances": [{"command": "solve"}]}),
+    "instance-id-not-a-string": ("$.instances[0].id", {"command": "bench",
+                                                      "instances": [{"id": 5}]}),
+    "point-dimension": ("$.point", dict(_DEPTH, point=[0.5])),
+    "C-not-positive": ("$.C", dict(_CENTERPOINT, C=0)),
+    "delta-out-of-range": ("$.delta", dict(_CENTERPOINT, delta=1)),
+}
+
+
+@pytest.mark.parametrize("case", list(SCHEMA_ERROR_DOCS))
+def test_exit_code_schema_errors_name_their_path(tmp_path, capsys, case):
+    path, doc = SCHEMA_ERROR_DOCS[case]
+    command = "depth"   # the subcommand of a document without a known command
+    if isinstance(doc, dict):
+        doc = {"schema_version": 1, **doc}
+        command = doc.get("command") if doc.get("command") in _COMMANDS else command
+    assert main([command, "--input", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("error:") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

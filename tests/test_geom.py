@@ -211,6 +211,15 @@ def test_lattice_enumeration_budget():
         enumerate_lattice_points(big, cap=1000)
 
 
+@pytest.mark.parametrize("top", [10 ** 19, 10 ** 20])
+def test_lattice_grid_past_the_int64_range_raises_budget_exceeded(top):
+    # the bounds lie past 2**63, where no int64 holds them: the grid size is
+    # counted in exact integers, and no warning is raised
+    box = Polytope.from_box([0.0, 0.0], [float(top), 1.0])
+    with pytest.raises(BudgetExceeded, match=f"lattice grid of size {2 * top + 2} exceeds"):
+        enumerate_lattice_points(box)
+
+
 def test_lattice_width_frozen():
     B = 5
     sq = Polytope.from_vertices_2d([[0, 0], [B, 0], [B, B], [0, B]])
@@ -668,11 +677,6 @@ def test_one_enumeration_makes_one_batched_solve(spy):
 # ---------------------------------------------------------------------------
 # 3D volumes and centroids
 
-def _rows_3d(poly):
-    return (np.array([h.n for h in poly.constraints]),
-            np.array([h.offset for h in poly.constraints]))
-
-
 def _hull_polytope_3d(verts):
     eq = ConvexHull(verts).equations   # n . x + c <= 0 inside
     return Polytope.from_rows(np.c_[eq[:, :3], -eq[:, 3]])
@@ -681,7 +685,7 @@ def _hull_polytope_3d(verts):
 def test_volume_centroid_3d_of_boxes_and_simplices():
     for lo, hi in (([0.0] * 3, [1.0] * 3), ([0.0] * 3, [4.0, 3.0, 2.0]),
                    ([-2.0, 1.0, 5.0], [-1.5, 4.0, 5.25])):
-        vol, c, verts = geom_mod.volume_centroid_3d(*_rows_3d(Polytope.from_box(lo, hi)))
+        vol, c, verts = geom_mod.volume_centroid_3d(Polytope.from_box(lo, hi).vertices())
         assert vol == pytest.approx(np.prod(np.subtract(hi, lo)), rel=1e-12)
         assert c == pytest.approx((np.add(lo, hi)) / 2.0, abs=1e-12)
         assert len(verts) == 8
@@ -689,27 +693,31 @@ def test_volume_centroid_3d_of_boxes_and_simplices():
     for _ in range(10):
         v = gen.normal(size=(4, 3)) * 3.0
         det = abs(np.linalg.det(v[1:] - v[0]))
-        vol, c, verts = geom_mod.volume_centroid_3d(*_rows_3d(_hull_polytope_3d(v)))
+        vol, c, verts = geom_mod.volume_centroid_3d(_hull_polytope_3d(v).vertices())
         assert vol == pytest.approx(det / 6.0, rel=1e-9)
         assert c == pytest.approx(v.mean(axis=0), abs=1e-9)
         assert len(verts) == 4
     # the unit cube below x + y + z = 1.5 is half of it, by symmetry
-    A, b = _rows_3d(Polytope.from_box([0.0] * 3, [1.0] * 3))
+    cube = Polytope.from_box([0.0] * 3, [1.0] * 3).vertices()
     u = -np.ones(3) / np.sqrt(3.0)
-    vol, c, _ = geom_mod.volume_centroid_3d(np.vstack([A, u]), np.append(b, -1.5 / np.sqrt(3.0)))
+    vol, c, _ = geom_mod.volume_centroid_3d(
+        geom_mod.clip_vertices_3d(cube, u, -1.5 / np.sqrt(3.0)))
     assert vol == pytest.approx(0.5, abs=1e-12)
     assert np.all(c < 0.5)
 
 
 def test_volume_centroid_3d_of_flat_and_empty_sets_is_zero():
-    A, b = _rows_3d(Polytope.from_box([0.0] * 3, [1.0] * 3))
+    cube = Polytope.from_box([0.0] * 3, [1.0] * 3).vertices()
     x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     cases = [(x, [0.5, -0.5]),        # the square x = 1/2: flat
              (x, [2.0, -3.0]),        # beyond the cube: empty
              (np.array([[1.0, 1.0, 1.0]]) / np.sqrt(3.0), [np.sqrt(3.0)]),   # one corner
              (np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0), [np.sqrt(2.0)])]   # one edge
     for extra, off in cases:
-        vol, c, _ = geom_mod.volume_centroid_3d(np.vstack([A, extra]), np.append(b, off))
+        pts = cube
+        for n, o in zip(extra, off):
+            pts = geom_mod.clip_vertices_3d(pts, n, o)
+        vol, c, _ = geom_mod.volume_centroid_3d(pts)
         assert vol == 0.0 and c is None
 
 

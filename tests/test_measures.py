@@ -2,14 +2,14 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from centercut import geom
 from centercut.centerpoint import centerpoint_lenstra_mixed, centroid
 from centercut.cutplane import _mixed_mean
 from centercut.errors import BudgetExceeded, DimensionTooLarge, EmptyRegion, RejectionStall
-from centercut.geom import Halfspace, Polytope
-from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
+from centercut.geom import Direction, Halfspace, Polytope
+from centercut.measures import (MASS_TOL, FinitePointMass, LatticeCounting, MixedInteger,
                                 RngState, UniformPolytope, _cut_mask,
                                 _points_in_polygon)
 
@@ -311,7 +311,7 @@ def _state(m):
     elif isinstance(m, UniformPolytope) and m.dim == 2:
         out.append(m._verts.tobytes())
     elif isinstance(m, UniformPolytope):
-        out += [m._A.tobytes(), m._b.tobytes(), m._verts.tobytes(), m._centroid.tobytes()]
+        out += [m._verts.tobytes(), m._centroid.tobytes()]
     else:
         out.append([(z, np.asarray(p).tobytes(), v.hex()) for z, p, v in m.fibers])
         if m.d == 1:
@@ -415,7 +415,7 @@ def test_mixed_slices_match_the_pairwise_polygon():
     for k in range(30):
         m = MixedInteger(_seeded_mixed_1_2(k), 1, 2)
         lo, hi = m.polytope.bounding_box()
-        cons = m._constraints()
+        cons = m._split_rows(m.polytope.constraints)
         # one fiber beyond each end, so empty slices are compared too
         for z in range(int(np.floor(lo[0])) - 1, int(np.ceil(hi[0])) + 2):
             sliced, feasible = m._slice_constraints(np.array([float(z)]), cons)
@@ -427,6 +427,36 @@ def test_mixed_slices_match_the_pairwise_polygon():
             assert vol == abs(geom.shoelace_area(want))
             empty += len(want) == 0
     assert empty > 0
+
+
+def test_restricted_mixed_fibers_match_the_pairwise_polygon():
+    # a restriction clips each live fiber polygon by the new cuts alone; the
+    # result is the polygon of all the fiber's rows, and no other fiber lives
+    compared = 0
+    for k in range(20):
+        gen = np.random.default_rng([73, k])
+        m = MixedInteger(_seeded_mixed_1_2(k), 1, 2)
+        lo, hi = m.polytope.bounding_box()
+        for i in range(7):   # i = 3: a flat cut, on the integer axis alone
+            u = np.eye(3)[0] if i == 3 else gen.normal(size=3)
+            z, verts, _v = m.fibers[int(gen.integers(len(m.fibers)))]
+            off = float(u @ np.r_[z, verts.mean(axis=0)]) - 0.5 * np.linalg.norm(u)
+            m = m.restrict([Halfspace.from_vector(u, off, closed=i % 2 == 0)])
+        rows = m._split_rows(m.polytope.constraints + m.region)
+        fibers = {z[0]: (verts, vol) for z, verts, vol in m.fibers}
+        for z in range(int(np.floor(lo[0])) - 1, int(np.ceil(hi[0])) + 2):
+            sliced, feasible = m._slice_constraints(np.array([float(z)]), rows)
+            want = _pairwise_polygon(sliced) if feasible else np.zeros((0, 2))
+            area = abs(geom.shoelace_area(want))
+            if area <= MASS_TOL:
+                assert z not in fibers
+                continue
+            verts, vol = fibers[z]
+            assert verts.shape == want.shape
+            assert np.abs(verts - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            assert vol == pytest.approx(area, rel=1e-12)
+            compared += 1
+    assert compared > 30
 
 
 def test_mixed_tail_norms_are_taken_once_per_constraint(monkeypatch):
@@ -512,6 +542,16 @@ def test_mixed_fiber_grid_above_the_cap_raises_before_any_slice(spy):
     assert sliced == []
 
 
+@pytest.mark.parametrize("top", [10 ** 19, 10 ** 20])
+def test_mixed_fiber_grid_past_the_int64_range_raises_budget_exceeded(spy, top):
+    # the bounds lie past 2**63, where no int64 holds them, so the grid
+    # counted in int64 would look empty
+    sliced = spy(MixedInteger, "_slice_constraints")
+    with pytest.raises(BudgetExceeded, match=f"fiber grid of size {top + 1} exceeds"):
+        MixedInteger(Polytope.from_box([0.0, 0.0], [float(top), 1.0]), 1, 1)
+    assert sliced == []
+
+
 def test_uniform_3d_masses_match_closed_forms():
     m = UniformPolytope(BOX_432)
     assert m.total_mass == pytest.approx(24.0, rel=1e-12)
@@ -531,6 +571,68 @@ def test_uniform_3d_masses_match_closed_forms():
     assert float(cube.halfspace_mass(cut)) == pytest.approx(0.5, abs=1e-12)
     half = cube.restrict([Halfspace.from_vector([1.0, 1.0, 0.0], 1.0)])
     assert half.total_mass == pytest.approx(0.5, abs=1e-12)
+
+
+def _rows_volume_3d(A, b):
+    """Reference: volume, centroid and hull vertices of ``{y : A y >= b}``
+    from the basic solutions of all its rows, their hull fanned from the
+    solutions' mean; 3D uniform measures computed them so before they
+    clipped their vertex sets."""
+    pts, _ = geom._basic_solutions(A, b, geom.EPS * max(1.0, float(np.max(np.abs(b)))))
+    if len(pts) < 4:
+        return 0.0, None, pts
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        return 0.0, None, pts
+    c = pts.mean(axis=0)
+    T = pts[hull.simplices] - c
+    vols = np.abs(np.linalg.det(T)) / 6.0
+    return float(vols.sum()), c + (vols @ T.sum(axis=1)) / (4.0 * vols.sum()), pts[hull.vertices]
+
+
+def _near_both_ways(p, q, tol):
+    d = np.linalg.norm(p[:, None] - q[None], axis=-1)
+    return bool(d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_clipped_3d_regions_match_the_rows_they_were_cut_by(seed):
+    # masses, centroids, vertex sets and halfspace masses along a seeded
+    # chain of open and closed cuts, each restriction clipping its parent's
+    # vertices, equal those of all the rows' basic solutions
+    gen = np.random.default_rng([72, seed])
+    poly = (BOX_432, _SLANTED)[seed % 2]
+    A = np.array([h.n for h in poly.constraints])
+    b = np.array([h.offset for h in poly.constraints])
+    m = UniformPolytope(poly)
+    for i in range(31):
+        verts = m.region_vertices()
+        u = gen.normal(size=3)
+        u /= np.linalg.norm(u)
+        if i == 30:   # through the region's lowest vertex along u: keeps it all
+            off = float((verts @ u).min())
+        else:
+            proj = verts @ u
+            off = float(u @ centroid(m)) - gen.uniform(-0.2, 0.5) * float(proj.max() - proj.min())
+        cut = Halfspace(Direction(u), off, closed=i % 2 == 0)
+        A, b = np.vstack([A, u]), np.append(b, off)
+        vol, c, want = _rows_volume_3d(A, b)
+        assert m.halfspace_mass(cut) == pytest.approx(vol / m.total_mass, rel=1e-12)
+        m = m.restrict([cut])
+        assert m.total_mass == pytest.approx(vol, rel=1e-12)
+        assert np.abs(centroid(m) - c).max() <= 1e-12 * np.abs(c).max()
+        assert _near_both_ways(m.region_vertices(), want, 1e-12 * np.abs(want).max())
+    assert len(m.region) == 31 and m.total_mass < 1e-3 * UniformPolytope(poly).total_mass
+    x = np.eye(3)[seed % 3]
+    c = centroid(m)
+    for cuts in ([Halfspace.from_vector(x, float(x @ c)), Halfspace.from_vector(-x, -float(x @ c))],
+                 [Halfspace.from_vector(x, float(m.region_vertices()[:, seed % 3].max()) + 0.5,
+                                        closed=False)]):   # flat, then empty
+        rows = np.vstack([A] + [h.n for h in cuts]), np.append(b, [h.offset for h in cuts])
+        assert _rows_volume_3d(*rows)[0] <= MASS_TOL
+        with pytest.raises(EmptyRegion):
+            m.restrict(cuts)
 
 
 def _tetrahedron(v):
