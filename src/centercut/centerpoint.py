@@ -229,8 +229,8 @@ def _project(pts, w, U):
     order = np.argsort(pu, axis=1)
     cum = np.zeros((len(U), len(pts) + 1))
     np.cumsum(w[order], axis=1, out=cum[:, 1:])
-    return _Projections(pts, U, order, np.take_along_axis(pu, order, axis=1), cum,
-                        float(w.sum()))
+    ps = pu.ravel()[order + len(pts) * np.arange(len(U))[:, None]]
+    return _Projections(pts, U, order, ps, cum, float(w.sum()))
 
 
 def _slab_screen(tab, cu, pad, floor):
@@ -424,7 +424,7 @@ def _topk_indices(pts, K):
     return top, vals, angles, ub, tab
 
 
-def _pruned_lex_best(pts, cand, weights=None, known=None):
+def _pruned_lex_best(pts, cand, weights=None, known=None, first=None):
     """Index and exact ``DepthResult`` of the deepest point of ``cand``
     under the weights on ``pts`` (unit weights when None), lexicographically
     smallest among values within 1e-12 of the best, as _lex_best over every
@@ -448,6 +448,14 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
     best known value, so the rest of cand is screened against that value
     minus 1e-12 from the table, without sorting the sample again: only the
     candidates inside every slab get full bounds.
+
+    ``first``, used without ``known``, optionally evaluates the search's
+    first row in place of the kernel: a function from a candidate to its
+    exact ``DepthResult``, equal to that candidate's kernel row
+    (``min_direction_2d`` on the measure of ``pts``). The first row is
+    cand[0] in the one-batch case, and otherwise the best-bounded
+    candidate, which the bounded search takes first. Its result is returned
+    when that candidate wins, so no candidate's row is evaluated twice.
     """
     pts = np.asarray(pts, dtype=float)
     cand = np.asarray(cand, dtype=float)
@@ -456,26 +464,36 @@ def _pruned_lex_best(pts, cand, weights=None, known=None):
         res = [depth_finite(pts, c, w) for c in cand]
         k = _lex_best(cand, [r.value for r in res])
         return k, res[k]
-    if (known is None and len(cand) <= _PRUNE_DIRS
-            and len(cand) * len(pts) <= depth_mod._BATCH_ELEMENTS):
-        vals, angles = depth_mod._sweep_counting_min_batch(cand, pts, w)
-        vals /= float(w.sum())
-        k = _lex_best(cand, vals)
-        return k, depth_mod._result(vals[k], angles[k], True, 0.0)
     vals = np.full(len(cand), np.nan)
     angles = np.full(len(cand), np.nan)
-    if known is None:
-        ub = _depth_upper_bounds(pts, cand, w)
-    else:
+    one_batch = (known is None and len(cand) <= _PRUNE_DIRS
+                 and len(cand) * len(pts) <= depth_mod._BATCH_ELEMENTS)
+    x = 0
+    if known is not None:
         known_vals, known_angles, known_ub, tab = known
         vals[:len(known_vals)] = known_vals
         angles[:len(known_angles)] = known_angles
         # the search below starts its threshold at the best known value
         floor = float(np.nanmax(known_vals)) - 1e-12
         ub = np.concatenate([known_ub, _halfplane_bounds(tab, cand[len(known_ub):], floor)])
-    vals = _deepest_depths(pts, cand, w, 1, vals, ub, angles)
-    filled = np.flatnonzero(~np.isnan(vals))
-    k = int(filled[_lex_best(cand[filled], vals[filled])])
+    elif not one_batch:
+        ub = _depth_upper_bounds(pts, cand, w)
+        x = int(np.argmax(ub))   # the row _deepest_depths would take first
+    if first is not None:
+        first_res = first(cand[x])
+        vals[x] = first_res.value
+    if one_batch:
+        s = 0 if first is None else 1
+        if len(cand) > s:
+            vals[s:], angles[s:] = depth_mod._sweep_counting_min_batch(cand[s:], pts, w)
+            vals[s:] /= float(w.sum())
+        k = _lex_best(cand, vals)
+    else:
+        vals = _deepest_depths(pts, cand, w, 1, vals, ub, angles)
+        filled = np.flatnonzero(~np.isnan(vals))
+        k = int(filled[_lex_best(cand[filled], vals[filled])])
+    if first is not None and k == x:
+        return k, first_res
     return k, depth_mod._result(vals[k], angles[k], True, 0.0)
 
 
@@ -567,17 +585,17 @@ def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
     deepest active lattice point, lexicographically smallest on ties.
 
     ``_pruned_lex_best`` runs the batch counting kernel over the active
-    points with upper-bound pruning; only the winner goes through
-    ``min_direction_2d``, the same kernel with one center, for its witness
-    direction. Raises DimensionTooLarge for other dimensions.
+    points with upper-bound pruning. Its first row is one
+    ``min_direction_2d`` call, the same kernel with one center, and no
+    other row evaluates that candidate again: the result's ``DepthResult``
+    is the engine's when that candidate wins and the winner's own batch row
+    otherwise. Raises DimensionTooLarge for other dimensions.
     """
     if m.dim != 2:
         raise DimensionTooLarge(f"exact lattice centerpoint is 2D only, got {m.dim}")
     pts = m.active_points()
-    k, _res = _pruned_lex_best(pts, pts)
-    point = pts[k].copy()
-    return CenterpointResult(point, min_direction_2d(m, point), "exact2d-int", 0,
-                             _LATTICE_2D_GUARANTEE)
+    k, res = _pruned_lex_best(pts, pts, first=lambda c: min_direction_2d(m, c))
+    return CenterpointResult(pts[k].copy(), res, "exact2d-int", 0, _LATTICE_2D_GUARANTEE)
 
 
 def centerpoint_2d_integer(P: Polytope, cap: int = 100_000) -> CenterpointResult:

@@ -13,8 +13,7 @@ Besides the counting kernel below, ``min_direction_2d`` evaluates a finite
 candidate set of angles for uniform polygons and, for n=1, d=1 mixed
 measures, the cut family ``_mixed_cuts``, which the exact mixed centerpoint
 search evaluates too. ``depth_sampled`` is an upper bound from random
-directions, one vectorized pass for mixed measures with d = 1;
-``depth_angle_grid`` is a dense fixed-grid oracle for cross-checks.
+directions, one vectorized pass for mixed measures with d = 1.
 
 Counting measures work in the angle parametrization u(a) = (sin a, cos a):
 a point at offset w from x has u(a).w = |w| cos(a - b) with b = atan2(w1, w2),
@@ -27,10 +26,9 @@ once, and returns a minimizing angle from the middle of a constancy arc. It
 is the one exact counting-depth kernel: it serves ``depth_finite`` in 2D and,
 through the reduction to planes normal to lines through x, in 3D, as well as
 ``min_direction_2d`` for counting measures and every deepest-point search
-over a finite set. ``_window_masses`` evaluates the window sums on a given
-angle list for the ``depth_angle_grid`` reference oracle.
+over a finite set.
 
-Both treat angles within 1e-12 rad of a window boundary as on it, so points
+It treats angles within 1e-12 rad of a window boundary as on it, so points
 that are collinear with x, which floating-point atan2 puts a few ulps to
 either side of each other's antipode, count as on the boundary.
 """
@@ -54,7 +52,7 @@ TWO_PI = 2.0 * math.pi
 # faults them in again on the next one (the jump goes away with
 # MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ raised). Where it sits
 # depends on the allocator's history in the process: alone, a row at 1,061
-# points cost 59-66 us in batches of up to 5 rows and 91-96 us from 6 rows
+# points cost 60-72 us in batches of 3 to 8 rows and 79-101 us from 10 rows
 # up (2-vCPU Xeon VM). So the size was chosen on whole Monte Carlo
 # queries of 1,061 samples: their median time was flat from 4,096 to 8,192
 # pairs and 12% higher at 12,288 and at 25,000
@@ -87,23 +85,6 @@ def _result(value, alpha, exact, gap) -> DepthResult:
 # ---------------------------------------------------------------------------
 # counting sweep machinery
 
-def _window_masses(betas, weights, alphas):
-    """Closed half-circle window sums: for each angle a, total weight of
-    betas within pi/2 of a (mod 2pi), boundaries included."""
-    order = np.argsort(betas, kind="stable")
-    b = betas[order]
-    w = weights[order]
-    ext = np.concatenate([b, b + TWO_PI])
-    cum = np.concatenate([[0.0], np.cumsum(np.concatenate([w, w]))])
-    lo = np.mod(alphas, TWO_PI) - math.pi / 2.0
-    shift = lo < 0
-    lo = lo + shift * TWO_PI
-    hi = lo + math.pi
-    i0 = np.searchsorted(ext, lo - 1e-12, side="left")
-    i1 = np.searchsorted(ext, hi + 1e-12, side="right")
-    return cum[i1] - cum[i0]
-
-
 def _sweep_counting_min_batch(centers, pts, weights):
     """Minimum closed-halfplane weight at each center, with a minimizing
     angle; many centers at once. Returns (minima, angles). ``pts`` is one
@@ -113,9 +94,9 @@ def _sweep_counting_min_batch(centers, pts, weights):
     Uses the complement identity: the closed window [a-pi/2, a+pi/2] misses
     exactly one open arc (a+pi/2, a+3pi/2), and the supremum of open-arc
     weight is attained by a half-open arc [b_i, b_i+pi) anchored at a point
-    angle. The arc ends 1e-12 rad short of b_i+pi, the boundary slack of
-    ``_window_masses``, so a point antipodal to b_i stays on the closed side
-    even when atan2 rounds its angle just below b_i+pi.
+    angle. The arc ends 1e-12 rad short of b_i+pi, the module's boundary
+    slack, so a point antipodal to b_i stays on the closed side even when
+    atan2 rounds its angle just below b_i+pi.
     One searchsorted per row does the sweep; at-center points ride along as
     zero-weight entries so rows stay rectangular without changing any sum.
     One flat search serves every row by offsetting row j into the disjoint
@@ -126,7 +107,14 @@ def _sweep_counting_min_batch(centers, pts, weights):
     The atan2 angles, in [-pi, pi], are wrapped into [0, 2*pi] by adding
     2*pi to the negative ones, which rounds as ``np.mod`` does and, like it,
     turns -0.0 into +0.0. The kernel is called thousands of times per solve
-    on small sets, so it keeps its numpy calls few.
+    on small sets, so it keeps its numpy calls few, and every gather is a
+    flat index into a raveled (C, .) array: a numpy fancy index with one row
+    and one column array costs several times as much. The doubled angles
+    ``ext`` and the cumulative weights ``cum`` both have 2N + 1 columns,
+    ``ext`` led by b_{N-1} - 2*pi, the angle before the first one, so the
+    search position p of an arc end in the (C, 2N) search keys, plus its
+    row, is the flat index of that arc end in ``cum`` and of the angle
+    before it in ``ext``.
 
     The angles are sorted with numpy's default (SIMD) argsort, so the order
     of equal angles is unspecified. A row reads only sorted angles and the
@@ -139,9 +127,9 @@ def _sweep_counting_min_batch(centers, pts, weights):
 
     Witness: for the first maximizing anchor i with arc end j, any open arc
     (s, s+pi) with s in (max(b_{i-1}, b_{j-1} - pi), min(b_i, b_j - pi))
-    misses exactly the points i..j-1. The midpoint s of that interval lies
-    inside a constancy arc, away from every breakpoint, and the angle
-    s - pi/2 attains the minimum.
+    misses exactly the points i..j-1, with b_{-1} = b_{N-1} - 2*pi. The
+    midpoint s of that interval lies inside a constancy arc, away from every
+    breakpoint, and the angle s - pi/2 attains the minimum.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     pts = np.asarray(pts, dtype=float)
@@ -164,22 +152,25 @@ def _sweep_counting_min_batch(centers, pts, weights):
     b += np.where(b < 0.0, TWO_PI, 0.0)
     betas = np.where(at_center, 0.0, b)
     order = np.argsort(betas, axis=1)
-    betas = betas[rr, order]
-    w = np.where(at_center, 0.0, weights)[rr, order]
-    ext = np.concatenate([betas, betas + TWO_PI], axis=1)
+    order += N * rr
+    betas = betas.ravel()[order]
+    w = np.where(at_center, 0.0, weights).ravel()[order]
+    ext = np.concatenate([betas[:, -1:] - TWO_PI, betas, betas + TWO_PI], axis=1)
     cum = np.zeros((C, 2 * N + 1))
     np.cumsum(np.concatenate([w, w], axis=1), axis=1, out=cum[:, 1:])
     offs = (2.0 * TWO_PI) * rr
-    idx = np.searchsorted((ext + offs).ravel(),
-                          (betas + (math.pi - 1e-12) + offs).ravel(), side="left")
-    idx = idx.reshape(C, N) - 2 * N * rr
-    open_w = cum[rr, idx] - cum[:, :N]
+    q = np.searchsorted((ext[:, 1:] + offs).ravel(),
+                        (betas + (math.pi - 1e-12) + offs).ravel(), side="left")
+    q = q.reshape(C, N) + rr   # each arc end, flat in cum
+    open_w = cum.ravel()[q] - cum[:, :N]
     i = np.argmax(open_w, axis=1)
-    j = idx[rows, i]
-    b_prev = np.where(i > 0, ext[rows, i - 1], betas[:, -1] - TWO_PI)
-    lo = np.maximum(b_prev, ext[rows, j - 1] - math.pi)
-    hi = np.minimum(ext[rows, i], ext[rows, j] - math.pi)
-    return total - open_w[rows, i], (lo + hi) / 2.0 - math.pi / 2.0
+    best = N * rows + i   # the first maximizing anchor, flat in (C, N)
+    j = q.ravel()[best]   # b_{j-1}, flat in ext
+    a = (2 * N + 1) * rows + i   # b_{i-1}, flat in ext
+    ext = ext.ravel()
+    lo = np.maximum(ext[a], ext[j] - math.pi)
+    hi = np.minimum(ext[a + 1], ext[j + 1] - math.pi)
+    return total - open_w.ravel()[best], (lo + hi) / 2.0 - math.pi / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +250,13 @@ def depth_finite(points, x, weights=None) -> DepthResult:
         raise DimensionTooLarge(f"depth_finite supports dimension <= 3, got {dim}")
     w = np.ones(len(pts)) if weights is None else np.asarray(weights, dtype=float)
     total = float(w.sum())
+    if dim == 2:
+        mass, alpha = _sweep_counting_min_batch(xv, pts, w)
+        return _result(mass[0] / total, alpha[0], True, 0.0)
     rel = pts - xv
     if dim == 1:
         val, u = _depth_finite_1d(rel[:, 0], w, total)
         return DepthResult(val, Direction.from_vector(u), True, 0.0)
-    if dim == 2:
-        mass, alpha = _sweep_counting_min_batch(xv, pts, w)
-        return _result(mass[0] / total, alpha[0], True, 0.0)
     val, u = _depth_finite_3d(rel, w, total)
     return DepthResult(val, Direction.from_vector(u), True, 0.0)
 
@@ -411,7 +402,7 @@ def depth(m: Measure, x) -> DepthResult | None:
 
 
 # ---------------------------------------------------------------------------
-# sampled and grid bounds
+# sampled bounds
 
 def depth_sampled(m: Measure, x, num_directions: int, rng: RngState) -> DepthResult:
     """Upper bound: minimum closed-halfspace mass through x over random unit
@@ -442,33 +433,3 @@ def depth_sampled(m: Measure, x, num_directions: int, rng: RngState) -> DepthRes
         if v < best - 1e-15:
             best, best_u = v, u
     return DepthResult(float(best), Direction.from_vector(best_u), False, 1.0)
-
-
-def depth_angle_grid(m: Measure, x, num_angles: int) -> DepthResult:
-    """Dense 2D angle-grid oracle: min mass over u(a) for a on a uniform grid.
-
-    Counting families evaluate all angles with one vectorized window pass;
-    other families loop over exact halfspace masses.
-    """
-    xv = np.asarray(x, dtype=float).ravel()
-    alphas = np.linspace(0.0, TWO_PI, num_angles, endpoint=False)
-    if isinstance(m, FinitePointMass):
-        w = m.active_weights()
-        rel = m.active_points() - xv
-        scale = max(1.0, float(np.max(np.abs(rel))) if len(rel) else 1.0)
-        r = np.hypot(rel[:, 0], rel[:, 1])
-        at_center = r <= 1e-12 * scale
-        base = float(w[at_center].sum())
-        betas = np.mod(np.arctan2(rel[~at_center, 0], rel[~at_center, 1]), TWO_PI)
-        masses = base + _window_masses(betas, w[~at_center], alphas)
-        k = int(np.argmin(masses))
-        return _result(masses[k] / m.total_mass, alphas[k], False, 1.0)
-    best = math.inf
-    best_a = 0.0
-    for a in alphas:
-        u = _u(a)
-        h = Halfspace(Direction.from_vector(u), float(u @ xv))
-        v = m.halfspace_mass(h)
-        if v < best - 1e-15:
-            best, best_a = v, a
-    return _result(best, best_a, False, 1.0)

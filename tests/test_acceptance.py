@@ -17,10 +17,11 @@ from centercut.centerpoint import (ConstraintSet, centerpoint_2d_integer,
 from centercut.cutplane import (Adversarial, AffineMax, Centerpoint, Centroid,
                                 ConvexQuadratic, iteration_upper_bound,
                                 mixed_gap_bound, solve)
-from centercut.depth import depth_angle_grid, depth_finite, min_direction_2d
+from centercut.depth import depth_finite, min_direction_2d
 from centercut.geom import Box, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
                                 RngState, UniformPolytope)
+from depth_oracles import depth_angle_grid
 
 TRIANGLE = Polytope.from_vertices_2d([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 GRUNBAUM_2D = 4.0 / 9.0

@@ -848,15 +848,19 @@ def _same_pick(found, want):
             and np.array_equal(a.witness.coords, b.witness.coords))
 
 
-def _lattice_polygons(seed, sizes):
+def _lattice_measures(seed, sizes):
     gen = np.random.default_rng(seed)
     out = []
     for target in sizes:
         ang = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False) + gen.uniform(-0.3, 0.3, 6)
         v = np.c_[np.cos(ang), np.sin(ang)]
         v = v * np.sqrt(target / ConvexHull(v).volume) + gen.uniform(0.0, 1.0, 2)
-        out.append(LatticeCounting(_hull_polygon(v)).active_points())
+        out.append(LatticeCounting(_hull_polygon(v)))
     return out
+
+
+def _lattice_polygons(seed, sizes):
+    return [m.active_points() for m in _lattice_measures(seed, sizes)]
 
 
 @pytest.mark.parametrize("hi, max_rows", [((7.0, 7.0), 4), ((19.0, 16.0), 2)])
@@ -869,6 +873,35 @@ def test_box_search_evaluates_only_the_tied_centers(spy, hi, max_rows):
     found = _pruned_lex_best(pts, pts)
     assert _kernel_rows(calls) <= max_rows
     assert _same_pick(found, _brute_lex_best(pts, pts, w))
+
+
+def test_lattice_pick_evaluates_each_center_once(spy):
+    """A 2D lattice pick makes one ``min_direction_2d`` call, the search's
+    first row, and evaluates no center twice, in the one-batch case (up to
+    _PRUNE_DIRS points) and in the bounded search. Its point, value and
+    witness are the bits of the search followed by the engine at its
+    winner."""
+    boxes = [([0.0, 0.0], [7.0, 7.0]), ([0.0, 0.0], [19.0, 16.0]),
+             ([3.0, 0.0], [3.0, 12.0]), ([0.0, 2.0], [30.0, 2.0])]   # ties; collinear
+    lattices = ([LatticeCounting(Polytope.from_box(lo, hi)) for lo, hi in boxes]
+                + _lattice_measures(0, [1, 2, 3, 5, 9, 16, 17, 30, 70, 200, 400]))
+    want = []
+    for m in lattices:
+        pts = m.active_points()
+        k, _res = _pruned_lex_best(pts, pts)
+        want.append((pts[k], min_direction_2d(m, pts[k])))
+    kernel = spy(depth_mod, "_sweep_counting_min_batch")
+    engine = spy(cp_mod, "min_direction_2d")
+    for m, (point, res) in zip(lattices, want):
+        kernel.clear()
+        engine.clear()
+        got = centerpoint_lattice_measure(m)
+        centers = np.vstack([np.atleast_2d(c) for c, *_ in kernel])
+        assert len(engine) == 1
+        assert len(np.unique(centers, axis=0)) == len(centers)
+        assert got.point.tobytes() == point.tobytes()
+        assert (got.depth.value, got.depth.exact, got.depth.gap) == (res.value, True, 0.0)
+        assert got.depth.witness.coords.tobytes() == res.witness.coords.tobytes()
 
 
 def _lattice_and_duplicate_cases():

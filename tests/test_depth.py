@@ -3,12 +3,13 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from centercut import depth as depth_mod
-from centercut.depth import (_sweep_counting_min_batch, depth, depth_angle_grid,
-                             depth_finite, depth_sampled, min_direction_2d)
+from centercut.depth import (_sweep_counting_min_batch, depth, depth_finite,
+                             depth_sampled, min_direction_2d)
 from centercut.errors import DimensionTooLarge
 from centercut.geom import Direction, Halfspace, Polytope
 from centercut.measures import (FinitePointMass, LatticeCounting, MixedInteger,
                                 RngState, UniformPolytope)
+from depth_oracles import depth_angle_grid
 
 TRIANGLE = Polytope.from_vertices_2d([[0, 0], [1, 0], [0, 1]])
 UNIT_SQUARE = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
@@ -799,3 +800,21 @@ def test_batch_kernel_matches_its_reference_formula_bit_for_bit():
     w3 = np.where(gen.random((6, 40)) < 0.3, 0.0, gen.uniform(0.5, 2.0, (6, 40)))
     _assert_kernel_matches_reference(np.zeros((6, 2)), proj, w3)
     _assert_kernel_matches_reference(np.zeros((6, 2)), proj, np.where(w3 > 0, 1.0, 0.0))
+    # one center and one point, at the center or off it
+    for p in ([[0.0, 0.0]], [[2.0, -1.0]]):
+        _assert_kernel_matches_reference(np.zeros((1, 2)), np.array(p), np.ones(1))
+    # all points inside an open half circle, anchored at the last sorted
+    # angle, so the arc ends at the last entry of its row: alone, and in the
+    # first, a middle and the last row of a batch
+    half = np.array([[1.0, 10.0], [2.0, 10.0], [-1.0, 1.0]])
+    _assert_kernel_matches_reference(np.zeros((1, 2)), half, np.ones(3))
+    centers = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 0.0], [-3.0, 1.0], [0.0, 0.0]])
+    _assert_kernel_matches_reference(centers, half, np.ones(3))
+    # one batch of exactly _BATCH_ELEMENTS pairs, the largest row offsets
+    pts = gen.integers(-5, 6, size=(16, 2)).astype(float)
+    centers = np.vstack([gen.integers(-6, 7, size=(depth_mod._BATCH_ELEMENTS // 16 - 1, 2)),
+                         pts[:1]]).astype(float)
+    _assert_kernel_matches_reference(centers, pts, np.ones(16))
+    _assert_kernel_matches_reference(np.zeros((depth_mod._BATCH_ELEMENTS // 3, 2)),
+                                     np.broadcast_to(half, (depth_mod._BATCH_ELEMENTS // 3, 3, 2)),
+                                     np.ones(3))
