@@ -11,11 +11,16 @@ existing pieces and add nothing.
 
 The subgradient magnitudes shrink with xi as the game runs (scaling each new
 piece down is the only way to keep old answers valid once past queries
-surround the region), so games are meaningful for a few dozen queries  well
-beyond what the desk-scale bounds need, but not unbounded.
+surround the region), by a factor per query that grows with the region's
+size. Once xi falls below half an ulp of the running constant, the constant
+stops advancing and the game answers with an exactly zero subgradient, on
+which a solve stops. So a solve can stop short of the game's lower bound:
+the integer game from B = 1024 on, the mixed game with n + d = 3 already at
+B = 8 (the table ``repro/lower_bounds.csv`` lists the cases checked).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,8 +30,7 @@ import numpy as np
 from .centerpoint import ConstraintSet
 from .errors import EmptyRegion, OutsideRegion
 from .geom import Box, Halfspace
-from .measures import (LatticeCounting, MixedInteger, RngState,
-                       UniformPolytope)
+from .measures import LatticeCounting, MixedInteger, UniformPolytope
 
 _REPLAY_TOL = 1e-12
 _SEP_GRID = 720
@@ -42,6 +46,35 @@ class AffinePiece:
 
     def value(self, y) -> float:
         return float(self.h @ (np.asarray(y, dtype=float) - self.x)) - self.cum
+
+
+def _separating_direction(x, pts):
+    """The unit u maximizing the margin min over ``pts`` of u . (x - p); None
+    unless that margin exceeds 1e-9, so always when x lies in their hull.
+
+    The best u is (x - q) / |x - q| for q the point of the hull nearest x,
+    which is the projection of x onto the affine hull of at most dim + 1 of
+    the points with nonnegative barycentric coordinates. Every such
+    projection is a candidate; for the 8 extreme points the games pass in
+    3D there are 162 subsets.
+    """
+    best_u, best_margin = None, 1e-9
+    for k in range(1, min(len(pts), len(x) + 1) + 1):
+        for idx in itertools.combinations(range(len(pts)), k):
+            p0 = pts[idx[0]]
+            A = (pts[list(idx[1:])] - p0).T
+            lam = np.linalg.lstsq(A, x - p0, rcond=None)[0]
+            if np.any(lam < -1e-12) or float(lam.sum()) > 1.0 + 1e-12:
+                continue
+            w = x - (p0 + A @ lam)
+            nw = float(np.linalg.norm(w))
+            if nw == 0.0:   # x is a point of the hull
+                return None
+            u = w / nw
+            margin = float(np.min((x - pts) @ u))
+            if margin > best_margin:
+                best_u, best_margin = u, margin
+    return best_u
 
 
 @dataclass(frozen=True)
@@ -84,34 +117,6 @@ class _Game:
 
     def _candidate_slack(self):
         return None
-
-    def _separating_direction(self, x, pts, seed):
-        """Unit u maximizing the slack min over ``pts`` of u.(x - p), among
-        the directions from the mean and from the nearest point, the +-axes,
-        then 720 grid angles in 2D or 256 normals seeded by (seed, queries)
-        otherwise; None unless the best slack exceeds 1e-9."""
-        dim = len(x)
-        dirs = [x - pts.mean(axis=0),
-                x - pts[int(np.argmin(np.linalg.norm(pts - x, axis=1)))]]
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = 1.0
-            dirs += [e, -e]
-        if dim == 2:
-            ths = np.linspace(0.0, 2.0 * math.pi, _SEP_GRID, endpoint=False)
-            dirs += [np.array([math.cos(t), math.sin(t)]) for t in ths]
-        else:
-            gen = RngState(seed, self.queries).generator()
-            dirs += list(gen.normal(size=(256, dim)))
-        best_u, best_slack = None, 0.0
-        for u in dirs:
-            nu = float(np.linalg.norm(u))
-            if nu <= 1e-12:
-                continue
-            slack = float(np.min((x - pts) @ u)) / nu
-            if slack > best_slack:
-                best_slack, best_u = slack, u / nu
-        return best_u if best_slack > 1e-9 else None
 
     def _next_xi(self, x) -> float:
         xi = self.eps_geom * 0.5 ** self.queries
@@ -230,28 +235,42 @@ class IntegerFiber(_Game):
         self.B = B
 
     def fiber_candidates(self) -> dict:
+        """Per binary tail v, the range of k whose point (k, v) is strictly
+        inside every piece's cut. k enters a piece's float value once, so
+        the value is monotone along the fiber and the piece keeps a prefix
+        (h_0 > 0), a suffix (h_0 < 0), or all or none (h_0 = 0) of it: one
+        bisection per piece finds the same points a scan would."""
         out = {}
         for v in itertools.product((0, 1), repeat=self.n - 1):
-            ks = []
-            for k in range(self.B):
-                p = np.array((k,) + v, dtype=float)
-                if self._inside(p):
-                    ks.append(k)
+            ks = range(self.B)
+            for p in self.pieces:
+                def cut(k, p=p, v=v):
+                    return not p.value(np.array((k,) + v, dtype=float)) < -self.cum
+                if p.h[0] > 0.0:
+                    ks = ks[:bisect.bisect_left(ks, True, key=cut)]
+                elif p.h[0] < 0.0:
+                    ks = ks[bisect.bisect_left(ks, True, key=lambda k: not cut(k)):]
+                elif ks and cut(ks[0]):
+                    ks = ks[:0]
             out[v] = ks
         return out
 
-    def _all_candidates(self) -> np.ndarray:
-        rows = [np.array((k,) + v, dtype=float)
-                for v, ks in self.fiber_candidates().items() for k in ks]
-        return np.array(rows) if rows else np.empty((0, self.n))
+    def _range_ends(self) -> np.ndarray:
+        """The ends of the fiber ranges: the candidate hull's extreme points."""
+        ends = sorted({(k,) + v for v, ks in self.fiber_candidates().items()
+                       for k in ((ks[0], ks[-1]) if ks else ())})
+        return np.array(ends, dtype=float).reshape(-1, self.n)
 
     def _candidate_slack(self):
+        # each piece is monotone along a fiber, so its largest value over a
+        # range sits at an end: the minimum slack over the ends is the
+        # minimum over every candidate
         if not self.pieces:
             return None
-        pts = self._all_candidates()
-        if len(pts) == 0:
+        ends = self._range_ends()
+        if len(ends) == 0:
             return None
-        return min(-self.cum - self.epigraph(p)[0] for p in pts)
+        return min(-self.cum - self.epigraph(p)[0] for p in ends)
 
     def _tilt(self, v) -> np.ndarray:
         h = np.zeros(self.n)
@@ -264,10 +283,11 @@ class IntegerFiber(_Game):
         v = np.round(tail)
         if np.all((v == 0) | (v == 1)) and float(np.max(np.abs(tail - v), initial=0.0)) <= 1e-9:
             vt = tuple(int(t) for t in v)
-            ks = self.fiber_candidates().get(vt, [])
+            ks = self.fiber_candidates()[vt]
             q = x[0]
-            below = sum(1 for k in ks if k < q - 1e-9)
-            above = sum(1 for k in ks if k > q + 1e-9)
+            # k < t exactly when k < ceil(t), and k > t when k > floor(t)
+            below = len(range(ks.start, min(ks.stop, math.ceil(q - 1e-9))))
+            above = len(range(max(ks.start, math.floor(q + 1e-9) + 1), ks.stop))
             s = -1.0 if above > below else 1.0   # keep the larger side; s=+1 keeps below
             h = self._tilt(vt)
             h[0] = s
@@ -275,16 +295,18 @@ class IntegerFiber(_Game):
         return self._separating(x)
 
     def _separating(self, x):
-        pts = self._all_candidates()
-        if len(pts) == 0:
+        ends = self._range_ends()
+        if len(ends) == 0:
             e = np.zeros(self.n)
             e[0] = 1.0
             return e
-        u = self._separating_direction(x, pts, 11)
+        u = _separating_direction(x, ends)
         if u is not None:
             return u
         # x sits inside the candidate hull off every fiber: concede the
-        # least-damaging threshold cut
+        # threshold cut that removes the fewest candidates
+        pts = np.array([(k,) + v for v, ks in self.fiber_candidates().items()
+                        for k in ks], dtype=float)
         options = []
         vt = tuple(int(min(max(round(t), 0), 1)) for t in x[1:])
         for s in (1.0, -1.0):
@@ -306,7 +328,8 @@ class MixedFiber(_Game):
     """Volume game on fibers {v} x [0,B)^d, v in {0,1}^n.
 
     In-fiber cuts are thresholds on one continuous axis with the same
-    +-(2B+1) binary tilt, so the per-fiber remaining regions stay boxes.
+    +-(2B+1) binary tilt, and off-fiber answers also have one continuous
+    entry, so the per-fiber remaining regions stay boxes.
     """
 
     kind = "mixed_fiber"
@@ -344,8 +367,9 @@ class MixedFiber(_Game):
                         hi[a] = min(hi[a], rhs / hy[a])
                     else:
                         lo[a] = max(lo[a], rhs / hy[a])
-                # pieces with several continuous components are never created
-                # by this game; they would need a polytope here
+                # every piece has at most one nonzero continuous entry: the
+                # in-fiber thresholds, and the off-fiber answers, which
+                # separate in one (binary block, continuous axis) subspace
             if alive and np.all(hi - lo > 1e-12):
                 out[v] = (lo, hi)
         return out
@@ -398,15 +422,28 @@ class MixedFiber(_Game):
         return self._separating(x, boxes)
 
     def _separating(self, x, boxes):
-        pts = [np.concatenate([np.asarray(v, dtype=float), c])
-               for v, (lo, hi) in boxes.items() for c in self._corners(lo, hi)]
-        if not pts:
+        if not boxes:
             e = np.zeros(self.n + self.d)
             e[0] = 1.0
             return e
-        u = self._separating_direction(x, np.array(pts), 13)
-        if u is not None:
-            return u
+        # separate in each (binary block, axis a) subspace, where every box
+        # is the segment between its two faces on axis a, and keep the
+        # largest margin: one continuous entry keeps the fiber regions boxes
+        best_h, best_margin = None, -math.inf
+        for a in range(self.d):
+            sub = np.append(x[:self.n], x[self.n + a])
+            pts = np.array([np.append(np.asarray(v, dtype=float), t)
+                            for v, (lo, hi) in boxes.items() for t in (lo[a], hi[a])])
+            u = _separating_direction(sub, pts)
+            if u is None:
+                continue
+            margin = float(np.min((sub - pts) @ u))
+            if margin > best_margin:
+                best_h, best_margin = np.zeros(self.n + self.d), margin
+                best_h[:self.n] = u[:self.n]
+                best_h[self.n + a] = u[self.n]
+        if best_h is not None:
+            return best_h
         # concede: pure threshold on the continuous axis losing least volume
         best_h, best_lost = None, math.inf
         for a in range(self.d):

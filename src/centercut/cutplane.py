@@ -11,7 +11,9 @@ alone, which gives the same region. Each query's cut is kept as a
 normalized row (unit normal, |h_j| and h_j . x_j), so re-tightening a cut
 recomputes only its offset, with ``epigraph_cut``'s rounding. The run stops
 once the open region's mass drops to ``delta``, the region empties, a zero
-subgradient certifies optimality, or the call budget runs out.
+subgradient certifies optimality, a query repeats the previous point and
+its cut removes no mass (the solve has stalled), or the call budget runs
+out.
 """
 from __future__ import annotations
 
@@ -307,6 +309,7 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
 
     if m.total_mass <= delta:
         stop = "mass_below_delta"
+    prev_x = None
     calls_start = o.call_count
     while stop is None:
         if o.call_count - calls_start >= budget:
@@ -333,6 +336,7 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
         back, scale = Direction._normalized(-u)
         removed = float(m.halfspace_mass(Halfspace(back, float(-u @ x) / scale)))
         depth_rec = removed if est is None else min(est, removed)
+        mass_before = m.total_mass
         try:
             if improved:   # every cut moves with best_value
                 m = boxed.restrict(tuple(r.at(best_value, closed=False) for r in rows))
@@ -348,6 +352,12 @@ def solve(o, S: ConstraintSet, nu: Measure, E0: Box, delta: float,
         if m.total_mass <= delta:
             stop = "mass_below_delta"
             break
+        # a repeated query whose cut keeps every bit of mass would repeat
+        # forever; a counting or interior pick is cut off by its own cut
+        if mass == mass_before and prev_x is not None and np.array_equal(x, prev_x):
+            stop = "stalled"
+            break
+        prev_x = x
 
     lower = None
     if isinstance(o, Adversarial):

@@ -723,6 +723,19 @@ def test_fiber_game_range_of_float64_integers_is_accepted():
     assert parse_problem(json.dumps(doc)) == doc
 
 
+@pytest.mark.parametrize("d, calls", [(1, 3), (2, 2)])
+def test_mixed_fiber_game_at_the_top_of_its_range_stops_stalled(tmp_path, d, calls):
+    # the picks repeat once the interior nudge falls below an ulp; the solve
+    # stops there instead of spinning to the default budget of 10,000 calls
+    doc = {"schema_version": 1, "command": "adversary-run", "delta": 0.5,
+           "game": {"kind": "mixed_fiber", "n": 1, "d": d, "B": 2 ** 53}}
+    code, out = _run(tmp_path, doc, "adversary-run")
+    assert code == 0
+    got = json.loads(out.read_text())
+    assert (got["stop_reason"], got["oracle_calls"]) == ("stalled", calls)
+    assert got["bound_ok"] is False and got["consistent"] is True
+
+
 _FINITE = {"family": "finite", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 _DEPTH = {"command": "depth", "measure": _FINITE, "point": [0.5, 0.5]}
 _SOLVE = {k: v for k, v in SOLVE_DOC.items() if k != "schema_version"}

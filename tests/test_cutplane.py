@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from centercut.adversary import (ContinuousMedian, IntegerFiber,
+from centercut.adversary import (ContinuousMedian, IntegerFiber, MixedFiber,
                                  game_constraint_set, game_measure)
 from centercut.centerpoint import ConstraintSet, _lex_best
 from centercut import cutplane as cutplane_mod
@@ -545,6 +545,22 @@ def test_solve_integer_fiber_game():
     assert lower == 8
     assert rep.oracle_calls >= lower
     assert upper == 13 and rep.oracle_calls <= upper
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_stops_when_a_repeated_query_removes_nothing(d):
+    # at B = 2^40 the picks sit near 5.5e11, where the interior nudge of 1e-9
+    # is below an ulp: the pick repeats the previous point, the game replays
+    # its answer, and the cut keeps every bit of the mass; without the stop
+    # the solve spins to its budget
+    st = MixedFiber(1, d, 2 ** 40)
+    rep = solve(Adversarial(st), game_constraint_set(st), game_measure(st), st.E0, 0.5,
+                budget=40)
+    assert rep.stop_reason == "stalled"
+    assert rep.oracle_calls <= 3
+    last, prev = rep.iteration_trace[-2:]
+    assert np.array_equal(last.point, prev.point)
+    assert last.mass_after == prev.mass_after
 
 
 def test_solve_continuous_median_game():
