@@ -178,6 +178,13 @@ def _continuous_candidates_2d(pts, cap):
 _PRUNE_DIRS = 16
 _PRUNE_ANGLES = np.arange(_PRUNE_DIRS) * (math.pi / _PRUNE_DIRS)
 _EVEN_DIRS = np.stack([np.sin(_PRUNE_ANGLES), np.cos(_PRUNE_ANGLES)], axis=1)
+# the most candidates a deepest-point search without known values evaluates
+# as one kernel batch, with no bound pass (``_pruned_lex_best``). Kept at
+# most 64, so the kernel's row offsets stay below 2**10. Lattice picks on
+# ten seeded polygons per size, one batch over bounded search (median time,
+# two sweeps, 2-vCPU VM): 0.91 and 0.87 at 44 points, 0.92 and 0.86 at 45,
+# 0.98 and 0.91 at 46, 1.03 and 1.03 at 47, 1.07 and 1.04 at 48
+_ONE_BATCH_ROWS = 46
 
 
 def _prune_directions(pts, w):
@@ -355,7 +362,8 @@ def _deepest_depths(pts, cand, w, K, vals, ub, angles):
     known so far. A candidate qualifies while its bound reaches the current
     K-th largest value minus 1e-12; the search stops when none does. When
     the qualifiers fit in one batch of ``depth._BATCH_ELEMENTS`` (row, point)
-    pairs, the batch takes them all. That size (see its comment) is 7 rows
+    pairs and at most ``depth._SEARCH_ROWS`` rows, the kernel's limit, the
+    batch takes them all. That size (see its comment) is 7 rows
     at 1,061 samples. Larger batches cost more per row and take whole sets
     of qualifiers that a probe would rule out: at 25,000 pairs (23 rows) the
     last search of a Monte Carlo query evaluated 12.5 rows on average over
@@ -376,7 +384,7 @@ def _deepest_depths(pts, cand, w, K, vals, ub, angles):
     order = todo[np.argsort(-ub[todo], kind="stable")]   # left, best bound first
     neg_ub = -ub[order]   # ascending, for searchsorted; a copy, so ub stays
     total = float(w.sum())
-    rows = max(1, depth_mod._BATCH_ELEMENTS // len(pts))
+    rows = min(depth_mod._SEARCH_ROWS, max(1, depth_mod._BATCH_ELEMENTS // len(pts)))
     probe = 1
     while len(order):
         tighten = False
@@ -433,13 +441,14 @@ def _pruned_lex_best(pts, cand, weights=None, known=None, first=None):
     row gives its value and witness, as ``depth_finite`` would; other
     dimensions evaluate ``depth_finite`` at every candidate.
 
-    Without ``known``, a set of at most ``_PRUNE_DIRS`` candidates that fits
-    in one kernel batch skips the bounds: the bound pass sorts the sample
-    along as many directions as it would take kernel rows to evaluate every
-    candidate, and the pruned search evaluates every candidate within 1e-12
-    of the best anyway, so both pick the same one. The row offsets of the
-    kernel's flat search then stay below 4*pi*16, where one ulp is far
-    under its 1e-12 slack, so the values and witness are the same too.
+    Without ``known``, a set of at most ``_ONE_BATCH_ROWS`` candidates that
+    fits in one kernel batch is one kernel call and skips the bounds: up to
+    that size the bound pass and the extra kernel call cost more than the
+    rows they would save, and the pruned search evaluates every candidate
+    within 1e-12 of the best anyway, so both pick the same one. The row
+    offsets of the kernel's flat search then stay below
+    4*pi*_ONE_BATCH_ROWS < 2**10, where one ulp is far under its 1e-12
+    slack, so the values and witness are the same too.
 
     ``known`` optionally carries (exact values and minimizing angles, NaN
     where unknown; upper bounds) for a prefix of cand, and a
@@ -449,13 +458,14 @@ def _pruned_lex_best(pts, cand, weights=None, known=None, first=None):
     minus 1e-12 from the table, without sorting the sample again: only the
     candidates inside every slab get full bounds.
 
-    ``first``, used without ``known``, optionally evaluates the search's
-    first row in place of the kernel: a function from a candidate to its
+    ``first``, used without ``known``, optionally evaluates a row that
+    stands alone in place of the kernel: a function from a candidate to its
     exact ``DepthResult``, equal to that candidate's kernel row
-    (``min_direction_2d`` on the measure of ``pts``). The first row is
-    cand[0] in the one-batch case, and otherwise the best-bounded
-    candidate, which the bounded search takes first. Its result is returned
-    when that candidate wins, so no candidate's row is evaluated twice.
+    (``min_direction_2d`` on the measure of ``pts``). That row is the lone
+    candidate of a one-candidate batch, or the first row of the bounded
+    search, the best-bounded candidate; it never splits a batch. Its
+    result is returned when that candidate wins, so no candidate's row is
+    evaluated twice.
     """
     pts = np.asarray(pts, dtype=float)
     cand = np.asarray(cand, dtype=float)
@@ -464,10 +474,16 @@ def _pruned_lex_best(pts, cand, weights=None, known=None, first=None):
         res = [depth_finite(pts, c, w) for c in cand]
         k = _lex_best(cand, [r.value for r in res])
         return k, res[k]
+    if (known is None and len(cand) <= _ONE_BATCH_ROWS
+            and len(cand) * len(pts) <= depth_mod._BATCH_ELEMENTS):
+        if first is not None and len(cand) == 1:
+            return 0, first(cand[0])
+        vals, angles = depth_mod._sweep_counting_min_batch(cand, pts, w)
+        vals /= float(w.sum())
+        k = _lex_best(cand, vals)
+        return k, depth_mod._result(vals[k], angles[k], True, 0.0)
     vals = np.full(len(cand), np.nan)
     angles = np.full(len(cand), np.nan)
-    one_batch = (known is None and len(cand) <= _PRUNE_DIRS
-                 and len(cand) * len(pts) <= depth_mod._BATCH_ELEMENTS)
     x = 0
     if known is not None:
         known_vals, known_angles, known_ub, tab = known
@@ -476,22 +492,15 @@ def _pruned_lex_best(pts, cand, weights=None, known=None, first=None):
         # the search below starts its threshold at the best known value
         floor = float(np.nanmax(known_vals)) - 1e-12
         ub = np.concatenate([known_ub, _halfplane_bounds(tab, cand[len(known_ub):], floor)])
-    elif not one_batch:
+    else:
         ub = _depth_upper_bounds(pts, cand, w)
         x = int(np.argmax(ub))   # the row _deepest_depths would take first
     if first is not None:
         first_res = first(cand[x])
         vals[x] = first_res.value
-    if one_batch:
-        s = 0 if first is None else 1
-        if len(cand) > s:
-            vals[s:], angles[s:] = depth_mod._sweep_counting_min_batch(cand[s:], pts, w)
-            vals[s:] /= float(w.sum())
-        k = _lex_best(cand, vals)
-    else:
-        vals = _deepest_depths(pts, cand, w, 1, vals, ub, angles)
-        filled = np.flatnonzero(~np.isnan(vals))
-        k = int(filled[_lex_best(cand[filled], vals[filled])])
+    vals = _deepest_depths(pts, cand, w, 1, vals, ub, angles)
+    filled = np.flatnonzero(~np.isnan(vals))
+    k = int(filled[_lex_best(cand[filled], vals[filled])])
     if first is not None and k == x:
         return k, first_res
     return k, depth_mod._result(vals[k], angles[k], True, 0.0)
@@ -585,10 +594,12 @@ def centerpoint_lattice_measure(m: LatticeCounting) -> CenterpointResult:
     deepest active lattice point, lexicographically smallest on ties.
 
     ``_pruned_lex_best`` runs the batch counting kernel over the active
-    points with upper-bound pruning. Its first row is one
-    ``min_direction_2d`` call, the same kernel with one center, and no
-    other row evaluates that candidate again: the result's ``DepthResult``
-    is the engine's when that candidate wins and the winner's own batch row
+    points: up to ``_ONE_BATCH_ROWS`` of them are one kernel batch, and
+    more go to the search with upper-bound pruning. A row that stands alone
+    (a single point, or the bounded search's first row) is one
+    ``min_direction_2d`` call, the same kernel with one center, and no other
+    row evaluates that candidate again. The result's ``DepthResult`` is the
+    engine's when that candidate wins and the winner's own batch row
     otherwise. Raises DimensionTooLarge for other dimensions.
     """
     if m.dim != 2:

@@ -28,7 +28,9 @@ from . import geom
 from .centerpoint import (ConstraintSet, _pruned_lex_best,
                           centerpoint_lattice_measure, centerpoint_mixed_2d,
                           centroid, depth_guarantee)
-# min_direction_2d is unused here; perfbench's tracer test asserts this binding
+# min_direction_2d is unused here; perfbench's tracer test asserts this binding.
+# A 2D lattice pick calls the engine through centerpoint only for a lone
+# candidate or for the first row of a bounded search (ROADMAP item 4)
 from .depth import depth, min_direction_2d
 from .errors import EmptyRegion, InfeasibleStart, ZeroSubgradient
 from .geom import Box, Direction, Halfspace
@@ -187,6 +189,13 @@ def _pick_centerpoint(m: Measure):
     if isinstance(m, LatticeCounting) and m.dim == 2:
         r = centerpoint_lattice_measure(m)
         return r.point, r.depth.value
+    if isinstance(m, LatticeCounting) and m.dim == 1:
+        # distinct integers in ascending order: the lower median is the
+        # deepest point, and the smaller of two tied ones
+        pts = m.active_points()
+        n = len(pts)
+        k = (n - 1) // 2
+        return pts[k].copy(), min(k + 1, n - k) / n
     if isinstance(m, MixedInteger) and m.n == 1 and m.d == 1:
         r = centerpoint_mixed_2d(m)
         return r.point, r.depth.value
@@ -194,7 +203,7 @@ def _pick_centerpoint(m: Measure):
         x = _pick_centroid(m)
         r = depth(m, x)
         return x, None if r is None else r.value
-    # finite point masses and 1D/3D lattices: the deepest support point
+    # finite point masses and 3D lattices: the deepest support point
     pts = m.active_points()
     k, res = _pruned_lex_best(pts, pts, m.active_weights())
     return pts[k].copy(), res.value

@@ -57,6 +57,10 @@ TWO_PI = 2.0 * math.pi
 # queries of 1,061 samples: their median time was flat from 4,096 to 8,192
 # pairs and 12% higher at 12,288 and at 25,000
 _BATCH_ELEMENTS = 8_192
+# the most centers one call of the counting kernel takes: its row j is
+# offset by 4*pi*j, and below 4*pi*512 < 2**13 one ulp (9.1e-13) stays under
+# the kernel's 1e-12 slack
+_SEARCH_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,13 @@ def _sweep_counting_min_batch(centers, pts, weights):
     block [4*pi*j, 4*pi*(j+1)). The search for anchor i always lands in
     [i + 1, N + i] of its row, since the arc end lies strictly between b_i
     and b_i + 2*pi and rounding is monotone, so no index needs clipping.
+    Callers pass at most ``_SEARCH_ROWS`` (512) centers: the offset rounds
+    each key and arc end by up to half an ulp of 4*pi*511, so a row's value
+    can depend on its position only for a point within about 9.1e-13 of the
+    arc end. A pair of points whose angles differ from antipodal by 1e-12 to
+    about 1.9e-12 rad may count as antipodal in one row and not in another.
+    Past about 650 rows the ulp of the offset would exceed the 1e-12 slack,
+    and that band would grow with the row count.
 
     The atan2 angles, in [-pi, pi], are wrapped into [0, 2*pi] by adding
     2*pi to the negative ones, which rounds as ``np.mod`` does and, like it,

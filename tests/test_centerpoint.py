@@ -875,15 +875,24 @@ def test_box_search_evaluates_only_the_tied_centers(spy, hi, max_rows):
     assert _same_pick(found, _brute_lex_best(pts, pts, w))
 
 
+# the 6x8 box less one corner and less two: 47 and 46 lattice points, one
+# past the one-batch cap and at it
+_CAP_POLYGONS = [Polytope.from_vertices_2d(v) for v in (
+    [[0.0, 0.0], [5.0, 0.0], [5.0, 7.0], [1.0, 7.0], [0.0, 6.0]],
+    [[0.0, 0.0], [5.0, 0.0], [5.0, 6.0], [4.0, 7.0], [1.0, 7.0], [0.0, 6.0]])]
+
+
 def test_lattice_pick_evaluates_each_center_once(spy):
-    """A 2D lattice pick makes one ``min_direction_2d`` call, the search's
-    first row, and evaluates no center twice, in the one-batch case (up to
-    _PRUNE_DIRS points) and in the bounded search. Its point, value and
-    witness are the bits of the search followed by the engine at its
-    winner."""
+    """A 2D lattice pick evaluates no center twice. It calls
+    ``min_direction_2d`` only where that row stands alone: for a single
+    point, and as the first row of the bounded search (more than
+    _ONE_BATCH_ROWS points); a larger one-batch set is one kernel call. Its
+    point, value and witness are the bits of the search followed by the
+    engine at its winner."""
     boxes = [([0.0, 0.0], [7.0, 7.0]), ([0.0, 0.0], [19.0, 16.0]),
              ([3.0, 0.0], [3.0, 12.0]), ([0.0, 2.0], [30.0, 2.0])]   # ties; collinear
     lattices = ([LatticeCounting(Polytope.from_box(lo, hi)) for lo, hi in boxes]
+                + [LatticeCounting(P) for P in _CAP_POLYGONS]
                 + _lattice_measures(0, [1, 2, 3, 5, 9, 16, 17, 30, 70, 200, 400]))
     want = []
     for m in lattices:
@@ -897,7 +906,8 @@ def test_lattice_pick_evaluates_each_center_once(spy):
         engine.clear()
         got = centerpoint_lattice_measure(m)
         centers = np.vstack([np.atleast_2d(c) for c, *_ in kernel])
-        assert len(engine) == 1
+        n = len(m.active_points())
+        assert len(engine) == (n == 1 or n > cp_mod._ONE_BATCH_ROWS)
         assert len(np.unique(centers, axis=0)) == len(centers)
         assert got.point.tobytes() == point.tobytes()
         assert (got.depth.value, got.depth.exact, got.depth.gap) == (res.value, True, 0.0)
@@ -990,6 +1000,31 @@ def test_tightened_search_matches_brute_force(spy, monkeypatch, batch):
     _assert_topk_matches_a_full_stable_argsort(_hexagon_samples(1062, 300))
 
 
+def test_deepest_depths_keeps_kernel_calls_within_the_row_limit(spy):
+    """A search over few points takes at most ``depth._SEARCH_ROWS`` rows
+    per kernel call, though ``depth._BATCH_ELEMENTS`` pairs would hold more,
+    so a row's value never depends on how many candidates share its batch.
+    Two unit points whose angles miss antipodal by 2e-12 to 8e-12 rad have
+    depth 0 at the origin; 4,096 copies of the origin all get that value
+    and the angle of a lone row. One call of 4,096 rows would offset the
+    last by 4*pi*4095, whose ulp (7.3e-12) can count the pair as antipodal."""
+    kernel = spy(depth_mod, "_sweep_counting_min_batch")
+    gen = np.random.default_rng(4096)
+    C = 4096
+    cand, w = np.zeros((C, 2)), np.ones(2)
+    for a in gen.uniform(-np.pi, np.pi, 24):
+        b = a + np.pi + gen.uniform(2e-12, 8e-12)
+        pts = np.array([[np.sin(a), np.cos(a)], [np.sin(b), np.cos(b)]])
+        (alone,), (angle,) = depth_mod._sweep_counting_min_batch(cand[:1], pts, w)
+        assert alone == 0.0 and np.all(pts @ [np.sin(angle), np.cos(angle)] < 0.0)
+        kernel.clear()
+        angles = np.full(C, np.nan)
+        vals = cp_mod._deepest_depths(pts, cand, w, C, np.full(C, np.nan), np.ones(C),
+                                      angles)
+        assert not vals.any() and np.all(angles == angle)
+        assert max(len(c) for c, *_ in kernel) == depth_mod._SEARCH_ROWS
+
+
 def test_mc_pick_is_the_same_at_every_batch_size(spy, monkeypatch):
     # the batch size sets how many kernel rows a call takes and when the
     # search probes and tightens, never the point, value or witness: 1,061
@@ -1016,19 +1051,22 @@ def test_mc_pick_is_the_same_at_every_batch_size(spy, monkeypatch):
 def test_lattice_searches_fit_one_batch_and_never_tighten(spy):
     # the qualifiers of a lattice pick fit in one batch, so only the
     # shape-adapted bound pass runs, and only on sets of more than
-    # _PRUNE_DIRS points: smaller ones are one kernel batch without bounds
+    # _ONE_BATCH_ROWS points: smaller ones are one kernel batch without
+    # bounds. Two cut boxes sit one past the cap and at it
     bounds = spy(cp_mod, "_halfplane_bounds")
     prune = spy(cp_mod, "_depth_upper_bounds")
-    boxes = [LatticeCounting(Polytope.from_box([0.0, 0.0], hi)).active_points()
-             for hi in ((7.0, 7.0), (19.0, 16.0))]
+    boxes = [LatticeCounting(P).active_points() for P in
+             [Polytope.from_box([0.0, 0.0], hi) for hi in ((7.0, 7.0), (19.0, 16.0))]
+             + _CAP_POLYGONS]
     sets = boxes + _lattice_polygons(21, [12, 25, 40, 70, 120, 200, 340, 400])
+    assert {cp_mod._ONE_BATCH_ROWS, cp_mod._ONE_BATCH_ROWS + 1} <= {len(p) for p in sets}
     for pts in sets:
         _pruned_lex_best(pts, pts)
-    assert len(bounds) == len(prune) == sum(len(p) > cp_mod._PRUNE_DIRS for p in sets)
+    assert len(bounds) == len(prune) == sum(len(p) > cp_mod._ONE_BATCH_ROWS for p in sets)
 
 
 def _small_candidate_cases():
-    """(points, candidates, weights) with 1 to _PRUNE_DIRS candidates:
+    """(points, candidates, weights) with 1 to _ONE_BATCH_ROWS candidates:
     lattice polygons and collinear lattice points searched over themselves,
     weighted finite point masses with duplicated points, and their
     candidates with duplicates and off-support points."""
@@ -1039,7 +1077,7 @@ def _small_candidate_cases():
     # four tied centers, the lexicographically smallest last
     box = LatticeCounting(Polytope.from_box([0.0, 0.0], [3.0, 3.0])).active_points()
     cases.append((box, box[::-1], np.ones(len(box))))
-    for k in range(1, cp_mod._PRUNE_DIRS + 1):
+    for k in range(1, cp_mod._ONE_BATCH_ROWS + 1):
         pts = gen.integers(0, 5, size=(int(gen.integers(5, 40)), 2)).astype(float)
         pts = np.vstack([pts, pts[:3]])   # duplicated support points
         m = FinitePointMass(pts, weights=gen.integers(1, 6, size=len(pts)).astype(float))
@@ -1051,25 +1089,37 @@ def _small_candidate_cases():
 
 
 def test_small_candidate_sets_are_one_kernel_batch_and_match_brute_force(spy):
-    # at most _PRUNE_DIRS candidates in one batch: no bound pass, one kernel
-    # call, and the pick, value and witness of depth_finite at every candidate
+    # at most _ONE_BATCH_ROWS candidates in one batch: no bound pass, one
+    # kernel call, and the pick, value and witness of depth_finite at every
+    # candidate
+    cap = cp_mod._ONE_BATCH_ROWS
     bounds = spy(cp_mod, "_halfplane_bounds")
+    prune = spy(cp_mod, "_depth_upper_bounds")
     kernel = spy(depth_mod, "_sweep_counting_min_batch")
     cases = _small_candidate_cases()
-    assert {len(c) for _p, c, _w in cases} == set(range(1, cp_mod._PRUNE_DIRS + 1))
+    assert {len(c) for _p, c, _w in cases} == set(range(1, cap + 1))
     for pts, cand, w in cases:
         kernel.clear()
         found = _pruned_lex_best(pts, cand, w)
         assert len(kernel) == 1 and len(kernel[0][0]) == len(cand)
         assert _same_pick(found, _brute_lex_best(pts, cand, w))
-    assert bounds == []
-    # _PRUNE_DIRS candidates over more points than one batch holds: bounds
+    assert bounds == prune == []
+    # one candidate past the cap, in one batch's worth of pairs: the bound pass
+    gen = np.random.default_rng(33)
+    pts = gen.integers(0, 6, size=(60, 2)).astype(float)
+    w = gen.integers(1, 6, size=len(pts)).astype(float)
+    cand = np.vstack([pts[:cap - 8], gen.uniform(0.0, 5.0, size=(9, 2))])
+    assert len(cand) == cap + 1 and len(cand) * len(pts) <= depth_mod._BATCH_ELEMENTS
+    assert _same_pick(_pruned_lex_best(pts, cand, w), _brute_lex_best(pts, cand, w))
+    assert len(prune) == 1
+    # _ONE_BATCH_ROWS candidates over more points than one batch holds: the
+    # bound pass, and the search may tighten
     pts = LatticeCounting(Polytope.from_box([0.0, 0.0], [45.0, 45.0])).active_points()
-    assert cp_mod._PRUNE_DIRS * len(pts) > depth_mod._BATCH_ELEMENTS
-    cand = pts[:: len(pts) // cp_mod._PRUNE_DIRS][:cp_mod._PRUNE_DIRS]
+    assert cap * len(pts) > depth_mod._BATCH_ELEMENTS
+    cand = pts[:: len(pts) // cap][:cap]
     w = np.ones(len(pts))
     assert _same_pick(_pruned_lex_best(pts, cand, w), _brute_lex_best(pts, cand, w))
-    assert len(bounds) == 1
+    assert len(prune) == 2
 
 
 def _searched_bounds(tab, cand):

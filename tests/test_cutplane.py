@@ -8,7 +8,7 @@ from scipy.spatial import ConvexHull
 
 from centercut.adversary import (ContinuousMedian, IntegerFiber, MixedFiber,
                                  game_constraint_set, game_measure)
-from centercut.centerpoint import ConstraintSet, _lex_best
+from centercut.centerpoint import ConstraintSet, _lex_best, _pruned_lex_best
 from centercut import cutplane as cutplane_mod
 from centercut import depth as depth_mod
 from centercut import geom
@@ -388,6 +388,31 @@ def test_3d_lattice_pick_on_the_box():
     point, value = _pick_centerpoint(m)
     assert point.tolist() == [2.0, 2.0, 2.0]
     assert value == 63.0 / 125.0
+
+
+def test_1d_lattice_pick_is_the_lower_median_with_the_depth_loop_bits():
+    """A 1D lattice pick is the lower median of its points, with the point
+    and value of the ``depth_finite`` loop over every point, bit for bit,
+    on seeded intervals cut by open and closed halflines."""
+    gen = np.random.default_rng(1511)
+    sizes = set()
+    for _ in range(60):
+        lo = float(gen.integers(-60, 60)) + gen.uniform(-0.5, 0.5)
+        try:
+            m = LatticeCounting(Polytope.from_box([lo], [lo + gen.uniform(0.5, 300.0)]))
+            for _ in range(int(gen.integers(0, 4))):
+                pts = m.active_points()
+                t = float(gen.uniform(pts[0, 0] - 0.5, pts[-1, 0] + 0.5))
+                m = m.restrict([Halfspace.from_vector([float(gen.choice([-1.0, 1.0]))], t,
+                                                      closed=bool(gen.integers(2)))])
+        except EmptyRegion:
+            continue
+        pts = m.active_points()
+        sizes.add(len(pts))
+        k, res = _pruned_lex_best(pts, pts, m.active_weights())
+        point, value = _pick_centerpoint(m)
+        assert point.tobytes() == pts[k].tobytes() and value == res.value
+    assert 1 in sizes and max(sizes) > 200 and len(sizes) > 30
 
 
 def test_3d_uniform_solve_is_deterministic_and_stops_on_the_exact_mass():
